@@ -310,7 +310,7 @@ def build_parser() -> _Parser:
     pe.add_argument("--m-range", type=_m_range, default=(5, 100))
     pe.add_argument("--replications", type=int, default=100_000)
     pe.add_argument("--seed", type=int, default=0)
-    pe.add_argument("--mu-grid", type=_mu_grid, default=(0.0, 5.0, -5.0, 50.0, -50.0),
+    pe.add_argument("--mu-grid", type=_mu_grid, default=sim.DEFAULT_MU_GRID_SCALE,
                     help="mean offsets in units of sigma for non-equivariant deviations")
     pe.add_argument("--mechanism", choices=("pool", "size-check", "corrupt-deploy",
                                             "cross-check"), default="cross-check")

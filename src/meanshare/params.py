@@ -130,6 +130,41 @@ class DistributionSpec:
             return self.scale**2 / 3.0
         return self.scale**2
 
+    def sample(self, stream: np.random.Generator, shape, shift: float = 0.0) -> np.ndarray:
+        """i.i.d. points of ``shape`` (last axis ``dim``) located at ``mean + shift``."""
+        if self.family == "gaussian":
+            pts = stream.standard_normal(shape) * self.scale
+        elif self.family == "uniform_box":
+            pts = stream.uniform(-self.scale, self.scale, size=shape)
+        else:
+            pts = self.scale * (2.0 * stream.integers(0, 2, size=shape) - 1.0)
+        pts += self.mean + shift
+        return pts
+
+    def sample_sums(self, stream: np.random.Generator, b: int, sizes,
+                    shift: float = 0.0) -> list[np.ndarray]:
+        """Sums, each of shape (b, dim), of consecutive i.i.d. blocks of
+        ``sizes[i]`` points located at ``mean + shift``.
+
+        Gaussian and Rademacher sums are drawn exactly, as N(k loc, k scale^2)
+        and scale (2 Binomial(k, 1/2) - k) + k loc, in O(b dim) draws whatever
+        k is. Zero-size blocks sum to zero and consume no draws.
+        """
+        loc = self.mean + shift
+        shape = (b, self.dim)
+        sums = []
+        for k in sizes:
+            if k == 0:
+                sums.append(np.zeros(shape))
+            elif self.family == "gaussian":
+                sums.append(math.sqrt(k) * self.scale * stream.standard_normal(shape) + k * loc)
+            elif self.family == "scaled_rademacher":
+                sums.append(self.scale * (2.0 * stream.binomial(k, 0.5, size=shape) - k) + k * loc)
+            else:
+                # Irwin-Hall sums have no cheap exact sampler: draw the block in full
+                sums.append(self.sample(stream, (b, k, self.dim), shift).sum(axis=1))
+        return sums
+
 
 def gaussian_spec(mean, sigma: float) -> DistributionSpec:
     return DistributionSpec("gaussian", np.atleast_1d(np.asarray(mean, float)), sigma, sigma**2)
@@ -139,14 +174,7 @@ def sample_dataset(spec: DistributionSpec, n: int, stream: np.random.Generator) 
     """Draw n i.i.d. points from spec; returns array of shape (n, dim)."""
     if n < 0:
         raise InvalidParam("n must be nonnegative")
-    d = spec.dim
-    if spec.family == "gaussian":
-        pts = stream.standard_normal((n, d)) * spec.scale
-    elif spec.family == "uniform_box":
-        pts = stream.uniform(-spec.scale, spec.scale, size=(n, d))
-    else:
-        pts = spec.scale * (2.0 * stream.integers(0, 2, size=(n, d)) - 1.0)
-    return pts + spec.mean
+    return spec.sample(stream, (n, spec.dim))
 
 
 def as_dataset(points, dim: int | None = None) -> np.ndarray:

@@ -4,15 +4,21 @@ Plays full mechanism rounds with one focal agent deviating (or not) while
 all other agents follow the recommended profile, and measures the focal
 agent's empirical penalty.
 
-The engine is vectorized across replications. Since the non-focal agents
-are i.i.d. and honest, their pooled submission is an exchangeable sample,
-so the mechanism's uniform without-replacement cross-check subset is
-distribution-equal to a prefix of the pooled draw; similarly, the sum of
-independent corruption noises collapses to a single Gaussian with the
-summed variance. Every named estimator depends on the corrupted set only
-through its sum and count, so these collapses are exact, not
-approximations. A slow reference path that runs the object-level
-mechanisms point by point is provided for cross-validation.
+The engine is vectorized across replications and never builds the other
+agents' pool. Since the non-focal agents are i.i.d. and honest, their
+pooled submission is an exchangeable sample, so the mechanism's uniform
+without-replacement cross-check subset is distribution-equal to a prefix
+of the pool, and the sum of independent corruption noises collapses to a
+single Gaussian with the summed variance. Every named estimator sees the
+clean subset and the corrupted remainder only through their sums and
+counts, so each replication draws just the two block sums
+(:meth:`DistributionSpec.sample_sums`): exactly from their laws for
+Gaussian and Rademacher data, point by point for uniform data, which has
+no cheap exact sum sampler. These collapses are exact, not
+approximations. The focal agent's own data is drawn in full, since
+fabrication needs its standard deviation and subsets a prefix of it. A
+slow reference path that runs the object-level mechanisms point by point
+is provided for cross-validation.
 
 Reproducibility: replications are processed in fixed-size chunks, each
 chunk drawing from its own hierarchically-derived stream, and the chunk
@@ -31,7 +37,7 @@ import numpy as np
 from . import estimators as est
 from . import mechanisms as mech
 from .analytics import penalty_closed_form, sizecheck_penalty
-from .params import DistributionSpec, ProblemParams, spawn_stream
+from .params import DistributionSpec, InvalidParam, ProblemParams, spawn_stream
 
 __all__ = [
     "Strategy",
@@ -75,6 +81,10 @@ class Scenario:
     chunk_size: int = 1 << 16
     workers: int = 1
 
+    def __post_init__(self):
+        if self.replications < 1:
+            raise InvalidParam(f"replications must be >= 1, got {self.replications}")
+
 
 @dataclass(frozen=True)
 class EmpiricalPenalty:
@@ -110,18 +120,8 @@ def is_translation_equivariant(strategy: Strategy) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# vectorized draws and submission statistics
+# vectorized submission statistics and estimators
 # ---------------------------------------------------------------------------
-
-
-def _draw(spec: DistributionSpec, stream, shape, mu_offset: float):
-    if spec.family == "gaussian":
-        pts = stream.standard_normal(shape) * spec.scale
-    elif spec.family == "uniform_box":
-        pts = stream.uniform(-spec.scale, spec.scale, size=shape)
-    else:
-        pts = spec.scale * (2.0 * stream.integers(0, 2, size=shape) - 1.0)
-    return pts + spec.mean + mu_offset
 
 
 def _submission_stats(rule, X, p: ProblemParams, stream, d: int):
@@ -205,18 +205,17 @@ def _chunk_sq_errors(sc: Scenario, mu_offset: float, b: int, stream) -> np.ndarr
     foc = sc.focal
     s2 = p.sigma**2
 
-    if foc.n > 0:
-        X = _draw(spec, stream, (b, foc.n, d), mu_offset)
-        sum_x = X.sum(axis=1)
-    else:
-        X = np.empty((b, 0, d))
-        sum_x = np.zeros((b, d))
+    X = spec.sample(stream, (b, foc.n, d), mu_offset)
+    sum_x = X.sum(axis=1)
     n_y, sum_y = _submission_stats(foc.submission, X, p, stream, d)
     mean_y = None if n_y == 0 else sum_y / n_y
 
+    # the others' pool, as the sums of its cross-check prefix and remainder
     k_pool = (m - 1) * ns
-    P = _draw(spec, stream, (b, k_pool, d), mu_offset)
-    sum_p = P.sum(axis=1)
+    take = min(k_pool, ns) if sc.mechanism == "cross-check" and m >= 5 else 0
+    n_rest = k_pool - take
+    sum_d, sum_rest = spec.sample_sums(stream, b, (take, n_rest), mu_offset)
+    sum_p = sum_d + sum_rest
 
     if sc.mechanism == "pool":
         estv = _apply_estimator(foc.estimator, sum_x, foc.n, sum_p, k_pool,
@@ -251,10 +250,6 @@ def _chunk_sq_errors(sc: Scenario, mu_offset: float, b: int, stream) -> np.ndarr
             estv = _apply_estimator(foc.estimator, sum_x, foc.n, sum_p, k_pool,
                                     np.zeros((b, d)), 0, np.zeros((b, d)), p.sigma)
         else:
-            take = min(k_pool, ns)
-            sum_d = P[:, :take].sum(axis=1)
-            n_rest = k_pool - take
-            sum_rest = sum_p - sum_d
             if mean_y is None:
                 eta_sq = np.full((b, d), np.inf)
             else:
@@ -323,9 +318,9 @@ def run_replications_reference(sc: Scenario, focal_agent: int = 0) -> EmpiricalP
         for r in range(sc.replications):
             agent_stream = spawn_stream(sc.master_seed, 1000 + focal_agent, mi, r)
             mech_streams = [spawn_stream(sc.master_seed, 2000 + j, mi, r) for j in range(m)]
-            X = _draw(spec, agent_stream, (foc.n, d), mu) if foc.n else np.empty((0, d))
+            X = spec.sample(agent_stream, (foc.n, d), mu)
             Y = est.apply_submission(foc.submission, X, p, agent_stream)
-            subs = [Y if j == 0 else _draw(spec, agent_stream, (ns, d), mu)
+            subs = [Y if j == 0 else spec.sample(agent_stream, (ns, d), mu)
                     for j in range(m)]
             true_mu = spec.mean + mu
             if sc.mechanism == "pool":
@@ -402,6 +397,10 @@ def nash_deviation_sweep(sc: Scenario, menu: list[Strategy] | None = None) -> li
     p = sc.params
     if menu is None:
         menu = default_menu(p, recommended_strategy(p, sc.mechanism).estimator)
+        if sc.mechanism == "corrupt-deploy":
+            # entries that submit nothing are excluded: corrupt-and-deploy
+            # rejects an empty submission by design, so they have no penalty
+            menu = [s for s in menu if s.n > 0 and not isinstance(s.submission, est.Empty)]
     base_strategy = recommended_strategy(p, sc.mechanism, sc.epsilon)
     base = run_replications(replace(sc, focal=base_strategy))
 

@@ -167,6 +167,24 @@ class TestExperiments:
         assert len(rows) == 12
         assert not any(r["profitable_deviation"] for r in rows)
 
+    def test_nash_sweep_corrupt_deploy(self, capsys):
+        code, out, _ = run_cli(capsys, "experiment", "nash-sweep",
+                               "--mechanism", "corrupt-deploy", "--agents", "9",
+                               "--replications", "20000", "--seed", "5")
+        assert code == 0
+        rows = json.loads(out)
+        # the recommended profile plus the 9 menu entries that submit data
+        assert len(rows) == 10
+        assert not {"n=0", "submit nothing"} & {r["strategy"] for r in rows}
+        assert not any(r["profitable_deviation"] for r in rows)
+
+    def test_zero_replications_exits_1(self, capsys):
+        code, out, err = run_cli(capsys, "experiment", "nash-sweep",
+                                 "--replications", "0")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "replications" in err
+
     def test_highdim_check(self, capsys):
         code, out, _ = run_cli(capsys, "experiment", "highdim-check",
                                "--agents", "9", "--dim", "3",

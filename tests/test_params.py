@@ -143,3 +143,46 @@ class TestSampleDataset:
     def test_shape(self, n, seed):
         spec = DistributionSpec("gaussian", np.zeros(3), 1.0, 1.0)
         assert sample_dataset(spec, n, spawn_stream(seed, 0)).shape == (n, 3)
+
+
+class TestSampleSums:
+    FAMILIES = [
+        ("gaussian", 0.7),
+        ("scaled_rademacher", 0.7),
+        ("uniform_box", 0.7 * math.sqrt(3.0)),
+    ]
+
+    @pytest.mark.parametrize("family,scale", FAMILIES)
+    def test_moments(self, family, scale):
+        spec = DistributionSpec(family, np.array([0.5, -1.0]), scale, 0.49)
+        b, shift = 200_000, 1.5
+        sums = spec.sample_sums(spawn_stream(3, 0), b, (1, 7, 40), shift)
+        for k, s in zip((1, 7, 40), sums):
+            assert s.shape == (b, 2)
+            mean_se = s.std(axis=0) / math.sqrt(b)
+            assert np.all(np.abs(s.mean(axis=0) - k * (spec.mean + shift)) < 5 * mean_se)
+            dev_sq = (s - s.mean(axis=0)) ** 2
+            var_se = dev_sq.std(axis=0) / math.sqrt(b)
+            assert np.all(np.abs(s.var(axis=0) - k * spec.per_dim_variance) < 5 * var_se)
+
+    @pytest.mark.parametrize("k", [1, 2, 9, 990])
+    def test_rademacher_lattice(self, k):
+        spec = DistributionSpec("scaled_rademacher", np.array([0.25]), 0.5, 1.0)
+        (s,) = spec.sample_sums(spawn_stream(4, k), 5_000, (k,), 2.0)
+        steps = (s - k * 2.25) / 0.5 + k  # twice the number of +1 points
+        assert steps.min() >= 0 and steps.max() <= 2 * k
+        assert np.all(steps % 2 == 0)
+
+    @pytest.mark.parametrize("family,scale", FAMILIES)
+    def test_zero_size_blocks_draw_nothing(self, family, scale):
+        spec = DistributionSpec(family, np.ones(3), scale, 0.49)
+        stream = spawn_stream(5, 0)
+        before = stream.bit_generator.state
+        (z,) = spec.sample_sums(stream, 8, (0,), 3.0)
+        assert np.array_equal(z, np.zeros((8, 3)))
+        assert stream.bit_generator.state == before
+        # a zero-size block between two others leaves their draws unchanged
+        first, _, last = spec.sample_sums(spawn_stream(5, 1), 8, (4, 0, 6))
+        ref_first, ref_last = spec.sample_sums(spawn_stream(5, 1), 8, (4, 6))
+        assert np.array_equal(first, ref_first)
+        assert np.array_equal(last, ref_last)

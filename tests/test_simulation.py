@@ -11,7 +11,7 @@ from meanshare.analytics import (
     penalty_closed_form,
     smallm_participating_penalty,
 )
-from meanshare.params import DistributionSpec, ProblemParams, validate_params
+from meanshare.params import DistributionSpec, InvalidParam, ProblemParams, validate_params
 from meanshare.simulation import (
     EmpiricalPenalty,
     Scenario,
@@ -30,13 +30,14 @@ from conftest import params_for
 
 
 def _scenario(p, mechanism, focal, alpha=None, epsilon=None, reps=50_000,
-              seed=7, mu_grid=(0.0,), workers=1, scale=None):
+              seed=7, mu_grid=(0.0,), workers=1, scale=None, family="gaussian",
+              chunk_size=1 << 16):
     scale = p.sigma if scale is None else scale
-    spec = DistributionSpec("gaussian", np.zeros(p.dim), scale, p.sigma**2)
+    spec = DistributionSpec(family, np.zeros(p.dim), scale, p.sigma**2)
     return Scenario(params=p, mechanism=mechanism, focal=focal,
                     distribution=spec, replications=reps, master_seed=seed,
                     mu_grid=mu_grid, alpha=alpha, epsilon=epsilon,
-                    workers=workers)
+                    workers=workers, chunk_size=chunk_size)
 
 
 class TestDeterminism:
@@ -59,6 +60,20 @@ class TestDeterminism:
         assert a.mean_sq_error == b.mean_sq_error
         assert a.std_error == b.std_error
         assert a.per_mu == b.per_mu
+
+    @pytest.mark.parametrize("family,scale", [
+        ("gaussian", 1.0),
+        ("scaled_rademacher", 1.0),
+        ("uniform_box", math.sqrt(3.0)),
+    ])
+    def test_workers_byte_identical_per_family(self, canonical, canonical_alpha,
+                                               family, scale):
+        foc = recommended_strategy(canonical)
+        kw = dict(alpha=canonical_alpha, reps=20_000, family=family,
+                  scale=scale, chunk_size=4096)
+        a = run_replications(_scenario(canonical, "cross-check", foc, workers=1, **kw))
+        b = run_replications(_scenario(canonical, "cross-check", foc, workers=2, **kw))
+        assert a == b
 
     def test_different_seed_differs(self, canonical, canonical_alpha):
         foc = recommended_strategy(canonical)
@@ -139,6 +154,8 @@ class TestReferenceAgreement:
         ("size-check", {}),
         ("corrupt-deploy", {"epsilon": 0.5}),
         ("cross-check", {"alpha": None}),
+        pytest.param("cross-check", {"alpha": None, "family": "scaled_rademacher"},
+                     id="cross-check-rademacher"),
     ])
     def test_fast_vs_reference(self, canonical, canonical_alpha, mechanism, kw):
         if "alpha" in kw:
@@ -272,6 +289,14 @@ class TestSweepsAndChecks:
         res = highdim_nic_check(sc)
         assert res["ok"], (res["ratio"], res["bound"])
         assert res["pos_ok"], (res["pos_proxy"], res["pos_bound"])
+
+
+class TestScenario:
+    @pytest.mark.parametrize("reps", [0, -5])
+    def test_replications_must_be_positive(self, canonical, reps):
+        with pytest.raises(InvalidParam):
+            _scenario(canonical, "pool", recommended_strategy(canonical, "pool"),
+                      reps=reps)
 
 
 class TestMenu:
