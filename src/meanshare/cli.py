@@ -104,22 +104,20 @@ def _params_from(args, m: int | None = None) -> ProblemParams:
     cost = args.cost
     if cost is None:
         # default: cost chosen so the recommended sample count is args.nstar
-        d = getattr(args, "dim", 1)
+        d = args.dim
         if agents >= 5:
             cost = args.sigma**2 * d / (args.nstar**2 * agents)
         else:
             cost = args.sigma**2 * d / (args.nstar * agents) ** 2
-    return validate_params(ProblemParams(args.sigma, cost, agents, getattr(args, "dim", 1)))
+    return validate_params(ProblemParams(args.sigma, cost, agents, args.dim))
 
 
-def _add_common(p: _Parser, need_agents: bool = True):
+def _add_common(p: _Parser):
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--cost", type=_rational, default=None,
                    help="cost per sample; accepts a/b rationals (default: chosen so n*=--nstar)")
     p.add_argument("--nstar", type=int, default=10,
                    help="target recommended sample count when --cost is omitted")
-    if need_agents:
-        p.add_argument("--agents", type=int, required=True)
     p.add_argument("--dim", type=int, default=1)
     p.add_argument("--format", choices=("csv", "json"), default="json")
     p.add_argument("--out", default=None)
@@ -285,39 +283,29 @@ def build_parser() -> _Parser:
 
     pa = subs.add_parser("solve-alpha", parents=[], help="solve the corruption-level equation")
     _add_common(pa)
+    pa.add_argument("--agents", type=int, required=True)
     pa.set_defaults(func=cmd_solve_alpha)
 
     pf = subs.add_parser("figures", help="sign/bound scans over agent counts")
     pf.add_argument("which", choices=("g-check", "em-check"))
     pf.add_argument("--m-range", type=_m_range, required=True)
-    pf.add_argument("--sigma", type=float, default=1.0)
-    pf.add_argument("--cost", type=_rational, default=None)
-    pf.add_argument("--nstar", type=int, default=10)
-    pf.add_argument("--dim", type=int, default=1)
-    pf.add_argument("--format", choices=("csv", "json"), default="csv")
-    pf.add_argument("--out", default=None)
-    pf.set_defaults(func=cmd_figures)
+    _add_common(pf)
+    pf.set_defaults(func=cmd_figures, format="csv")
 
     pe = subs.add_parser("experiment", help="verification experiments")
     pe.add_argument("which", choices=("nash-sweep", "ir-check", "pos-table",
                                       "mc-vs-closed-form", "highdim-check"))
-    pe.add_argument("--sigma", type=float, default=1.0)
-    pe.add_argument("--cost", type=_rational, default=None)
-    pe.add_argument("--nstar", type=int, default=10)
+    _add_common(pe)
     pe.add_argument("--agents", type=int, default=9)
-    pe.add_argument("--dim", type=int, default=1)
     pe.add_argument("--epsilon", type=float, default=0.5)
     pe.add_argument("--m-range", type=_m_range, default=(5, 100))
     pe.add_argument("--replications", type=int, default=100_000)
     pe.add_argument("--seed", type=int, default=0)
     pe.add_argument("--mu-grid", type=_mu_grid, default=sim.DEFAULT_MU_GRID_SCALE,
                     help="mean offsets in units of sigma for non-equivariant deviations")
-    pe.add_argument("--mechanism", choices=("pool", "size-check", "corrupt-deploy",
-                                            "cross-check"), default="cross-check")
+    pe.add_argument("--mechanism", choices=sim.MECHANISMS, default="cross-check")
     pe.add_argument("--unrestricted", action="store_true",
                     help="allow fabricated submissions in the size-check sweep")
-    pe.add_argument("--format", choices=("csv", "json"), default="json")
-    pe.add_argument("--out", default=None)
     pe.set_defaults(func=cmd_experiment)
 
     return top

@@ -34,6 +34,7 @@ __all__ = [
     "OwnDataOnlyMean",
     "PosteriorMean",
     "estimate",
+    "estimate_from_sums",
     "shrink_factor",
 ]
 
@@ -109,8 +110,13 @@ def shrink_factor(n: int, sigma: float, ell: float) -> float:
 
 
 def apply_submission(rule, X: np.ndarray, p: ProblemParams, stream=None) -> np.ndarray:
-    """Produce the submitted dataset Y = f(X)."""
-    d = X.shape[1] if X.ndim == 2 else 1
+    """Produce the submitted dataset Y = f(X).
+
+    X has shape (..., n, d): leading axes are batch axes, and the rule acts
+    on the points along axis -2 of each batch entry. Only fabrication draws
+    from ``stream``.
+    """
+    n, d = X.shape[-2:]
     if isinstance(rule, Identity):
         return X
     if isinstance(rule, Scale):
@@ -120,21 +126,21 @@ def apply_submission(rule, X: np.ndarray, p: ProblemParams, stream=None) -> np.n
     if isinstance(rule, SubmitConstant):
         return np.full_like(X, rule.v)
     if isinstance(rule, Subset):
-        if rule.k > len(X):
-            raise SubsetTooLarge(f"subset size {rule.k} exceeds collected {len(X)}")
-        return X[: rule.k]
+        if rule.k > n:
+            raise SubsetTooLarge(f"subset size {rule.k} exceeds collected {n}")
+        return X[..., : rule.k, :]
     if isinstance(rule, FabricateFitGaussian):
-        if len(X) == 0:
+        if n == 0:
             raise EmptyInput("cannot fit a Gaussian to an empty sample")
-        mu = X.mean(axis=0)
-        sd = X.std(axis=0)
-        return mu + sd * stream.standard_normal((rule.n_fake, d))
+        mu = X.mean(axis=-2, keepdims=True)
+        sd = X.std(axis=-2, keepdims=True)
+        return mu + sd * stream.standard_normal((*X.shape[:-2], rule.n_fake, d))
     if isinstance(rule, Empty):
-        return np.empty((0, d))
+        return X[..., :0, :]
     if isinstance(rule, ShrinkEll):
-        if len(X) == 0:
+        if n == 0:
             return X
-        return X * shrink_factor(len(X), p.sigma, rule.ell)
+        return X * shrink_factor(n, p.sigma, rule.ell)
     raise TypeError(f"unknown submission rule {rule!r}")
 
 
@@ -180,28 +186,45 @@ class PosteriorMean:
     ell: float
 
 
-def _sums(X: np.ndarray, alloc: Allocation, d: int):
-    def sc(a):
-        return (a.sum(axis=0), len(a)) if len(a) else (np.zeros(d), 0)
+def estimate_from_sums(choice, sum_x, n_x: int, sum_clean, n_clean: int,
+                       sum_corr, n_corr: int, eta_sq, sigma: float) -> np.ndarray:
+    """Point estimate of the mean from the sums and counts of the agent's own
+    data, the clean allocation and the corrupted allocation.
 
-    sx, nx = sc(X)
-    sd_, nd = sc(alloc.clean)
-    sp, np_ = sc(alloc.corrupted)
-    return sx + sd_, nx + nd, sp, np_
-
-
-def _weighted(X, alloc, sigma, corr_var, extra_prec=0.0):
-    d = X.shape[1] if X.ndim == 2 else alloc.clean.shape[1]
-    s_clean, n_clean, s_corr, n_corr = _sums(X, alloc, d)
-    corr_var = np.broadcast_to(np.asarray(corr_var, float), (d,))
-    w_corr = np.where(np.isinf(corr_var), 0.0, n_corr / (sigma**2 + corr_var))
-    num = s_clean / sigma**2 + np.where(w_corr > 0, s_corr, 0.0) * np.where(
-        w_corr > 0, 1.0 / (sigma**2 + corr_var), 0.0
-    )
-    den = n_clean / sigma**2 + w_corr + extra_prec
-    if np.any(den == 0):
-        raise EmptyInput("no data with positive weight")
-    return num / den
+    Sums have shape (..., d), or are scalars for blocks that are absent;
+    ``eta_sq`` broadcasts against them and may be +inf, in which case the
+    corrupted block gets weight zero. Raises :class:`EmptyInput` when no
+    data has positive weight.
+    """
+    s_clean = sum_x + sum_clean
+    n_all_clean = n_x + n_clean
+    s2 = sigma**2
+    if isinstance(choice, (RecommendedWeighted, FixedWeighted, PosteriorMean)):
+        # inverse-variance weighted average of the clean and corrupted blocks
+        corr_var = choice.tau_sq if isinstance(choice, FixedWeighted) else eta_sq
+        extra_prec = 1.0 / choice.ell**2 if isinstance(choice, PosteriorMean) else 0.0
+        with np.errstate(invalid="ignore"):
+            w_corr = np.where(np.isinf(corr_var), 0.0, n_corr / (s2 + corr_var))
+            contrib = np.where(w_corr > 0, sum_corr, 0.0) * np.where(
+                w_corr > 0, 1.0 / (s2 + corr_var), 0.0
+            )
+        den = n_all_clean / s2 + w_corr + extra_prec
+        if np.any(den == 0):
+            raise EmptyInput("no data with positive weight")
+        return (s_clean / s2 + contrib) / den
+    if isinstance(choice, PlainMeanAll):
+        if n_all_clean + n_corr == 0:
+            raise EmptyInput("nothing to average")
+        return (s_clean + sum_corr) / (n_all_clean + n_corr)
+    if isinstance(choice, CleanOnlyMean):
+        if n_all_clean == 0:
+            raise EmptyInput("nothing to average")
+        return s_clean / n_all_clean
+    if isinstance(choice, OwnDataOnlyMean):
+        if n_x == 0:
+            raise EmptyInput("no own data")
+        return sum_x / n_x
+    raise TypeError(f"unknown estimator {choice!r}")
 
 
 def estimate(choice, X: np.ndarray, Y: np.ndarray, alloc: Allocation, sigma: float) -> np.ndarray:
@@ -210,28 +233,9 @@ def estimate(choice, X: np.ndarray, Y: np.ndarray, alloc: Allocation, sigma: flo
     Y (the submission) is accepted for interface completeness; none of the
     implemented estimators depend on it.
     """
-    d = X.shape[1] if len(X) else (alloc.clean.shape[1] if alloc.clean.ndim == 2 else 1)
-    if len(X) and alloc.clean.ndim == 2 and len(alloc.clean) and alloc.clean.shape[1] != X.shape[1]:
+    if len(X) and len(alloc.clean) and alloc.clean.shape[1] != X.shape[1]:
         raise DimensionMismatch("X and allocation dimensions differ")
-
-    if isinstance(choice, PlainMeanAll):
-        parts = [a for a in (X, alloc.clean, alloc.corrupted) if len(a)]
-        if not parts:
-            raise EmptyInput("nothing to average")
-        return np.concatenate(parts, axis=0).mean(axis=0)
-    if isinstance(choice, RecommendedWeighted):
-        return _weighted(X, alloc, sigma, alloc.eta_sq)
-    if isinstance(choice, FixedWeighted):
-        return _weighted(X, alloc, sigma, choice.tau_sq)
-    if isinstance(choice, CleanOnlyMean):
-        parts = [a for a in (X, alloc.clean) if len(a)]
-        if not parts:
-            raise EmptyInput("nothing to average")
-        return np.concatenate(parts, axis=0).mean(axis=0)
-    if isinstance(choice, OwnDataOnlyMean):
-        if not len(X):
-            raise EmptyInput("no own data")
-        return X.mean(axis=0)
-    if isinstance(choice, PosteriorMean):
-        return _weighted(X, alloc, sigma, alloc.eta_sq, extra_prec=1.0 / choice.ell**2)
-    raise TypeError(f"unknown estimator {choice!r}")
+    return estimate_from_sums(choice, X.sum(axis=0), len(X),
+                              alloc.clean.sum(axis=0), len(alloc.clean),
+                              alloc.corrupted.sum(axis=0), len(alloc.corrupted),
+                              alloc.eta_sq, sigma)

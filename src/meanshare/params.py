@@ -166,10 +166,6 @@ class DistributionSpec:
         return sums
 
 
-def gaussian_spec(mean, sigma: float) -> DistributionSpec:
-    return DistributionSpec("gaussian", np.atleast_1d(np.asarray(mean, float)), sigma, sigma**2)
-
-
 def sample_dataset(spec: DistributionSpec, n: int, stream: np.random.Generator) -> np.ndarray:
     """Draw n i.i.d. points from spec; returns array of shape (n, dim)."""
     if n < 0:

@@ -16,9 +16,15 @@ counts, so each replication draws just the two block sums
 Gaussian and Rademacher data, point by point for uniform data, which has
 no cheap exact sum sampler. These collapses are exact, not
 approximations. The focal agent's own data is drawn in full, since
-fabrication needs its standard deviation and subsets a prefix of it. A
-slow reference path that runs the object-level mechanisms point by point
-is provided for cross-validation.
+fabrication needs its standard deviation and subsets a prefix of it.
+
+The engine shares its submission rules and its estimator kernel
+(:func:`estimators.apply_submission`, :func:`estimators.estimate_from_sums`)
+with the object-level API. The slow reference path, which runs the
+object-level mechanisms point by point on explicit pools, therefore checks
+the mechanisms, the prefix/sum collapse and the streams independently;
+the estimator and submission arithmetic is pinned by the hand-computed
+oracles in the estimator tests.
 
 Reproducibility: replications are processed in fixed-size chunks, each
 chunk drawing from its own hierarchically-derived stream, and the chunk
@@ -52,9 +58,11 @@ __all__ = [
     "highdim_nic_check",
     "default_menu",
     "DEFAULT_MU_GRID_SCALE",
+    "MECHANISMS",
 ]
 
 DEFAULT_MU_GRID_SCALE = (0.0, 5.0, -5.0, 50.0, -50.0)
+MECHANISMS = ("pool", "size-check", "corrupt-deploy", "cross-check")
 
 
 @dataclass(frozen=True)
@@ -70,7 +78,7 @@ class Strategy:
 @dataclass(frozen=True)
 class Scenario:
     params: ProblemParams
-    mechanism: str  # "pool" | "size-check" | "corrupt-deploy" | "cross-check"
+    mechanism: str  # one of MECHANISMS
     focal: Strategy
     distribution: DistributionSpec
     replications: int
@@ -82,6 +90,20 @@ class Scenario:
     workers: int = 1
 
     def __post_init__(self):
+        p, spec = self.params, self.distribution
+        if self.mechanism not in MECHANISMS:
+            raise InvalidParam(f"unknown mechanism {self.mechanism!r}")
+        if spec.dim != p.dim:
+            raise InvalidParam(f"distribution dimension {spec.dim} != params dim {p.dim}")
+        if spec.per_dim_variance > p.sigma**2 * (1 + 1e-9):
+            raise InvalidParam(f"data variance {spec.per_dim_variance} exceeds sigma^2 "
+                               f"= {p.sigma**2}; the estimator weights assume sigma")
+        if self.mechanism == "cross-check" and p.agents >= 5 and \
+                (self.alpha is None or not self.alpha > 0):
+            raise InvalidParam("cross-check with 5 or more agents needs alpha > 0")
+        if self.mechanism == "corrupt-deploy" and \
+                (self.epsilon is None or not self.epsilon > 0):
+            raise InvalidParam("corrupt-deploy needs epsilon > 0")
         if self.replications < 1:
             raise InvalidParam(f"replications must be >= 1, got {self.replications}")
 
@@ -119,96 +141,20 @@ def is_translation_equivariant(strategy: Strategy) -> bool:
     return not isinstance(strategy.submission, (est.Scale, est.SubmitConstant))
 
 
-# ---------------------------------------------------------------------------
-# vectorized submission statistics and estimators
-# ---------------------------------------------------------------------------
-
-
-def _submission_stats(rule, X, p: ProblemParams, stream, d: int):
-    """(count, sum (b,d)) of the submitted dataset, or (0, None) if empty.
-
-    Consumes stream draws only for fabrication, in a fixed order."""
-    b = X.shape[0] if X is not None else None
-    if isinstance(rule, est.Identity):
-        return X.shape[1], X.sum(axis=1)
-    if isinstance(rule, est.Scale):
-        return X.shape[1], rule.gamma * X.sum(axis=1)
-    if isinstance(rule, est.Shift):
-        return X.shape[1], X.sum(axis=1) + X.shape[1] * rule.delta
-    if isinstance(rule, est.SubmitConstant):
-        return X.shape[1], np.full((b, d), X.shape[1] * rule.v)
-    if isinstance(rule, est.Subset):
-        if rule.k > X.shape[1]:
-            raise est.SubsetTooLarge(f"subset size {rule.k} exceeds collected {X.shape[1]}")
-        return rule.k, X[:, : rule.k].sum(axis=1)
-    if isinstance(rule, est.FabricateFitGaussian):
-        mu = X.mean(axis=1)
-        sd = X.std(axis=1)
-        z = stream.standard_normal((b, rule.n_fake, d))
-        return rule.n_fake, rule.n_fake * mu + sd * z.sum(axis=1)
-    if isinstance(rule, est.Empty):
-        return 0, None
-    if isinstance(rule, est.ShrinkEll):
-        f = est.shrink_factor(X.shape[1], p.sigma, rule.ell)
-        return X.shape[1], f * X.sum(axis=1)
-    raise TypeError(f"unknown submission rule {rule!r}")
-
-
-def _weighted_estimate(s_clean, n_clean, s_corr, n_corr, corr_var, sigma_sq,
-                       extra_prec: float = 0.0):
-    """Vectorized inverse-variance weighted average; corr_var may be +inf
-    (per replication and dimension), in which case the corrupted block is
-    ignored."""
-    with np.errstate(invalid="ignore"):
-        w_corr = np.where(np.isinf(corr_var), 0.0, n_corr / (sigma_sq + corr_var))
-        contrib = np.where(w_corr > 0, s_corr, 0.0) * np.where(
-            w_corr > 0, 1.0 / (sigma_sq + corr_var), 0.0
-        )
-    num = s_clean / sigma_sq + contrib
-    den = n_clean / sigma_sq + w_corr + extra_prec
-    return num / den
-
-
-def _apply_estimator(choice, sum_x, n_x, sum_clean_alloc, n_clean_alloc,
-                     sum_corr, n_corr, eta_sq, sigma):
-    s_clean = sum_x + sum_clean_alloc
-    n_clean = n_x + n_clean_alloc
-    s2 = sigma**2
-    if isinstance(choice, est.RecommendedWeighted):
-        return _weighted_estimate(s_clean, n_clean, sum_corr, n_corr, eta_sq, s2)
-    if isinstance(choice, est.FixedWeighted):
-        return _weighted_estimate(s_clean, n_clean, sum_corr, n_corr, choice.tau_sq, s2)
-    if isinstance(choice, est.PosteriorMean):
-        return _weighted_estimate(s_clean, n_clean, sum_corr, n_corr, eta_sq, s2,
-                                  extra_prec=1.0 / choice.ell**2)
-    if isinstance(choice, est.PlainMeanAll):
-        if n_clean + n_corr == 0:
-            return np.full_like(s_clean, np.inf)  # no data at all
-        return (s_clean + sum_corr) / (n_clean + n_corr)
-    if isinstance(choice, est.CleanOnlyMean):
-        if n_clean == 0:
-            return np.full_like(s_clean, np.inf)
-        return s_clean / n_clean
-    if isinstance(choice, est.OwnDataOnlyMean):
-        if n_x == 0:
-            return np.full_like(sum_x, np.inf)
-        return sum_x / n_x
-    raise TypeError(f"unknown estimator {choice!r}")
-
-
 def _chunk_sq_errors(sc: Scenario, mu_offset: float, b: int, stream) -> np.ndarray:
-    """Squared estimation errors ||est - mu||^2 for one chunk of b rounds."""
+    """Squared estimation errors ||est - mu||^2 for one chunk of b rounds.
+
+    A round in which the focal estimator has no data with positive weight
+    scores +inf."""
     p = sc.params
     d, ns, m = p.dim, p.n_star, p.agents
     spec = sc.distribution
-    true_mu = spec.mean + mu_offset
     foc = sc.focal
-    s2 = p.sigma**2
 
     X = spec.sample(stream, (b, foc.n, d), mu_offset)
-    sum_x = X.sum(axis=1)
-    n_y, sum_y = _submission_stats(foc.submission, X, p, stream, d)
-    mean_y = None if n_y == 0 else sum_y / n_y
+    Y = est.apply_submission(foc.submission, X, p, stream)
+    n_y = Y.shape[1]
+    sum_y = Y.sum(axis=1)
 
     # the others' pool, as the sums of its cross-check prefix and remainder
     k_pool = (m - 1) * ns
@@ -217,53 +163,41 @@ def _chunk_sq_errors(sc: Scenario, mu_offset: float, b: int, stream) -> np.ndarr
     sum_d, sum_rest = spec.sample_sums(stream, b, (take, n_rest), mu_offset)
     sum_p = sum_d + sum_rest
 
-    if sc.mechanism == "pool":
-        estv = _apply_estimator(foc.estimator, sum_x, foc.n, sum_p, k_pool,
-                                np.zeros((b, d)), 0, np.zeros((b, d)), p.sigma)
-
-    elif sc.mechanism == "size-check":
-        if n_y >= ns:
-            estv = _apply_estimator(foc.estimator, sum_x, foc.n, sum_p, k_pool,
-                                    np.zeros((b, d)), 0, np.zeros((b, d)), p.sigma)
-        else:
-            estv = _apply_estimator(foc.estimator, sum_x, foc.n, np.zeros((b, d)), 0,
-                                    np.zeros((b, d)), 0, np.zeros((b, d)), p.sigma)
-
+    # the focal allocation, as (sum, count) of its clean and corrupted blocks;
+    # pool, size-check and cross-check with m <= 4 hand over the clean pool
+    own = (X.sum(axis=1), foc.n)
+    clean, corrupted, eta_sq = (sum_p, k_pool), (0.0, 0), 0.0
+    if sc.mechanism == "size-check" and n_y < ns:
+        clean = (0.0, 0)
     elif sc.mechanism == "corrupt-deploy":
         if n_y == 0:
             raise mech.EmptySubmission("corrupt-and-deploy requires a nonempty submission")
         k = mech.k_eps(sc.epsilon)
         beta_sq = mech.beta_sq_published(n_y + k_pool, p, k)
-        delta = mean_y - sum_p / k_pool
+        delta = sum_y / n_y - sum_p / k_pool
         eta_sq = beta_sq * delta ** (2 * k)
         z = stream.standard_normal((b, d))
-        sum_corr = sum_p + math.sqrt(k_pool) * np.sqrt(eta_sq) * z
+        clean = (0.0, 0)
+        corrupted = (sum_p + math.sqrt(k_pool) * np.sqrt(eta_sq) * z, k_pool)
         if isinstance(foc.estimator, est.PlainMeanAll):
             # the estimate the mechanism deploys: mean of Y_i and the corrupted pool
-            estv = (sum_y + sum_corr) / (n_y + k_pool)
+            own = (sum_y, n_y)
+    elif sc.mechanism == "cross-check" and m >= 5:
+        if n_y == 0:
+            eta_sq = np.full((b, d), np.inf)
         else:
-            estv = _apply_estimator(foc.estimator, sum_x, foc.n, np.zeros((b, d)), 0,
-                                    sum_corr, k_pool, eta_sq, p.sigma)
+            eta_sq = (sc.alpha**2) * (sum_y / n_y - sum_d / take) ** 2
+        z = stream.standard_normal((b, d))
+        with np.errstate(invalid="ignore"):
+            noise_sum = math.sqrt(n_rest) * np.sqrt(eta_sq) * z
+        clean, corrupted = (sum_d, take), (sum_rest + noise_sum, n_rest)
 
-    elif sc.mechanism == "cross-check":
-        if m <= 4:
-            estv = _apply_estimator(foc.estimator, sum_x, foc.n, sum_p, k_pool,
-                                    np.zeros((b, d)), 0, np.zeros((b, d)), p.sigma)
-        else:
-            if mean_y is None:
-                eta_sq = np.full((b, d), np.inf)
-            else:
-                eta_sq = (sc.alpha**2) * (mean_y - sum_d / take) ** 2
-            z = stream.standard_normal((b, d))
-            with np.errstate(invalid="ignore"):
-                noise_sum = math.sqrt(n_rest) * np.sqrt(eta_sq) * z
-            sum_corr = sum_rest + noise_sum
-            estv = _apply_estimator(foc.estimator, sum_x, foc.n, sum_d, take,
-                                    sum_corr, n_rest, eta_sq, p.sigma)
-    else:
-        raise ValueError(f"unknown mechanism {sc.mechanism!r}")
-
-    err = estv - true_mu
+    try:
+        estv = est.estimate_from_sums(foc.estimator, *own, *clean, *corrupted,
+                                      eta_sq, p.sigma)
+    except est.EmptyInput:
+        return np.full(b, np.inf)
+    err = estv - (spec.mean + mu_offset)
     return np.einsum("bd,bd->b", err, err)
 
 
@@ -337,11 +271,9 @@ def run_replications_reference(sc: Scenario, focal_agent: int = 0) -> EmpiricalP
                 else:
                     alloc = mech.Allocation(np.empty((0, d)), dep.corrupted, dep.eta_sq)
                     v = est.estimate(foc.estimator, X, Y, alloc, p.sigma)
-            elif sc.mechanism == "cross-check":
+            else:
                 alloc = mech.mech_cross_check_corrupt(subs, p, sc.alpha, mech_streams)[0]
                 v = est.estimate(foc.estimator, X, Y, alloc, p.sigma)
-            else:
-                raise ValueError(f"unknown mechanism {sc.mechanism!r}")
             e = v - true_mu
             sqs[r] = float(e @ e)
         mse = sqs.mean()

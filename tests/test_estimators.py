@@ -68,6 +68,30 @@ class TestApplySubmission:
         assert factor == pytest.approx(1 / (1 + 1 / 12))
 
 
+DETERMINISTIC_RULES = [est.Identity(), est.Scale(0.5), est.Shift(3.0), est.SubmitConstant(7.0),
+                       est.Subset(2), est.Empty(), est.ShrinkEll(2.0)]
+
+
+class TestBatchedSubmission:
+    @pytest.mark.parametrize("rule", DETERMINISTIC_RULES, ids=repr)
+    def test_matches_per_row(self, canonical, rule):
+        X = spawn_stream(5, 0).standard_normal((4, 3, 2))
+        Y = est.apply_submission(rule, X, canonical)
+        rows = [est.apply_submission(rule, x, canonical) for x in X]
+        assert Y.shape == (4, *rows[0].shape)
+        for y, r in zip(Y, rows):
+            assert np.array_equal(y, r)
+
+    def test_subset_too_large(self, canonical):
+        with pytest.raises(est.SubsetTooLarge):
+            est.apply_submission(est.Subset(4), np.zeros((5, 3, 1)), canonical)
+
+    def test_fabricate_from_nothing(self, canonical):
+        with pytest.raises(est.EmptyInput):
+            est.apply_submission(est.FabricateFitGaussian(3), np.zeros((5, 0, 1)), canonical,
+                                 spawn_stream(3, 0))
+
+
 class TestEstimate:
     def test_hand_oracle(self):
         # X={0,2}, D={4}, D'={10}, eta^2 = sigma^2 = 1:
@@ -125,6 +149,16 @@ class TestEstimate:
             est.estimate(est.PlainMeanAll(), np.empty((0, 1)), np.empty((0, 1)), a, 1.0)
         with pytest.raises(est.EmptyInput):
             est.estimate(est.RecommendedWeighted(), np.empty((0, 1)), np.empty((0, 1)), a, 1.0)
+
+    @pytest.mark.parametrize("choice,a", [
+        (est.RecommendedWeighted(), alloc(corrupted=[1.0], eta_sq=np.inf)),
+        (est.FixedWeighted(np.inf), alloc(corrupted=[1.0])),
+        (est.CleanOnlyMean(), alloc(corrupted=[1.0])),
+        (est.OwnDataOnlyMean(), alloc(clean=[1.0])),
+    ], ids=repr)
+    def test_no_data_with_positive_weight(self, choice, a):
+        with pytest.raises(est.EmptyInput):
+            est.estimate(choice, np.empty((0, 1)), np.empty((0, 1)), a, 1.0)
 
     def test_plain_mean_single_dataset(self):
         X = as_dataset([1.0, 2.0, 6.0])

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -276,6 +277,17 @@ class TestSweepsAndChecks:
         res = ir_check(sc)
         assert res["ok"]
 
+    @pytest.mark.parametrize("mechanism", ["pool", "size-check", "cross-check"])
+    def test_no_own_data_scores_infinite_risk(self, canonical, canonical_alpha, mechanism):
+        # the own-data mean has nothing to average when the agent collects nothing
+        foc = Strategy(0, est.Identity(), est.OwnDataOnlyMean(), "no own data")
+        sc = _scenario(canonical, mechanism, recommended_strategy(canonical, mechanism),
+                       alpha=canonical_alpha, reps=2_000)
+        assert run_replications(replace(sc, focal=foc)).total == math.inf
+        rows = nash_deviation_sweep(sc, [foc])
+        assert rows[1].penalty.total == math.inf
+        assert not rows[1].profitable
+
     def test_highdim_nic(self):
         p = validate_params(ProblemParams(1.0, 1.0 / 300.0, 9, 3))
         assert p.n_star == 10
@@ -297,6 +309,23 @@ class TestScenario:
         with pytest.raises(InvalidParam):
             _scenario(canonical, "pool", recommended_strategy(canonical, "pool"),
                       reps=reps)
+
+
+    @pytest.mark.parametrize("change", [
+        {"mechanism": "cross-chek"},
+        {"distribution": DistributionSpec("gaussian", np.zeros(3), 1.0, 1.0)},
+        {"distribution": DistributionSpec("gaussian", np.zeros(1), 3.0, 9.0)},
+        {"alpha": None},
+        {"alpha": 0.0},
+        {"mechanism": "corrupt-deploy", "epsilon": None},
+        {"mechanism": "corrupt-deploy", "epsilon": 0.0},
+    ], ids=["unknown mechanism", "dim mismatch", "variance above sigma^2",
+            "no alpha", "zero alpha", "no epsilon", "zero epsilon"])
+    def test_bad_input_rejected(self, canonical, canonical_alpha, change):
+        sc = _scenario(canonical, "cross-check", recommended_strategy(canonical),
+                       alpha=canonical_alpha, epsilon=0.5, reps=10)
+        with pytest.raises(InvalidParam):
+            replace(sc, **change)
 
 
 class TestMenu:
