@@ -6,7 +6,7 @@ Library layout:
 - :mod:`meanshare.alphasolve` — the corruption-level equation G(alpha) = 0.
 - :mod:`meanshare.estimators` — submission rules and mean estimators.
 - :mod:`meanshare.mechanisms` — the four data-sharing mechanisms.
-- :mod:`meanshare.analytics` — closed-form and quadrature penalty analytics.
+- :mod:`meanshare.analytics` — closed-form penalty and risk analytics.
 - :mod:`meanshare.simulation` — Monte-Carlo equilibrium verification.
 - :mod:`meanshare.cli` — batch command-line front end.
 """

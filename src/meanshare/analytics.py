@@ -1,4 +1,4 @@
-"""Closed-form and quadrature-based penalty analytics.
+"""Closed-form penalty analytics.
 
 Everything here is deterministic: baseline penalties, the equilibrium
 penalty function p(n) and its closed-form value/derivative at n*, the
@@ -9,8 +9,10 @@ Exponential-times-erfc products are always evaluated through the scaled
 kernel erfcx(z) = e^{z^2} erfc(z); the raw product overflows for large
 agent counts.
 
-Standard-normal expectations are integrated on [-12, 12] (the tail beyond
-12 standard deviations is far below the 1e-12 tolerance).
+The risks below are standard-normal expectations of a Moebius function of
+x^2, 1/(M/(sigma^2 + b x^2) + B), which reduce to the Gaussian integral
+E[1/(L + x^2)] = :func:`gauss_int_I` (:func:`_mobius_mean`); nothing here
+integrates numerically.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import erfcx
 
 from .mechanisms import k_eps
@@ -27,7 +28,6 @@ from .params import ProblemParams
 
 __all__ = [
     "NonpositiveL",
-    "QuadratureFailure",
     "baseline_penalties",
     "gauss_int_I",
     "gauss_int_J",
@@ -55,22 +55,6 @@ _SQRT2PI = math.sqrt(2 * math.pi)
 
 class NonpositiveL(ValueError):
     pass
-
-
-class QuadratureFailure(RuntimeError):
-    pass
-
-
-def _std_normal_expectation(f, epsabs: float = 1e-12) -> float:
-    """E[f(x)] for x ~ N(0,1) by adaptive quadrature on [-12, 12]."""
-
-    def integrand(x):
-        return f(x) * math.exp(-0.5 * x * x) / _SQRT2PI
-
-    val, err = quad(integrand, -12.0, 12.0, epsabs=epsabs, epsrel=1e-12, limit=300)
-    if err > 1e-9:
-        raise QuadratureFailure(f"quadrature error estimate {err} too large")
-    return val
 
 
 def baseline_penalties(p: ProblemParams) -> dict[str, float]:
@@ -109,32 +93,35 @@ def gauss_int_J(L: float) -> float:
     ) + 1 / (2 * L)
 
 
-def _risk_integrand_factory(n_i: float, p: ProblemParams, alpha: float):
-    s2 = p.sigma**2
-    ns = p.n_star
-    m = p.agents
+def _mobius_mean(M: float, b: float, B: float, s2: float) -> float:
+    """E[1/(M/(s2 + b x^2) + B)] for x ~ N(0,1), with M, b >= 0 and s2, B > 0.
 
-    def l_of_x(x):
-        v = s2 + alpha**2 * (s2 / n_i + s2 / ns) * x * x
-        return 1.0 / ((m - 2) * ns / v + (n_i + ns) / s2)
-
-    return l_of_x
+    With v = s2 + b x^2, 1/(M/v + B) = (1 - M/(M + B v))/B and
+    M + B v = B b (L + x^2), so the mean is (1 - M/(B b) I(L))/B with
+    L = (M + B s2)/(B b). b = 0 is the constant integrand."""
+    if b == 0.0:
+        return 1.0 / (M / s2 + B)
+    Bb = B * b
+    return (1.0 - M / Bb * gauss_int_I((M + B * s2) / Bb)) / B
 
 
 def rinf_max_risk(n_i: float, p: ProblemParams, alpha: float) -> float:
     """Maximum risk (per problem, i.e. summed over dimensions) of the
-    recommended estimator when collecting n_i points against an
-    n*-collecting field: d * E_x[ l(n_i, x) ]."""
+    recommended estimator when collecting n_i > 0 points against an
+    n*-collecting field: d * E_x[ l(n_i, x) ], where
+    l(n_i, x) = 1/((m-2) n* / v + (n_i + n*)/sigma^2) and
+    v = sigma^2 + alpha^2 sigma^2 (1/n_i + 1/n*) x^2."""
     if p.agents < 5:
         raise ValueError("the corrupted-allocation risk applies to m >= 5")
-    if alpha == 0.0:
-        # no corruption: plain pooled-mean risk
-        return p.dim * p.sigma**2 / (n_i + (p.agents - 1) * p.n_star)
-    return p.dim * _std_normal_expectation(_risk_integrand_factory(n_i, p, alpha))
+    if n_i <= 0:
+        raise ValueError("n_i must be positive")
+    s2, ns = p.sigma**2, p.n_star
+    b = alpha**2 * s2 * (1.0 / n_i + 1.0 / ns)
+    return p.dim * _mobius_mean((p.agents - 2) * ns, b, (n_i + ns) / s2, s2)
 
 
 def penalty_closed_form(n_i: float, p: ProblemParams, alpha: float) -> float:
-    """Equilibrium-field penalty p(n_i) = risk + c n_i, by quadrature."""
+    """Equilibrium-field penalty p(n_i) = risk + c n_i, in closed form."""
     return rinf_max_risk(n_i, p, alpha) + p.cost * n_i
 
 
@@ -194,16 +181,12 @@ def bayes_risk_Rl(ell: float, n_i: int, p: ProblemParams, alpha: float) -> float
     as ell grows."""
     if ell <= 0:
         raise ValueError("ell must be positive")
-    s2, ns, m = p.sigma**2, p.n_star, p.agents
+    if n_i <= 0:
+        raise ValueError("n_i must be positive")
+    s2, ns = p.sigma**2, p.n_star
     sig_tilde_sq = s2 / ns + 1.0 / (n_i / s2 + 1.0 / ell**2)
-    n_corr = (m - 2) * ns
-
-    def f(e):
-        return 1.0 / (
-            n_corr / (s2 + alpha**2 * sig_tilde_sq * e * e) + (n_i + ns) / s2 + 1.0 / ell**2
-        )
-
-    return _std_normal_expectation(f)
+    B = (n_i + ns) / s2 + 1.0 / ell**2
+    return _mobius_mean((p.agents - 2) * ns, alpha**2 * sig_tilde_sq, B, s2)
 
 
 def highdim_penalty_bound(p: ProblemParams, alpha: float) -> float:

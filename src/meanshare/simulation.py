@@ -227,8 +227,8 @@ def run_replications(sc: Scenario, focal_agent: int = 0) -> EmpiricalPenalty:
         s1 = math.fsum(x[0] for x in parts)
         s2 = math.fsum(x[1] for x in parts)
         mse = s1 / n
-        var = max(s2 / n - mse * mse, 0.0)
-        se = math.sqrt(var / n)
+        # a cell scored +inf has an infinite, not an undefined, standard error
+        se = math.sqrt(max(s2 / n - mse * mse, 0.0) / n) if mse < math.inf else math.inf
         per_mu.append((mu, mse, se))
 
     mu_star, mse, se = max(per_mu, key=lambda t: t[1])
@@ -259,26 +259,28 @@ def run_replications_reference(sc: Scenario, focal_agent: int = 0) -> EmpiricalP
             true_mu = spec.mean + mu
             if sc.mechanism == "pool":
                 alloc = mech.Allocation(mech.mech_pool(subs)[0], np.empty((0, d)), np.zeros(d))
-                v = est.estimate(foc.estimator, X, Y, alloc, p.sigma)
             elif sc.mechanism == "size-check":
                 alloc = mech.Allocation(mech.mech_size_check(subs, p)[0],
                                         np.empty((0, d)), np.zeros(d))
-                v = est.estimate(foc.estimator, X, Y, alloc, p.sigma)
             elif sc.mechanism == "corrupt-deploy":
                 dep = mech.mech_corrupt_deploy(subs, p, sc.epsilon, mech_streams[0])[0]
-                if isinstance(foc.estimator, est.PlainMeanAll):
-                    v = dep.value
-                else:
-                    alloc = mech.Allocation(np.empty((0, d)), dep.corrupted, dep.eta_sq)
-                    v = est.estimate(foc.estimator, X, Y, alloc, p.sigma)
+                alloc = mech.Allocation(np.empty((0, d)), dep.corrupted, dep.eta_sq)
             else:
                 alloc = mech.mech_cross_check_corrupt(subs, p, sc.alpha, mech_streams)[0]
-                v = est.estimate(foc.estimator, X, Y, alloc, p.sigma)
+            if sc.mechanism == "corrupt-deploy" and isinstance(foc.estimator, est.PlainMeanAll):
+                v = dep.value
+            else:
+                try:
+                    v = est.estimate(foc.estimator, X, Y, alloc, p.sigma)
+                except est.EmptyInput:
+                    # no data with positive weight: infinite risk, as in the fast path
+                    sqs[r] = math.inf
+                    continue
             e = v - true_mu
             sqs[r] = float(e @ e)
-        mse = sqs.mean()
-        se = sqs.std() / math.sqrt(len(sqs))
-        per_mu.append((mu, float(mse), float(se)))
+        mse = float(sqs.mean())
+        se = float(sqs.std()) / math.sqrt(len(sqs)) if mse < math.inf else math.inf
+        per_mu.append((mu, mse, se))
 
     mu_star, mse, se = max(per_mu, key=lambda t: t[1])
     cost = p.cost * foc.n

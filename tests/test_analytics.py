@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,37 @@ SQRT2PI = math.sqrt(2 * math.pi)
 
 def phi(x):
     return math.exp(-0.5 * x * x) / SQRT2PI
+
+
+def std_normal_quad(f):
+    """E[f(x)] for x ~ N(0,1) and even f, by adaptive quadrature on [0, inf)."""
+    val, _ = quad(lambda x: 2.0 * f(x) * phi(x), 0.0, math.inf,
+                  epsabs=0.0, epsrel=1e-13, limit=500)
+    return val
+
+
+ORACLE_MS = [5, 9, 21, 100, 500]
+ORACLE_DIMS = [1, 3]
+
+
+def oracle_ns(p):
+    ns = p.n_star
+    return (0.5, 1, 5, ns - 1e-2, ns + 1e-2, 40)
+
+
+def oracle_alphas(p):
+    return (0.0, solve_alpha(p).alpha, 3 * math.sqrt(p.n_star))
+
+
+def test_import_does_not_load_scipy_integrate():
+    # the package evaluates every expectation in closed form; importing
+    # scipy.integrate would only add start-up time
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c",
+                    "import meanshare, sys; assert 'scipy.integrate' not in sys.modules"],
+                   env=env, check=True)
 
 
 class TestBaselines:
@@ -99,6 +134,31 @@ class TestPenalty:
         for i in range(len(ns) - 2):
             assert pv[i + 1] <= 0.5 * (pv[i] + pv[i + 2]) + 1e-10
 
+    @pytest.mark.parametrize("d", ORACLE_DIMS)
+    @pytest.mark.parametrize("m", ORACLE_MS)
+    def test_risk_vs_quadrature(self, m, d):
+        # the quadrature of the defining integrand is the oracle for the
+        # closed form
+        p = params_for(m, dim=d)
+        s2, ns = p.sigma**2, p.n_star
+        for alpha in oracle_alphas(p):
+            for n in oracle_ns(p):
+                def l_of_x(x):
+                    v = s2 + alpha**2 * (s2 / n + s2 / ns) * x * x
+                    return 1.0 / ((m - 2) * ns / v + (n + ns) / s2)
+
+                ref = d * std_normal_quad(l_of_x)
+                assert an.rinf_max_risk(n, p, alpha) == pytest.approx(ref, rel=1e-10), (alpha, n)
+
+    @pytest.mark.parametrize("n", [0, -1, -0.5])
+    def test_nonpositive_n_rejected(self, canonical, canonical_alpha, n):
+        with pytest.raises(ValueError, match="n_i"):
+            an.rinf_max_risk(n, canonical, canonical_alpha)
+        with pytest.raises(ValueError, match="n_i"):
+            an.penalty_closed_form(n, canonical, canonical_alpha)
+        with pytest.raises(ValueError, match="n_i"):
+            an.bayes_risk_Rl(1.0, n, canonical, canonical_alpha)
+
     def test_no_overflow_large_m(self):
         p = params_for(10_000)
         sol = solve_alpha(p)
@@ -148,6 +208,24 @@ class TestBayesRisk:
 
     def test_prior_collapse(self, canonical, canonical_alpha):
         assert an.bayes_risk_Rl(1e-4, 10, canonical, canonical_alpha) < 1e-7
+
+    @pytest.mark.parametrize("d", ORACLE_DIMS)
+    @pytest.mark.parametrize("m", ORACLE_MS)
+    def test_vs_quadrature(self, m, d):
+        p = params_for(m, dim=d)
+        s2, ns = p.sigma**2, p.n_star
+        for ell in (1e-4, 1.0, 10.0, 1000.0):
+            for alpha in oracle_alphas(p):
+                for n in oracle_ns(p):
+                    sig_tilde_sq = s2 / ns + 1.0 / (n / s2 + 1.0 / ell**2)
+
+                    def f(e):
+                        return 1.0 / ((m - 2) * ns / (s2 + alpha**2 * sig_tilde_sq * e * e)
+                                      + (n + ns) / s2 + 1.0 / ell**2)
+
+                    ref = std_normal_quad(f)
+                    assert an.bayes_risk_Rl(ell, n, p, alpha) == pytest.approx(ref, rel=1e-10), \
+                        (ell, alpha, n)
 
 
 class TestHighdim:

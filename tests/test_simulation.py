@@ -288,6 +288,20 @@ class TestSweepsAndChecks:
         assert rows[1].penalty.total == math.inf
         assert not rows[1].profitable
 
+    def test_infinite_cell_has_infinite_std_error(self, canonical):
+        # size-check hands a zero-submission agent nothing, and the plain
+        # mean of no data is scored +inf on both paths
+        foc = Strategy(0, est.Identity(), est.PlainMeanAll(), "nothing at all")
+        sc = _scenario(canonical, "size-check", foc, reps=50)
+        for run in (run_replications, run_replications_reference):
+            pen = run(sc)
+            assert pen.total == math.inf
+            assert pen.std_error == math.inf
+        base = replace(sc, focal=recommended_strategy(canonical, "size-check"), replications=2_000)
+        row = nash_deviation_sweep(base, [foc])[1]
+        assert row.penalty.std_error == math.inf
+        assert not row.profitable
+
     def test_highdim_nic(self):
         p = validate_params(ProblemParams(1.0, 1.0 / 300.0, 9, 3))
         assert p.n_star == 10
