@@ -125,8 +125,15 @@ def penalty_closed_form(n_i: float, p: ProblemParams, alpha: float) -> float:
     return rinf_max_risk(n_i, p, alpha) + p.cost * n_i
 
 
+def _require_positive_alpha(alpha: float) -> None:
+    # the closed forms at n* divide by alpha; rinf_max_risk covers alpha = 0
+    if not alpha > 0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+
+
 def penalty_at_nstar(p: ProblemParams, alpha: float) -> float:
     """Closed form of p(n*), via the scaled-erfc kernel."""
+    _require_positive_alpha(alpha)
     m, ns, s2 = p.agents, p.n_star, p.sigma**2
     r = math.sqrt(alpha**2 / (m * ns))
     z = 1.0 / (2 * math.sqrt(2) * r)
@@ -146,6 +153,7 @@ def penalty_at_nstar_simplified(p: ProblemParams, alpha: float) -> float:
 def penalty_derivative_at_nstar(p: ProblemParams, alpha: float) -> float:
     """Closed form of p'(n*); zero when alpha solves the corruption-level
     equation (first-order condition of the recommended sample count)."""
+    _require_positive_alpha(alpha)
     m, ns, s2 = p.agents, p.n_star, p.sigma**2
     rt = math.sqrt(m * ns)
     z = rt / (2 * math.sqrt(2) * alpha)
@@ -231,6 +239,8 @@ def sizecheck_penalty(n: int, p: ProblemParams) -> float:
     """Penalty of an agent collecting n honest points under size-checked
     pooling, everyone else at n*: pooled-mean risk when the check passes,
     own-data risk otherwise."""
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
     m, ns, s2 = p.agents, p.n_star, p.sigma**2
     if n >= ns:
         return p.dim * s2 / (n + (m - 1) * ns) + p.cost * n

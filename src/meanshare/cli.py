@@ -165,6 +165,8 @@ def cmd_figures(args) -> int:
             ok &= val > 0
         else:
             sol = solve_alpha(p)
+            for w in sol.warnings:
+                print(f"warning: m={m}: {w}", file=sys.stderr)
             e = e_of_m(m, sol.a_m)
             rows.append({"m": m, "e_of_m": e, "bound": 5.0 / m})
             ok &= e < 5.0 / m

@@ -186,6 +186,46 @@ class PosteriorMean:
     ell: float
 
 
+def _block_weights(choice, n_x: int, n_clean: int, n_corr: int, eta_sq, sigma: float):
+    """Weights ``(w_x, w_clean, w_corr)`` with which ``choice`` reads the sums
+    of the agent's own data, the clean allocation and the corrupted
+    allocation: every estimator is ``w_x sum_x + w_clean sum_clean +
+    w_corr sum_corr``.
+
+    Weights are scalars or broadcast against ``eta_sq``, which may be +inf.
+    A block the estimator ignores, or whose variance is infinite, gets a
+    weight of exactly 0. Raises :class:`EmptyInput` when no data has
+    positive weight.
+    """
+    n_all_clean = n_x + n_clean
+    if isinstance(choice, (RecommendedWeighted, FixedWeighted, PosteriorMean)):
+        # inverse-variance weights: 1/sigma^2 per clean point, 1/(sigma^2 +
+        # eta^2) per corrupted point (0 when eta^2 is infinite), plus the prior
+        s2 = sigma**2
+        corr_var = choice.tau_sq if isinstance(choice, FixedWeighted) else eta_sq
+        extra_prec = 1.0 / choice.ell**2 if isinstance(choice, PosteriorMean) else 0.0
+        prec_corr = 1.0 / (s2 + corr_var)
+        den = n_all_clean / s2 + n_corr * prec_corr + extra_prec
+        if np.any(den == 0):
+            raise EmptyInput("no data with positive weight")
+        w = 1.0 / (s2 * den)
+        return w, w, prec_corr / den
+    if isinstance(choice, PlainMeanAll):
+        if n_all_clean + n_corr == 0:
+            raise EmptyInput("nothing to average")
+        w = 1.0 / (n_all_clean + n_corr)
+        return w, w, w
+    if isinstance(choice, CleanOnlyMean):
+        if n_all_clean == 0:
+            raise EmptyInput("nothing to average")
+        return 1.0 / n_all_clean, 1.0 / n_all_clean, 0.0
+    if isinstance(choice, OwnDataOnlyMean):
+        if n_x == 0:
+            raise EmptyInput("no own data")
+        return 1.0 / n_x, 0.0, 0.0
+    raise TypeError(f"unknown estimator {choice!r}")
+
+
 def estimate_from_sums(choice, sum_x, n_x: int, sum_clean, n_clean: int,
                        sum_corr, n_corr: int, eta_sq, sigma: float) -> np.ndarray:
     """Point estimate of the mean from the sums and counts of the agent's own
@@ -193,38 +233,14 @@ def estimate_from_sums(choice, sum_x, n_x: int, sum_clean, n_clean: int,
 
     Sums have shape (..., d), or are scalars for blocks that are absent;
     ``eta_sq`` broadcasts against them and may be +inf, in which case the
-    corrupted block gets weight zero. Raises :class:`EmptyInput` when no
-    data has positive weight.
+    corrupted block gets weight zero and its sum, which may then be
+    non-finite, is ignored. Raises :class:`EmptyInput` when no data has
+    positive weight.
     """
-    s_clean = sum_x + sum_clean
-    n_all_clean = n_x + n_clean
-    s2 = sigma**2
-    if isinstance(choice, (RecommendedWeighted, FixedWeighted, PosteriorMean)):
-        # inverse-variance weighted average of the clean and corrupted blocks
-        corr_var = choice.tau_sq if isinstance(choice, FixedWeighted) else eta_sq
-        extra_prec = 1.0 / choice.ell**2 if isinstance(choice, PosteriorMean) else 0.0
-        with np.errstate(invalid="ignore"):
-            w_corr = np.where(np.isinf(corr_var), 0.0, n_corr / (s2 + corr_var))
-            contrib = np.where(w_corr > 0, sum_corr, 0.0) * np.where(
-                w_corr > 0, 1.0 / (s2 + corr_var), 0.0
-            )
-        den = n_all_clean / s2 + w_corr + extra_prec
-        if np.any(den == 0):
-            raise EmptyInput("no data with positive weight")
-        return (s_clean / s2 + contrib) / den
-    if isinstance(choice, PlainMeanAll):
-        if n_all_clean + n_corr == 0:
-            raise EmptyInput("nothing to average")
-        return (s_clean + sum_corr) / (n_all_clean + n_corr)
-    if isinstance(choice, CleanOnlyMean):
-        if n_all_clean == 0:
-            raise EmptyInput("nothing to average")
-        return s_clean / n_all_clean
-    if isinstance(choice, OwnDataOnlyMean):
-        if n_x == 0:
-            raise EmptyInput("no own data")
-        return sum_x / n_x
-    raise TypeError(f"unknown estimator {choice!r}")
+    w_x, w_clean, w_corr = _block_weights(choice, n_x, n_clean, n_corr, eta_sq, sigma)
+    with np.errstate(invalid="ignore"):
+        corr = np.where(w_corr == 0, 0.0, w_corr * sum_corr)
+    return w_x * sum_x + w_clean * sum_clean + corr
 
 
 def estimate(choice, X: np.ndarray, Y: np.ndarray, alloc: Allocation, sigma: float) -> np.ndarray:

@@ -9,22 +9,37 @@ agents' pool. Since the non-focal agents are i.i.d. and honest, their
 pooled submission is an exchangeable sample, so the mechanism's uniform
 without-replacement cross-check subset is distribution-equal to a prefix
 of the pool, and the sum of independent corruption noises collapses to a
-single Gaussian with the summed variance. Every named estimator sees the
-clean subset and the corrupted remainder only through their sums and
-counts, so each replication draws just the two block sums
-(:meth:`DistributionSpec.sample_sums`): exactly from their laws for
-Gaussian and Rademacher data, point by point for uniform data, which has
-no cheap exact sum sampler. These collapses are exact, not
-approximations. The focal agent's own data is drawn in full, since
-fabrication needs its standard deviation and subsets a prefix of it.
+single Gaussian with the summed variance. Every named estimator is linear
+in the sums of its three blocks (own data, clean allocation, corrupted
+allocation), with weights that depend only on the counts and on eta^2
+(:func:`estimators._block_weights`). A block that eta^2 does not read
+can therefore be integrated out of each round (conditional Monte Carlo,
+or Rao-Blackwellization): it enters at its mean, and the round scores the
+exact conditional mean of its squared error by adding the block's squared
+weight times the block sum's variance. This is exact for every data
+family, and it cannot raise the variance of a round's score.
+
+- Cross-check with m >= 5: eta^2 reads the focal submission and the
+  cross-check prefix, so the prefix sum is drawn
+  (:meth:`DistributionSpec.sample_sums`) and the corrupted remainder and
+  its noise are integrated out.
+- Pool, size-check and cross-check with m <= 4: the others' pool enters
+  with a fixed weight and is integrated out; nothing of it is drawn.
+- Corrupt-and-deploy: eta^2 reads the pool sum, so the pool sum and the
+  noise are drawn. Integrating the (b, d) noise draw out would save no
+  time.
+
+Uniform data has no cheap exact sum sampler, so its prefix is drawn point
+by point. The focal agent's own data is drawn in full, since fabrication
+needs its standard deviation and subsets a prefix of it.
 
 The engine shares its submission rules and its estimator kernel
-(:func:`estimators.apply_submission`, :func:`estimators.estimate_from_sums`)
+(:func:`estimators.apply_submission`, :func:`estimators._block_weights`)
 with the object-level API. The slow reference path, which runs the
 object-level mechanisms point by point on explicit pools, therefore checks
-the mechanisms, the prefix/sum collapse and the streams independently;
-the estimator and submission arithmetic is pinned by the hand-computed
-oracles in the estimator tests.
+the mechanisms, the conditioning on block sums and the streams
+independently; the estimator and submission arithmetic is pinned by the
+hand-computed oracles in the estimator tests.
 
 Reproducibility: replications are processed in fixed-size chunks, each
 chunk drawing from its own hierarchically-derived stream, and the chunk
@@ -142,63 +157,73 @@ def is_translation_equivariant(strategy: Strategy) -> bool:
 
 
 def _chunk_sq_errors(sc: Scenario, mu_offset: float, b: int, stream) -> np.ndarray:
-    """Squared estimation errors ||est - mu||^2 for one chunk of b rounds.
+    """Squared estimation errors ||est - mu||^2 for one chunk of b rounds,
+    each averaged over the blocks of the others' pool it does not draw.
 
-    A round in which the focal estimator has no data with positive weight
+    A block of k points that is not drawn enters the estimate through its
+    mean k loc, and its conditional variance k (v + eta^2) per dimension,
+    times the block's squared weight, is added to the round's score. A
+    round in which the focal estimator has no data with positive weight
     scores +inf."""
     p = sc.params
     d, ns, m = p.dim, p.n_star, p.agents
     spec = sc.distribution
     foc = sc.focal
+    loc = spec.mean + mu_offset
+    v = spec.per_dim_variance
 
     X = spec.sample(stream, (b, foc.n, d), mu_offset)
     Y = est.apply_submission(foc.submission, X, p, stream)
     n_y = Y.shape[1]
     sum_y = Y.sum(axis=1)
 
-    # the others' pool, as the sums of its cross-check prefix and remainder
-    k_pool = (m - 1) * ns
-    take = min(k_pool, ns) if sc.mechanism == "cross-check" and m >= 5 else 0
-    n_rest = k_pool - take
-    sum_d, sum_rest = spec.sample_sums(stream, b, (take, n_rest), mu_offset)
-    sum_p = sum_d + sum_rest
-
-    # the focal allocation, as (sum, count) of its clean and corrupted blocks;
-    # pool, size-check and cross-check with m <= 4 hand over the clean pool
+    # the focal allocation, as (sum, count, conditional variance per
+    # dimension) of its clean and corrupted blocks; pool, size-check and
+    # cross-check with m <= 4 hand over the others' whole pool, undrawn
     own = (X.sum(axis=1), foc.n)
-    clean, corrupted, eta_sq = (sum_p, k_pool), (0.0, 0), 0.0
+    k_pool = (m - 1) * ns
+    clean, corrupted, eta_sq = (k_pool * loc, k_pool, k_pool * v), (0.0, 0, 0.0), 0.0
     if sc.mechanism == "size-check" and n_y < ns:
-        clean = (0.0, 0)
+        clean = (0.0, 0, 0.0)
     elif sc.mechanism == "corrupt-deploy":
+        # eta^2 reads the pool sum, so the pool and its noise are drawn
         if n_y == 0:
             raise mech.EmptySubmission("corrupt-and-deploy requires a nonempty submission")
+        (sum_p,) = spec.sample_sums(stream, b, (k_pool,), mu_offset)
         k = mech.k_eps(sc.epsilon)
         beta_sq = mech.beta_sq_published(n_y + k_pool, p, k)
         delta = sum_y / n_y - sum_p / k_pool
         eta_sq = beta_sq * delta ** (2 * k)
         z = stream.standard_normal((b, d))
-        clean = (0.0, 0)
-        corrupted = (sum_p + math.sqrt(k_pool) * np.sqrt(eta_sq) * z, k_pool)
+        clean = (0.0, 0, 0.0)
+        corrupted = (sum_p + math.sqrt(k_pool) * np.sqrt(eta_sq) * z, k_pool, 0.0)
         if isinstance(foc.estimator, est.PlainMeanAll):
             # the estimate the mechanism deploys: mean of Y_i and the corrupted pool
             own = (sum_y, n_y)
     elif sc.mechanism == "cross-check" and m >= 5:
+        # eta^2 reads the cross-check prefix, so only the prefix is drawn;
+        # the corrupted remainder and its noise are independent of it
+        take = min(k_pool, ns)
+        n_rest = k_pool - take
+        (sum_d,) = spec.sample_sums(stream, b, (take,), mu_offset)
         if n_y == 0:
             eta_sq = np.full((b, d), np.inf)
         else:
             eta_sq = (sc.alpha**2) * (sum_y / n_y - sum_d / take) ** 2
-        z = stream.standard_normal((b, d))
-        with np.errstate(invalid="ignore"):
-            noise_sum = math.sqrt(n_rest) * np.sqrt(eta_sq) * z
-        clean, corrupted = (sum_d, take), (sum_rest + noise_sum, n_rest)
+        clean = (sum_d, take, 0.0)
+        corrupted = (n_rest * loc, n_rest, n_rest * (v + eta_sq))
 
     try:
-        estv = est.estimate_from_sums(foc.estimator, *own, *clean, *corrupted,
-                                      eta_sq, p.sigma)
+        w_x, w_clean, w_corr = est._block_weights(foc.estimator, own[1], clean[1],
+                                                  corrupted[1], eta_sq, p.sigma)
     except est.EmptyInput:
         return np.full(b, np.inf)
-    err = estv - (spec.mean + mu_offset)
-    return np.einsum("bd,bd->b", err, err)
+    err = w_x * own[0] + w_clean * clean[0] + w_corr * corrupted[0] - loc
+    with np.errstate(invalid="ignore"):
+        # a zero weight drops its block's variance, even an infinite one
+        var = sum(np.where(w == 0, 0.0, w * w * blk[2])
+                  for w, blk in ((w_clean, clean), (w_corr, corrupted)))
+    return np.einsum("bd,bd->b", err, err) + np.broadcast_to(var, (b, d)).sum(axis=1)
 
 
 def run_replications(sc: Scenario, focal_agent: int = 0) -> EmpiricalPenalty:

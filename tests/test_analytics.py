@@ -114,6 +114,13 @@ class TestPenalty:
     def test_derivative_zero_at_solution(self, canonical, canonical_alpha):
         assert abs(an.penalty_derivative_at_nstar(canonical, canonical_alpha)) < 1e-9
 
+    @pytest.mark.parametrize("alpha", [0.0, -1.0])
+    def test_nonpositive_alpha_rejected_at_nstar(self, canonical, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            an.penalty_at_nstar(canonical, alpha)
+        with pytest.raises(ValueError, match="alpha"):
+            an.penalty_derivative_at_nstar(canonical, alpha)
+
     def test_infinite_corruption_limit(self, canonical):
         # enormous alpha: the corrupted data carries no information
         risk = an.rinf_max_risk(10, canonical, 1e8)
@@ -277,6 +284,11 @@ class TestSizecheckAndSmallM:
     def test_minimized_at_nstar(self, canonical):
         vals = {n: an.sizecheck_penalty(n, canonical) for n in range(1, 41)}
         assert min(vals, key=vals.get) == 10
+
+    @pytest.mark.parametrize("n", [-1, -0.5])
+    def test_negative_n_rejected(self, canonical, n):
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            an.sizecheck_penalty(n, canonical)
 
     def test_equilibrium_social_penalty(self, canonical):
         # PoS = 1: m agents at n* reach the global optimum 2 sigma sqrt(cm)

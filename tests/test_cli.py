@@ -2,9 +2,12 @@ import csv
 import io
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
+from meanshare import cli
+from meanshare.alphasolve import solve_alpha
 from meanshare.cli import main
 
 
@@ -86,6 +89,18 @@ class TestFigures:
         assert len(rows) == 26
         for r in rows:
             assert float(r["e_of_m"]) < float(r["bound"])
+
+    def test_em_check_prints_solver_warnings(self, capsys, monkeypatch):
+        def solve_with_warning(p):
+            return replace(solve_alpha(p), warnings=("3 sign changes detected",))
+
+        _, quiet_out, _ = run_cli(capsys, "figures", "em-check", "--m-range", "5:6")
+        monkeypatch.setattr(cli, "solve_alpha", solve_with_warning)
+        code, out, err = run_cli(capsys, "figures", "em-check", "--m-range", "5:6")
+        assert code == 0
+        assert out == quiet_out
+        assert err.splitlines() == ["warning: m=5: 3 sign changes detected",
+                                    "warning: m=6: 3 sign changes detected"]
 
     def test_write_to_file(self, capsys, tmp_path):
         out_file = tmp_path / "scan.csv"

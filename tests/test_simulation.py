@@ -93,12 +93,15 @@ class TestClosedFormAgreement:
         assert abs(pen.mean_sq_error - 1.0 / 90.0) < 3 * pen.std_error
 
     def test_pool_free_rider(self, canonical):
-        # n=0 free rider on (m-1) n* points: MSE = sigma^2 / 80
+        # n=0 free rider on (m-1) n* points: MSE = sigma^2 / 80. The pool is
+        # integrated out, so every round scores the exact risk
         foc = Strategy(0, est.Identity(), est.PlainMeanAll(), "free rider")
         pen = run_replications(_scenario(canonical, "pool", foc, reps=200_000))
-        assert abs(pen.mean_sq_error - 1.0 / 80.0) < 3 * pen.std_error
+        assert pen.std_error == 0.0
+        assert pen.mean_sq_error == pytest.approx(1.0 / 80.0, rel=1e-12)
         fr = baseline_penalties(canonical)["free_rider_penalty"]
-        assert abs(pen.total - fr) < 3 * pen.std_error
+        assert fr == pytest.approx(1.0 / 80.0, rel=1e-12)
+        assert pen.total == pytest.approx(fr, rel=1e-12)
 
     def test_cross_check_recommended_vs_closed_form(self, canonical, canonical_alpha):
         foc = recommended_strategy(canonical)
@@ -175,6 +178,18 @@ class TestReferenceAgreement:
         ref = run_replications_reference(
             _scenario(canonical, "cross-check", foc, alpha=canonical_alpha,
                       reps=4_000))
+        tol = 4 * math.hypot(fast.std_error, ref.std_error)
+        assert abs(fast.mean_sq_error - ref.mean_sq_error) < tol
+
+    def test_fast_vs_reference_uniform_box_fixed_weighted(self):
+        p = validate_params(ProblemParams(1.0, 1.0 / 300.0, 9, 3))
+        from meanshare.alphasolve import solve_alpha
+        alpha = solve_alpha(p).alpha
+        foc = Strategy(p.n_star, est.Identity(),
+                       est.FixedWeighted(2 * alpha**2 * p.sigma**2 / p.n_star), "fixed")
+        kw = dict(alpha=alpha, family="uniform_box", scale=math.sqrt(3.0))
+        fast = run_replications(_scenario(p, "cross-check", foc, reps=40_000, **kw))
+        ref = run_replications_reference(_scenario(p, "cross-check", foc, reps=4_000, **kw))
         tol = 4 * math.hypot(fast.std_error, ref.std_error)
         assert abs(fast.mean_sq_error - ref.mean_sq_error) < tol
 
@@ -287,6 +302,16 @@ class TestSweepsAndChecks:
         rows = nash_deviation_sweep(sc, [foc])
         assert rows[1].penalty.total == math.inf
         assert not rows[1].profitable
+
+    def test_submit_nothing_scores_finite_risk(self, canonical, canonical_alpha):
+        # an empty submission is corrupted with eta^2 = inf; the weighted
+        # estimator gives that block weight 0, so its infinite variance adds
+        # nothing: risk sigma^2 / (1 + n*) from the own point and the prefix
+        foc = Strategy(1, est.Empty(), est.RecommendedWeighted(), "submit nothing")
+        pen = run_replications(_scenario(canonical, "cross-check", foc,
+                                         alpha=canonical_alpha, reps=20_000))
+        assert math.isfinite(pen.total)
+        assert abs(pen.mean_sq_error - 1.0 / 11.0) < 3 * pen.std_error
 
     def test_infinite_cell_has_infinite_std_error(self, canonical):
         # size-check hands a zero-submission agent nothing, and the plain
