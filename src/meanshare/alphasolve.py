@@ -55,13 +55,26 @@ class MaxIterations(RuntimeError):
     pass
 
 
+# bisection steps before solve_alpha raises MaxIterations
+_MAX_ITER = 200
+
+
+def _scaled_erfc_lb(z):
+    # e^{z^2} * erfc_lb(z): the two-term asymptotic series
+    return (1 / z - 1 / (2 * z**3)) / math.sqrt(math.pi)
+
+
+def _scaled_erfc_ub(z):
+    # e^{z^2} * erfc_ub(z): the three-term asymptotic series
+    return (1 / z - 1 / (2 * z**3) + 3 / (4 * z**5)) / math.sqrt(math.pi)
+
+
 def erfc_lb(x):
     """Two-term asymptotic lower bound on erfc(x), valid for x > 0."""
     x = np.asarray(x, float)
     if np.any(x <= 0):
         raise NonpositiveX("erfc_lb needs x > 0")
-    e = np.exp(-x * x)
-    return (e / x - e / (2 * x**3)) / math.sqrt(math.pi)
+    return np.exp(-x * x) * _scaled_erfc_lb(x)
 
 
 def erfc_ub(x):
@@ -69,17 +82,7 @@ def erfc_ub(x):
     x = np.asarray(x, float)
     if np.any(x <= 0):
         raise NonpositiveX("erfc_ub needs x > 0")
-    e = np.exp(-x * x)
-    return (e / x - e / (2 * x**3) + 3 * e / (4 * x**5)) / math.sqrt(math.pi)
-
-
-def _scaled_erfc_lb(z):
-    # e^{z^2} * erfc_lb(z); the exponential cancels, leaving a rational term.
-    return (1 / z - 1 / (2 * z**3)) / math.sqrt(math.pi)
-
-
-def _scaled_erfc_ub(z):
-    return (1 / z - 1 / (2 * z**3) + 3 / (4 * z**5)) / math.sqrt(math.pi)
+    return np.exp(-x * x) * _scaled_erfc_ub(x)
 
 
 def c_m(m: int) -> float:
@@ -89,7 +92,8 @@ def c_m(m: int) -> float:
 
 def _check_regime(p: ProblemParams):
     if p.agents <= 4:
-        raise ValueError("no corruption level is defined for m <= 4 (pooling regime)")
+        raise ValueError("no corruption level is defined for m <= 4 (pooling regime); "
+                         "it needs 5 or more agents")
     if p.n_star <= 0:
         raise ValueError("params must be validated first (n_star missing)")
 
@@ -153,7 +157,7 @@ class AlphaSolution:
     warnings: tuple[str, ...] = field(default=())
 
 
-def solve_alpha(p: ProblemParams, tol: float | None = None, max_iter: int = 200) -> AlphaSolution:
+def solve_alpha(p: ProblemParams, tol: float | None = None) -> AlphaSolution:
     """Bisect G on the proven bracket and return the located root.
 
     tol defaults to 1e-12 * sqrt(n*). A 64-point grid scan over the bracket
@@ -181,7 +185,7 @@ def solve_alpha(p: ProblemParams, tol: float | None = None, max_iter: int = 200)
         a, b = lo, hi
         fa = g_lo
         root = None
-        for _ in range(max_iter):
+        for _ in range(_MAX_ITER):
             mid = 0.5 * (a + b)
             fm = g_of_alpha(mid, p)
             if fm == 0.0 or (b - a) / 2 <= tol:
@@ -192,7 +196,7 @@ def solve_alpha(p: ProblemParams, tol: float | None = None, max_iter: int = 200)
             else:
                 a, fa = mid, fm
         if root is None:
-            raise MaxIterations(f"bisection did not converge in {max_iter} iterations")
+            raise MaxIterations(f"bisection did not converge in {_MAX_ITER} iterations")
 
     warnings = []
     grid = np.linspace(lo, hi, 64)

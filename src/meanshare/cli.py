@@ -34,7 +34,7 @@ from .analytics import (
     pos_mechany,
     pos_smallm,
 )
-from .params import DistributionSpec, ProblemParams, validate_params
+from .params import DistributionSpec, ProblemParams, cost_for_n_star, validate_params
 
 EXIT_OK = 0
 EXIT_FLAGS = 1
@@ -104,11 +104,7 @@ def _params_from(args, m: int | None = None) -> ProblemParams:
     cost = args.cost
     if cost is None:
         # default: cost chosen so the recommended sample count is args.nstar
-        d = args.dim
-        if agents >= 5:
-            cost = args.sigma**2 * d / (args.nstar**2 * agents)
-        else:
-            cost = args.sigma**2 * d / (args.nstar * agents) ** 2
+        cost = cost_for_n_star(args.sigma, args.nstar, agents, args.dim)
     return validate_params(ProblemParams(args.sigma, cost, agents, args.dim))
 
 
@@ -134,16 +130,8 @@ def _param_report(p: ProblemParams) -> dict:
 
 
 def cmd_solve_alpha(args) -> int:
-    if args.agents <= 4:
-        print("error: m <= 4 uses no corruption; the corruption level is only "
-              "defined for 5 or more agents", file=sys.stderr)
-        return EXIT_FLAGS
     p = _params_from(args)
-    try:
-        sol = solve_alpha(p)
-    except NoSignChange as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NO_SIGN_CHANGE
+    sol = solve_alpha(p)
     row = {**_param_report(p), "alpha": sol.alpha, "a_m": sol.a_m,
            "bracket_lo": sol.bracket_lo, "bracket_hi": sol.bracket_hi,
            "residual": sol.residual, "warnings": ";".join(sol.warnings)}
@@ -153,9 +141,6 @@ def cmd_solve_alpha(args) -> int:
 
 def cmd_figures(args) -> int:
     lo, hi = args.m_range
-    if lo < 5:
-        print("error: the scans are defined for 5 or more agents", file=sys.stderr)
-        return EXIT_FLAGS
     rows, ok = [], True
     for m in range(lo, hi + 1):
         p = _params_from(args, m=m)
@@ -226,6 +211,10 @@ def cmd_experiment(args) -> int:
         return EXIT_OK if res["ok"] else EXIT_STATISTICAL
 
     if args.which == "mc-vs-closed-form":
+        if alpha is None:
+            print("error: mc-vs-closed-form compares with the closed form of cross-check, "
+                  "which is defined for 5 or more agents", file=sys.stderr)
+            return EXIT_FLAGS
         sc = _scenario(args, p, alpha, sim.recommended_strategy(p, args.mechanism, args.epsilon))
         pen = sim.run_replications(sc)
         closed = penalty_at_nstar(p, alpha) - p.cost * p.n_star

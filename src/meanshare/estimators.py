@@ -34,7 +34,6 @@ __all__ = [
     "OwnDataOnlyMean",
     "PosteriorMean",
     "estimate",
-    "estimate_from_sums",
     "shrink_factor",
 ]
 
@@ -226,32 +225,18 @@ def _block_weights(choice, n_x: int, n_clean: int, n_corr: int, eta_sq, sigma: f
     raise TypeError(f"unknown estimator {choice!r}")
 
 
-def estimate_from_sums(choice, sum_x, n_x: int, sum_clean, n_clean: int,
-                       sum_corr, n_corr: int, eta_sq, sigma: float) -> np.ndarray:
-    """Point estimate of the mean from the sums and counts of the agent's own
-    data, the clean allocation and the corrupted allocation.
-
-    Sums have shape (..., d), or are scalars for blocks that are absent;
-    ``eta_sq`` broadcasts against them and may be +inf, in which case the
-    corrupted block gets weight zero and its sum, which may then be
-    non-finite, is ignored. Raises :class:`EmptyInput` when no data has
-    positive weight.
-    """
-    w_x, w_clean, w_corr = _block_weights(choice, n_x, n_clean, n_corr, eta_sq, sigma)
-    with np.errstate(invalid="ignore"):
-        corr = np.where(w_corr == 0, 0.0, w_corr * sum_corr)
-    return w_x * sum_x + w_clean * sum_clean + corr
-
-
 def estimate(choice, X: np.ndarray, Y: np.ndarray, alloc: Allocation, sigma: float) -> np.ndarray:
     """Point estimate of the mean from own data X and allocation alloc.
 
     Y (the submission) is accepted for interface completeness; none of the
-    implemented estimators depend on it.
+    implemented estimators depend on it. A corrupted block with infinite
+    eta^2 gets weight zero and its sum, which may then be non-finite, is
+    ignored. Raises :class:`EmptyInput` when no data has positive weight.
     """
     if len(X) and len(alloc.clean) and alloc.clean.shape[1] != X.shape[1]:
         raise DimensionMismatch("X and allocation dimensions differ")
-    return estimate_from_sums(choice, X.sum(axis=0), len(X),
-                              alloc.clean.sum(axis=0), len(alloc.clean),
-                              alloc.corrupted.sum(axis=0), len(alloc.corrupted),
-                              alloc.eta_sq, sigma)
+    w_x, w_clean, w_corr = _block_weights(choice, len(X), len(alloc.clean),
+                                          len(alloc.corrupted), alloc.eta_sq, sigma)
+    with np.errstate(invalid="ignore"):
+        corr = np.where(w_corr == 0, 0.0, w_corr * alloc.corrupted.sum(axis=0))
+    return w_x * X.sum(axis=0) + w_clean * alloc.clean.sum(axis=0) + corr

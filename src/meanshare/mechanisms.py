@@ -177,20 +177,11 @@ def mech_cross_check_corrupt(
     from any agent-side randomness.
     """
     m = len(submissions)
-    if m < 2:
-        raise ValueError("need at least 2 agents")
-    d = _dim(submissions)
-
     if m <= 4:
-        return [
-            Allocation(
-                clean=_pool_others(submissions, i, d),
-                corrupted=np.empty((0, d)),
-                eta_sq=np.zeros(d),
-            )
-            for i in range(m)
-        ]
-
+        return [Allocation(clean=pool, corrupted=np.empty((0, pool.shape[1])),
+                           eta_sq=np.zeros(pool.shape[1]))
+                for pool in mech_pool(submissions)]
+    d = _dim(submissions)
     if alpha is None or alpha <= 0:
         raise ValueError("m >= 5 requires the solved corruption level alpha")
     if len(streams) < m:

@@ -18,6 +18,7 @@ __all__ = [
     "EvenInput",
     "ProblemParams",
     "validate_params",
+    "cost_for_n_star",
     "DistributionSpec",
     "sample_dataset",
     "double_factorial",
@@ -64,6 +65,21 @@ def _n_star_real(sigma: float, cost: float, m: int, d: int) -> float:
     if m >= 5:
         return sigma * math.sqrt(d) / math.sqrt(cost * m)
     return sigma * math.sqrt(d) / (m * math.sqrt(cost))
+
+
+def cost_for_n_star(sigma: float, n_star: int, agents: int, dim: int = 1) -> float:
+    """The per-sample cost at which the recommended count is exactly
+    ``n_star``: the inverse of the n* formula. Raises :class:`InvalidParam`
+    for fewer than 2 agents, dim < 1 or n_star < 1."""
+    if agents < 2:
+        raise InvalidParam(f"need at least 2 agents, got {agents}")
+    if dim < 1:
+        raise InvalidParam(f"dim must be >= 1, got {dim}")
+    if n_star < 1:
+        raise InvalidParam(f"n_star must be >= 1, got {n_star}")
+    if agents >= 5:
+        return sigma**2 * dim / (n_star**2 * agents)
+    return sigma**2 * dim / (n_star * agents) ** 2
 
 
 def validate_params(p: ProblemParams) -> ProblemParams:

@@ -45,6 +45,15 @@ Reproducibility: replications are processed in fixed-size chunks, each
 chunk drawing from its own hierarchically-derived stream, and the chunk
 results are reduced in index order. Outputs are therefore identical for
 any worker count.
+
+Stream layout, as :func:`params.spawn_stream` paths under the scenario's
+master seed, for the mi-th mean offset of the grid:
+
+- engine: chunk ci draws from ``(0, mi, ci)``;
+- reference, replication r: the focal agent's data, its submission and
+  the others' data draw from ``(1000, mi, r)``. Only the mechanisms that
+  draw get streams: corrupt-deploy ``(2000, mi, r)``, cross-check one per
+  agent, ``(2000 + j, mi, r)`` for j < m. Pool and size-check get none.
 """
 
 from __future__ import annotations
@@ -134,16 +143,15 @@ class EmpiricalPenalty:
 
 def recommended_strategy(p: ProblemParams, mechanism: str = "cross-check",
                          epsilon: float | None = None) -> Strategy:
-    """The profile the mechanism asks every agent to follow."""
-    if mechanism == "cross-check":
-        if p.agents <= 4:
-            e = est.PlainMeanAll()
-        else:
-            e = est.RecommendedWeighted()
-    elif mechanism == "corrupt-deploy":
-        e = est.PlainMeanAll()  # stands for the deployed sample mean
-    else:
-        e = est.PlainMeanAll()
+    """The profile the mechanism asks every agent to follow: n* honest
+    points, with the inverse-variance weighted estimator under cross-check
+    with 5 or more agents and the plain mean otherwise (under corrupt-deploy
+    the plain mean stands for the deployed sample mean).
+
+    ``epsilon`` is not read: no profile depends on it. It stays because
+    callers pass it positionally."""
+    weighted = mechanism == "cross-check" and p.agents >= 5
+    e = est.RecommendedWeighted() if weighted else est.PlainMeanAll()
     return Strategy(n=p.n_star, submission=est.Identity(), estimator=e, label="recommended")
 
 
@@ -226,22 +234,31 @@ def _chunk_sq_errors(sc: Scenario, mu_offset: float, b: int, stream) -> np.ndarr
     return np.einsum("bd,bd->b", err, err) + np.broadcast_to(var, (b, d)).sum(axis=1)
 
 
-def run_replications(sc: Scenario, focal_agent: int = 0) -> EmpiricalPenalty:
+def _max_over_mu(sc: Scenario, cell) -> EmpiricalPenalty:
+    """Score each mean offset with ``cell(mi, mu) -> (mse, se)``, the mi-th
+    offset's mean squared error and its standard error, and return the
+    penalty at the worst one. A translation-equivariant profile is scored
+    at offset 0 only."""
+    mus = (0.0,) if is_translation_equivariant(sc.focal) else tuple(sc.mu_grid)
+    per_mu = tuple((mu, *cell(mi, mu)) for mi, mu in enumerate(mus))
+    _, mse, se = max(per_mu, key=lambda t: t[1])
+    cost = sc.params.cost * sc.focal.n
+    return EmpiricalPenalty(mean_sq_error=mse, std_error=se, cost=cost,
+                            total=mse + cost, per_mu=per_mu)
+
+
+def run_replications(sc: Scenario) -> EmpiricalPenalty:
     """Empirical penalty of the focal agent: max-over-mu mean squared error
     plus the data-collection cost, with the standard error of the
     max-achieving cell."""
-    p = sc.params
-    mus = (0.0,) if is_translation_equivariant(sc.focal) else tuple(sc.mu_grid)
     n = sc.replications
     chunks = [(ci, min(sc.chunk_size, n - ci * sc.chunk_size))
               for ci in range((n + sc.chunk_size - 1) // sc.chunk_size)]
 
-    per_mu = []
-    for mi, mu in enumerate(mus):
-        def work(item, _mi=mi, _mu=mu):
+    def cell(mi, mu):
+        def work(item):
             ci, b = item
-            stream = spawn_stream(sc.master_seed, focal_agent, _mi, ci)
-            sq = _chunk_sq_errors(sc, _mu, b, stream)
+            sq = _chunk_sq_errors(sc, mu, b, spawn_stream(sc.master_seed, 0, mi, ci))
             return float(sq.sum()), float((sq * sq).sum())
 
         if sc.workers > 1:
@@ -254,62 +271,53 @@ def run_replications(sc: Scenario, focal_agent: int = 0) -> EmpiricalPenalty:
         mse = s1 / n
         # a cell scored +inf has an infinite, not an undefined, standard error
         se = math.sqrt(max(s2 / n - mse * mse, 0.0) / n) if mse < math.inf else math.inf
-        per_mu.append((mu, mse, se))
+        return mse, se
 
-    mu_star, mse, se = max(per_mu, key=lambda t: t[1])
-    cost = p.cost * sc.focal.n
-    return EmpiricalPenalty(mean_sq_error=mse, std_error=se, cost=cost,
-                            total=mse + cost, per_mu=tuple(per_mu))
+    return _max_over_mu(sc, cell)
 
 
-def run_replications_reference(sc: Scenario, focal_agent: int = 0) -> EmpiricalPenalty:
-    """Slow reference path: one object-level mechanism round per
-    replication. Used to cross-validate the vectorized engine."""
+def _reference_sq_error(sc: Scenario, mi: int, mu: float, r: int) -> float:
+    """Squared error of one object-level mechanism round on explicit pools,
+    or +inf when the focal estimator has no data with positive weight."""
     p = sc.params
     d, ns, m = p.dim, p.n_star, p.agents
-    spec = sc.distribution
-    foc = sc.focal
-    mus = (0.0,) if is_translation_equivariant(foc) else tuple(sc.mu_grid)
+    spec, foc = sc.distribution, sc.focal
+    agent_stream = spawn_stream(sc.master_seed, 1000, mi, r)
+    X = spec.sample(agent_stream, (foc.n, d), mu)
+    Y = est.apply_submission(foc.submission, X, p, agent_stream)
+    subs = [Y] + [spec.sample(agent_stream, (ns, d), mu) for _ in range(m - 1)]
+    no_data = np.empty((0, d))
+    if sc.mechanism == "corrupt-deploy":
+        stream = spawn_stream(sc.master_seed, 2000, mi, r)
+        dep = mech.mech_corrupt_deploy(subs, p, sc.epsilon, stream)[0]
+        alloc = mech.Allocation(no_data, dep.corrupted, dep.eta_sq)
+    elif sc.mechanism == "cross-check":
+        streams = [spawn_stream(sc.master_seed, 2000 + j, mi, r) for j in range(m)]
+        alloc = mech.mech_cross_check_corrupt(subs, p, sc.alpha, streams)[0]
+    else:
+        pools = mech.mech_pool(subs) if sc.mechanism == "pool" else mech.mech_size_check(subs, p)
+        alloc = mech.Allocation(pools[0], no_data, np.zeros(d))
+    if sc.mechanism == "corrupt-deploy" and isinstance(foc.estimator, est.PlainMeanAll):
+        v = dep.value
+    else:
+        try:
+            v = est.estimate(foc.estimator, X, Y, alloc, p.sigma)
+        except est.EmptyInput:
+            return math.inf
+    e = v - (spec.mean + mu)
+    return float(e @ e)
 
-    per_mu = []
-    for mi, mu in enumerate(mus):
-        sqs = np.empty(sc.replications)
-        for r in range(sc.replications):
-            agent_stream = spawn_stream(sc.master_seed, 1000 + focal_agent, mi, r)
-            mech_streams = [spawn_stream(sc.master_seed, 2000 + j, mi, r) for j in range(m)]
-            X = spec.sample(agent_stream, (foc.n, d), mu)
-            Y = est.apply_submission(foc.submission, X, p, agent_stream)
-            subs = [Y if j == 0 else spec.sample(agent_stream, (ns, d), mu)
-                    for j in range(m)]
-            true_mu = spec.mean + mu
-            if sc.mechanism == "pool":
-                alloc = mech.Allocation(mech.mech_pool(subs)[0], np.empty((0, d)), np.zeros(d))
-            elif sc.mechanism == "size-check":
-                alloc = mech.Allocation(mech.mech_size_check(subs, p)[0],
-                                        np.empty((0, d)), np.zeros(d))
-            elif sc.mechanism == "corrupt-deploy":
-                dep = mech.mech_corrupt_deploy(subs, p, sc.epsilon, mech_streams[0])[0]
-                alloc = mech.Allocation(np.empty((0, d)), dep.corrupted, dep.eta_sq)
-            else:
-                alloc = mech.mech_cross_check_corrupt(subs, p, sc.alpha, mech_streams)[0]
-            if sc.mechanism == "corrupt-deploy" and isinstance(foc.estimator, est.PlainMeanAll):
-                v = dep.value
-            else:
-                try:
-                    v = est.estimate(foc.estimator, X, Y, alloc, p.sigma)
-                except est.EmptyInput:
-                    # no data with positive weight: infinite risk, as in the fast path
-                    sqs[r] = math.inf
-                    continue
-            e = v - true_mu
-            sqs[r] = float(e @ e)
+
+def run_replications_reference(sc: Scenario) -> EmpiricalPenalty:
+    """Slow reference path: one object-level mechanism round per
+    replication. Used to cross-validate the vectorized engine."""
+    def cell(mi, mu):
+        sqs = np.array([_reference_sq_error(sc, mi, mu, r) for r in range(sc.replications)])
         mse = float(sqs.mean())
         se = float(sqs.std()) / math.sqrt(len(sqs)) if mse < math.inf else math.inf
-        per_mu.append((mu, mse, se))
+        return mse, se
 
-    mu_star, mse, se = max(per_mu, key=lambda t: t[1])
-    cost = p.cost * foc.n
-    return EmpiricalPenalty(mse, se, cost, mse + cost, tuple(per_mu))
+    return _max_over_mu(sc, cell)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from meanshare.alphasolve import solve_alpha
-from meanshare.params import DistributionSpec, ProblemParams, validate_params
+from meanshare.params import DistributionSpec, ProblemParams, cost_for_n_star, validate_params
 
 
 @pytest.fixture(scope="session")
@@ -23,8 +23,4 @@ def gaussian_1d():
 
 def params_for(m: int, n_star: int = 10, sigma: float = 1.0, dim: int = 1) -> ProblemParams:
     """Cost chosen so the recommended count is exactly n_star."""
-    if m >= 5:
-        cost = sigma**2 * dim / (n_star**2 * m)
-    else:
-        cost = sigma**2 * dim / (n_star * m) ** 2
-    return validate_params(ProblemParams(sigma, cost, m, dim))
+    return validate_params(ProblemParams(sigma, cost_for_n_star(sigma, n_star, m, dim), m, dim))

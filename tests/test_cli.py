@@ -44,6 +44,14 @@ class TestSolveAlpha:
         assert code == 1
         assert "5 or more" in err
 
+    @pytest.mark.parametrize("flags,word", [(("--nstar", "0"), "n_star"),
+                                            (("--dim", "0"), "dim")])
+    def test_bad_nstar_or_dim_exits_1(self, capsys, flags, word):
+        code, out, err = run_cli(capsys, "solve-alpha", "--agents", "9", *flags)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and word in err
+
     def test_default_cost_matches_explicit(self, capsys):
         _, out1, _ = run_cli(capsys, "solve-alpha", "--agents", "9",
                              "--nstar", "10")
@@ -192,6 +200,22 @@ class TestExperiments:
         assert len(rows) == 10
         assert not {"n=0", "submit nothing"} & {r["strategy"] for r in rows}
         assert not any(r["profitable_deviation"] for r in rows)
+
+    @pytest.mark.parametrize("flags", [("--mechanism", "pool"), ("--agents", "4")])
+    def test_mc_vs_closed_form_without_alpha_exits_1(self, capsys, monkeypatch, flags):
+        # rejected before any Monte-Carlo work
+        monkeypatch.setattr(cli.sim, "run_replications", None)
+        code, out, err = run_cli(capsys, "experiment", "mc-vs-closed-form",
+                                 "--replications", "1000", *flags)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "cross-check" in err
+
+    def test_pos_table_too_few_agents_exits_1(self, capsys):
+        code, out, err = run_cli(capsys, "experiment", "pos-table", "--m-range", "0:3")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "agents" in err
 
     def test_zero_replications_exits_1(self, capsys):
         code, out, err = run_cli(capsys, "experiment", "nash-sweep",

@@ -11,6 +11,7 @@ from meanshare.params import (
     InvalidParam,
     NonIntegerNStar,
     ProblemParams,
+    cost_for_n_star,
     double_factorial,
     normal_central_moment,
     sample_dataset,
@@ -186,3 +187,15 @@ class TestSampleSums:
         ref_first, ref_last = spec.sample_sums(spawn_stream(5, 1), 8, (4, 6))
         assert np.array_equal(first, ref_first)
         assert np.array_equal(last, ref_last)
+
+
+class TestCostForNStar:
+    @pytest.mark.parametrize("m,n_star,dim", [(9, 10, 1), (4, 10, 1), (100, 7, 3), (2, 1, 2)])
+    def test_inverts_n_star(self, m, n_star, dim):
+        p = validate_params(ProblemParams(1.5, cost_for_n_star(1.5, n_star, m, dim), m, dim))
+        assert p.n_star == n_star
+
+    @pytest.mark.parametrize("agents,n_star,dim", [(1, 10, 1), (0, 10, 1), (9, 0, 1), (9, 10, 0)])
+    def test_out_of_range_rejected(self, agents, n_star, dim):
+        with pytest.raises(InvalidParam):
+            cost_for_n_star(1.0, n_star, agents, dim)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from meanshare import estimators as est
+from meanshare import simulation
 from meanshare.analytics import (
     baseline_penalties,
     mechpk_exploit_risk,
@@ -12,7 +13,13 @@ from meanshare.analytics import (
     penalty_closed_form,
     smallm_participating_penalty,
 )
-from meanshare.params import DistributionSpec, InvalidParam, ProblemParams, validate_params
+from meanshare.params import (
+    DistributionSpec,
+    InvalidParam,
+    ProblemParams,
+    spawn_stream,
+    validate_params,
+)
 from meanshare.simulation import (
     EmpiricalPenalty,
     Scenario,
@@ -193,6 +200,28 @@ class TestReferenceAgreement:
         tol = 4 * math.hypot(fast.std_error, ref.std_error)
         assert abs(fast.mean_sq_error - ref.mean_sq_error) < tol
 
+    @pytest.mark.parametrize("mechanism,per_round", [
+        ("pool", 1), ("size-check", 1), ("corrupt-deploy", 2), ("cross-check", 10)])
+    def test_reference_spawns_streams_only_where_drawn(self, canonical, canonical_alpha,
+                                                       monkeypatch, mechanism, per_round):
+        # one stream for the agents' data, plus one per mechanism stream read:
+        # none for pool and size-check, one for corrupt-deploy, m for cross-check
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return spawn_stream(*args)
+
+        monkeypatch.setattr(simulation, "spawn_stream", counting)
+        sc = _scenario(canonical, mechanism, recommended_strategy(canonical, mechanism),
+                       alpha=canonical_alpha, epsilon=0.5, reps=7, mu_grid=(0.0, 5.0))
+        run_replications_reference(sc)
+        assert len(calls) == 7 * per_round
+        pen = run_replications_reference(replace(sc, focal=Strategy(
+            canonical.n_star, est.Scale(0.5), sc.focal.estimator)))
+        assert len(pen.per_mu) == 2
+        assert len(calls) == 3 * 7 * per_round
+
 
 class TestEquivariance:
     def test_equivariant_risk_independent_of_mu(self, canonical, canonical_alpha):
@@ -307,11 +336,13 @@ class TestSweepsAndChecks:
         # an empty submission is corrupted with eta^2 = inf; the weighted
         # estimator gives that block weight 0, so its infinite variance adds
         # nothing: risk sigma^2 / (1 + n*) from the own point and the prefix
+        # (on the reference path that block's sum is itself non-finite)
         foc = Strategy(1, est.Empty(), est.RecommendedWeighted(), "submit nothing")
-        pen = run_replications(_scenario(canonical, "cross-check", foc,
-                                         alpha=canonical_alpha, reps=20_000))
-        assert math.isfinite(pen.total)
-        assert abs(pen.mean_sq_error - 1.0 / 11.0) < 3 * pen.std_error
+        sc = _scenario(canonical, "cross-check", foc, alpha=canonical_alpha)
+        for run, reps in ((run_replications, 20_000), (run_replications_reference, 1_000)):
+            pen = run(replace(sc, replications=reps))
+            assert math.isfinite(pen.total)
+            assert abs(pen.mean_sq_error - 1.0 / 11.0) < 3 * pen.std_error
 
     def test_infinite_cell_has_infinite_std_error(self, canonical):
         # size-check hands a zero-submission agent nothing, and the plain
