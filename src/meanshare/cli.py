@@ -83,7 +83,8 @@ def _emit(rows: list[dict], fmt: str, out_path: str | None):
     """Write a homogeneous list of dicts as CSV (header + 17-digit floats)
     or as a JSON array."""
     if fmt == "json":
-        text = json.dumps(rows, indent=2, default=float) + "\n"
+        # numpy scalars print as their Python values (a numpy.bool_ as true)
+        text = json.dumps(rows, indent=2, default=lambda v: v.item()) + "\n"
     else:
         buf = io.StringIO()
         if rows:

@@ -225,13 +225,13 @@ def _block_weights(choice, n_x: int, n_clean: int, n_corr: int, eta_sq, sigma: f
     raise TypeError(f"unknown estimator {choice!r}")
 
 
-def estimate(choice, X: np.ndarray, Y: np.ndarray, alloc: Allocation, sigma: float) -> np.ndarray:
+def estimate(choice, X: np.ndarray, alloc: Allocation, sigma: float) -> np.ndarray:
     """Point estimate of the mean from own data X and allocation alloc.
 
-    Y (the submission) is accepted for interface completeness; none of the
-    implemented estimators depend on it. A corrupted block with infinite
-    eta^2 gets weight zero and its sum, which may then be non-finite, is
-    ignored. Raises :class:`EmptyInput` when no data has positive weight.
+    No estimator reads the agent's submission, only what it collected. A
+    corrupted block with infinite eta^2 gets weight zero and its sum, which
+    may then be non-finite, is ignored. Raises :class:`EmptyInput` when no
+    data has positive weight.
     """
     if len(X) and len(alloc.clean) and alloc.clean.shape[1] != X.shape[1]:
         raise DimensionMismatch("X and allocation dimensions differ")

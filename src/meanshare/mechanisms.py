@@ -165,7 +165,7 @@ def mech_cross_check_corrupt(
     submissions: list[np.ndarray],
     p: ProblemParams,
     alpha: float | None,
-    streams: list[np.random.Generator],
+    stream: np.random.Generator | None,
 ) -> list[Allocation]:
     """Cross-check-and-corrupt. With m <= 4 agents this degenerates to
     pooling (no corruption). Otherwise each agent's allocation holds a
@@ -173,8 +173,9 @@ def mech_cross_check_corrupt(
     replacement from the others' pool, and the remainder corrupted with
     per-dimension variance alpha^2 (mean(Y_i) - mean(D_i))^2.
 
-    ``streams`` are mechanism-owned generators, one per agent, disjoint
-    from any agent-side randomness.
+    ``stream`` is the mechanism's own generator, disjoint from any
+    agent-side randomness; the agents draw from it in index order. With
+    m <= 4 it is not read and may be None.
     """
     m = len(submissions)
     if m <= 4:
@@ -184,14 +185,12 @@ def mech_cross_check_corrupt(
     d = _dim(submissions)
     if alpha is None or alpha <= 0:
         raise ValueError("m >= 5 requires the solved corruption level alpha")
-    if len(streams) < m:
-        raise ValueError("need one mechanism stream per agent")
 
     out = []
     for i, s in enumerate(submissions):
         others = _pool_others(submissions, i, d)
         take = min(len(others), p.n_star)
-        idx = streams[i].permutation(len(others))
+        idx = stream.permutation(len(others))
         clean = others[idx[:take]]
         rest = others[idx[take:]]
 
@@ -203,7 +202,7 @@ def mech_cross_check_corrupt(
             eta_sq = alpha**2 * delta**2
 
         if len(rest):
-            z = streams[i].standard_normal(rest.shape)
+            z = stream.standard_normal(rest.shape)
             with np.errstate(invalid="ignore"):
                 noise = z * np.sqrt(eta_sq)
             corrupted = rest + noise

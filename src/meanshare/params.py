@@ -157,29 +157,25 @@ class DistributionSpec:
         pts += self.mean + shift
         return pts
 
-    def sample_sums(self, stream: np.random.Generator, b: int, sizes,
-                    shift: float = 0.0) -> list[np.ndarray]:
-        """Sums, each of shape (b, dim), of consecutive i.i.d. blocks of
-        ``sizes[i]`` points located at ``mean + shift``.
+    def sample_sum(self, stream: np.random.Generator, b: int, k: int,
+                   shift: float = 0.0) -> np.ndarray:
+        """Sums, of shape (b, dim), of b i.i.d. blocks of k points located at
+        ``mean + shift``.
 
         Gaussian and Rademacher sums are drawn exactly, as N(k loc, k scale^2)
         and scale (2 Binomial(k, 1/2) - k) + k loc, in O(b dim) draws whatever
-        k is. Zero-size blocks sum to zero and consume no draws.
+        k is. With k = 0 the sums are zero and nothing is drawn.
         """
-        loc = self.mean + shift
         shape = (b, self.dim)
-        sums = []
-        for k in sizes:
-            if k == 0:
-                sums.append(np.zeros(shape))
-            elif self.family == "gaussian":
-                sums.append(math.sqrt(k) * self.scale * stream.standard_normal(shape) + k * loc)
-            elif self.family == "scaled_rademacher":
-                sums.append(self.scale * (2.0 * stream.binomial(k, 0.5, size=shape) - k) + k * loc)
-            else:
-                # Irwin-Hall sums have no cheap exact sampler: draw the block in full
-                sums.append(self.sample(stream, (b, k, self.dim), shift).sum(axis=1))
-        return sums
+        if k == 0:
+            return np.zeros(shape)
+        loc = self.mean + shift
+        if self.family == "gaussian":
+            return math.sqrt(k) * self.scale * stream.standard_normal(shape) + k * loc
+        if self.family == "scaled_rademacher":
+            return self.scale * (2.0 * stream.binomial(k, 0.5, size=shape) - k) + k * loc
+        # Irwin-Hall sums have no cheap exact sampler: draw the blocks in full
+        return self.sample(stream, (b, k, self.dim), shift).sum(axis=1)
 
 
 def sample_dataset(spec: DistributionSpec, n: int, stream: np.random.Generator) -> np.ndarray:

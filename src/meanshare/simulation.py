@@ -21,7 +21,7 @@ family, and it cannot raise the variance of a round's score.
 
 - Cross-check with m >= 5: eta^2 reads the focal submission and the
   cross-check prefix, so the prefix sum is drawn
-  (:meth:`DistributionSpec.sample_sums`) and the corrupted remainder and
+  (:meth:`DistributionSpec.sample_sum`) and the corrupted remainder and
   its noise are integrated out.
 - Pool, size-check and cross-check with m <= 4: the others' pool enters
   with a fixed weight and is integrated out; nothing of it is drawn.
@@ -51,9 +51,9 @@ master seed, for the mi-th mean offset of the grid:
 
 - engine: chunk ci draws from ``(0, mi, ci)``;
 - reference, replication r: the focal agent's data, its submission and
-  the others' data draw from ``(1000, mi, r)``. Only the mechanisms that
-  draw get streams: corrupt-deploy ``(2000, mi, r)``, cross-check one per
-  agent, ``(2000 + j, mi, r)`` for j < m. Pool and size-check get none.
+  the others' data draw from ``(1000, mi, r)``. A mechanism that draws
+  gets one stream, ``(2000, mi, r)``: corrupt-deploy, and cross-check
+  with m >= 5. Pool, size-check and cross-check with m <= 4 get none.
 """
 
 from __future__ import annotations
@@ -128,8 +128,12 @@ class Scenario:
         if self.mechanism == "corrupt-deploy" and \
                 (self.epsilon is None or not self.epsilon > 0):
             raise InvalidParam("corrupt-deploy needs epsilon > 0")
-        if self.replications < 1:
-            raise InvalidParam(f"replications must be >= 1, got {self.replications}")
+        for name, value, low in (("replications", self.replications, 1),
+                                 ("chunk_size", self.chunk_size, 1), ("workers", self.workers, 1),
+                                 ("len(mu_grid)", len(self.mu_grid), 1),
+                                 ("focal.n", self.focal.n, 0)):
+            if value < low:
+                raise InvalidParam(f"{name} must be >= {low}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -197,7 +201,7 @@ def _chunk_sq_errors(sc: Scenario, mu_offset: float, b: int, stream) -> np.ndarr
         # eta^2 reads the pool sum, so the pool and its noise are drawn
         if n_y == 0:
             raise mech.EmptySubmission("corrupt-and-deploy requires a nonempty submission")
-        (sum_p,) = spec.sample_sums(stream, b, (k_pool,), mu_offset)
+        sum_p = spec.sample_sum(stream, b, k_pool, mu_offset)
         k = mech.k_eps(sc.epsilon)
         beta_sq = mech.beta_sq_published(n_y + k_pool, p, k)
         delta = sum_y / n_y - sum_p / k_pool
@@ -213,7 +217,7 @@ def _chunk_sq_errors(sc: Scenario, mu_offset: float, b: int, stream) -> np.ndarr
         # the corrupted remainder and its noise are independent of it
         take = min(k_pool, ns)
         n_rest = k_pool - take
-        (sum_d,) = spec.sample_sums(stream, b, (take,), mu_offset)
+        sum_d = spec.sample_sum(stream, b, take, mu_offset)
         if n_y == 0:
             eta_sq = np.full((b, d), np.inf)
         else:
@@ -292,8 +296,8 @@ def _reference_sq_error(sc: Scenario, mi: int, mu: float, r: int) -> float:
         dep = mech.mech_corrupt_deploy(subs, p, sc.epsilon, stream)[0]
         alloc = mech.Allocation(no_data, dep.corrupted, dep.eta_sq)
     elif sc.mechanism == "cross-check":
-        streams = [spawn_stream(sc.master_seed, 2000 + j, mi, r) for j in range(m)]
-        alloc = mech.mech_cross_check_corrupt(subs, p, sc.alpha, streams)[0]
+        stream = spawn_stream(sc.master_seed, 2000, mi, r) if m >= 5 else None
+        alloc = mech.mech_cross_check_corrupt(subs, p, sc.alpha, stream)[0]
     else:
         pools = mech.mech_pool(subs) if sc.mechanism == "pool" else mech.mech_size_check(subs, p)
         alloc = mech.Allocation(pools[0], no_data, np.zeros(d))
@@ -301,7 +305,7 @@ def _reference_sq_error(sc: Scenario, mi: int, mu: float, r: int) -> float:
         v = dep.value
     else:
         try:
-            v = est.estimate(foc.estimator, X, Y, alloc, p.sigma)
+            v = est.estimate(foc.estimator, X, alloc, p.sigma)
         except est.EmptyInput:
             return math.inf
     e = v - (spec.mean + mu)
@@ -403,7 +407,7 @@ def ir_check(sc: Scenario) -> dict:
     }
 
 
-def highdim_nic_check(sc: Scenario, menu: list[Strategy] | None = None) -> dict:
+def highdim_nic_check(sc: Scenario) -> dict:
     """Approximate-equilibrium check for the bounded-variance setting:
     recommended penalty <= (1 + 5/m) * (menu minimum), within 3 combined
     standard errors, plus the social-penalty ratio proxy against the
@@ -414,17 +418,16 @@ def highdim_nic_check(sc: Scenario, menu: list[Strategy] | None = None) -> dict:
     base_strategy = Strategy(p.n_star, est.Identity(), fixed, "recommended")
     ns = p.n_star
     half = max(ns // 2, 1)
-    if menu is None:
-        # zero-collection entries are excluded: with the fixed tau^2 weighting
-        # the infinitely-corrupted allocation makes their risk unbounded
-        menu = [
-            Strategy(half, est.Identity(), fixed, f"n={half}"),
-            Strategy(2 * ns, est.Identity(), fixed, f"n={2 * ns}"),
-            Strategy(ns, est.Scale(0.5), fixed, "scale 0.5"),
-            Strategy(ns, est.Shift(1.0), fixed, "shift 1"),
-            Strategy(ns, est.Subset(half), fixed, f"subset {half}"),
-            Strategy(1, est.FabricateFitGaussian(ns), fixed, f"fabricate {ns} from 1"),
-        ]
+    # zero-collection entries are excluded: with the fixed tau^2 weighting
+    # the infinitely-corrupted allocation makes their risk unbounded
+    menu = [
+        Strategy(half, est.Identity(), fixed, f"n={half}"),
+        Strategy(2 * ns, est.Identity(), fixed, f"n={2 * ns}"),
+        Strategy(ns, est.Scale(0.5), fixed, "scale 0.5"),
+        Strategy(ns, est.Shift(1.0), fixed, "shift 1"),
+        Strategy(ns, est.Subset(half), fixed, f"subset {half}"),
+        Strategy(1, est.FabricateFitGaussian(ns), fixed, f"fabricate {ns} from 1"),
+    ]
     base = run_replications(replace(sc, focal=base_strategy))
     entries = [(s, run_replications(replace(sc, focal=s))) for s in menu]
     best_s, best = min(entries, key=lambda t: t[1].total)

@@ -302,23 +302,21 @@ def test_c12_properties():
     # estimator, and shift invariance of the corruption variance
     stream = spawn_stream(99)
     subs = [stream.standard_normal((ns, 1)) for _ in range(p.agents)]
-    streams = [spawn_stream(99, 500 + j) for j in range(p.agents)]
-    allocs = mech.mech_cross_check_corrupt(subs, p, alpha, streams)
-    streams2 = [spawn_stream(99, 500 + j) for j in range(p.agents)]
+    allocs = mech.mech_cross_check_corrupt(subs, p, alpha, spawn_stream(99, 500))
     shifted_allocs = mech.mech_cross_check_corrupt(
-        [s + 3.25 for s in subs], p, alpha, streams2)
+        [s + 3.25 for s in subs], p, alpha, spawn_stream(99, 500))
     for a, b in zip(allocs, shifted_allocs):
         np.testing.assert_allclose(b.eta_sq, a.eta_sq, rtol=1e-9)
     X = subs[0]
-    v = est.estimate(est.RecommendedWeighted(), X, X, allocs[0], p.sigma)
-    v_shift = est.estimate(est.RecommendedWeighted(), X + 3.25, X + 3.25,
-                           shifted_allocs[0], p.sigma)
+    v = est.estimate(est.RecommendedWeighted(), X, allocs[0], p.sigma)
+    v_shift = est.estimate(est.RecommendedWeighted(), X + 3.25, shifted_allocs[0],
+                           p.sigma)
     np.testing.assert_allclose(v_shift, v + 3.25, rtol=0, atol=1e-9)
     scaled_alloc = mech.Allocation(2.0 * allocs[0].clean,
                                    2.0 * allocs[0].corrupted,
                                    4.0 * allocs[0].eta_sq)
-    v_scale = est.estimate(est.RecommendedWeighted(), 2.0 * X, 2.0 * X,
-                           scaled_alloc, 2.0 * p.sigma)
+    v_scale = est.estimate(est.RecommendedWeighted(), 2.0 * X, scaled_alloc,
+                           2.0 * p.sigma)
     np.testing.assert_allclose(v_scale, 2.0 * v, rtol=1e-9)
 
     # byte-exact determinism under parallel execution

@@ -161,6 +161,7 @@ class TestExperiments:
         assert code == 0
         row = json.loads(out)[0]
         assert row["gap"] <= 3 * row["std_error"]
+        assert row["ok"] is True
 
     def test_nash_sweep_size_check_restricted(self, capsys):
         code, out, _ = run_cli(capsys, "experiment", "nash-sweep",

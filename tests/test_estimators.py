@@ -97,58 +97,57 @@ class TestEstimate:
         # X={0,2}, D={4}, D'={10}, eta^2 = sigma^2 = 1:
         # (6/1 + 10/2) / (3/1 + 1/2) = 22/7
         a = alloc(clean=[4.0], corrupted=[10.0], eta_sq=1.0)
-        v = est.estimate(est.RecommendedWeighted(), as_dataset([0.0, 2.0]),
-                         np.empty((0, 1)), a, 1.0)
+        v = est.estimate(est.RecommendedWeighted(), as_dataset([0.0, 2.0]), a, 1.0)
         assert v[0] == pytest.approx(22 / 7, rel=1e-14)
 
     def test_zero_eta_equals_plain_mean(self):
         X = as_dataset([0.0, 2.0])
         a = alloc(clean=[4.0], corrupted=[10.0], eta_sq=0.0)
-        w = est.estimate(est.RecommendedWeighted(), X, np.empty((0, 1)), a, 1.0)
-        m = est.estimate(est.PlainMeanAll(), X, np.empty((0, 1)), a, 1.0)
+        w = est.estimate(est.RecommendedWeighted(), X, a, 1.0)
+        m = est.estimate(est.PlainMeanAll(), X, a, 1.0)
         assert w[0] == pytest.approx(m[0], rel=1e-14)
         assert m[0] == pytest.approx(4.0)
 
     def test_no_corrupted_reduces_to_sample_mean(self):
         X = as_dataset([0.0, 2.0])
         a = alloc(clean=[4.0])
-        v = est.estimate(est.RecommendedWeighted(), X, np.empty((0, 1)), a, 1.0)
+        v = est.estimate(est.RecommendedWeighted(), X, a, 1.0)
         assert v[0] == pytest.approx(2.0, rel=1e-14)
 
     def test_infinite_eta_ignores_corrupted(self):
         X = as_dataset([0.0, 2.0])
         a = alloc(clean=[4.0], corrupted=[np.inf], eta_sq=np.inf)
-        v = est.estimate(est.RecommendedWeighted(), X, np.empty((0, 1)), a, 1.0)
+        v = est.estimate(est.RecommendedWeighted(), X, a, 1.0)
         assert v[0] == pytest.approx(2.0, rel=1e-14)
 
     def test_posterior_mean_limit(self):
         X = as_dataset([0.0, 2.0])
         a = alloc(clean=[4.0], corrupted=[10.0], eta_sq=1.0)
-        rec = est.estimate(est.RecommendedWeighted(), X, np.empty((0, 1)), a, 1.0)
-        post = est.estimate(est.PosteriorMean(1e8), X, np.empty((0, 1)), a, 1.0)
+        rec = est.estimate(est.RecommendedWeighted(), X, a, 1.0)
+        post = est.estimate(est.PosteriorMean(1e8), X, a, 1.0)
         assert post[0] == pytest.approx(rec[0], rel=1e-10)
         # finite prior shrinks toward zero
-        tight = est.estimate(est.PosteriorMean(0.01), X, np.empty((0, 1)), a, 1.0)
+        tight = est.estimate(est.PosteriorMean(0.01), X, a, 1.0)
         assert abs(tight[0]) < abs(rec[0])
 
     def test_fixed_weighted(self):
         X = as_dataset([0.0, 2.0])
         a = alloc(clean=[4.0], corrupted=[10.0], eta_sq=99.0)
-        v = est.estimate(est.FixedWeighted(1.0), X, np.empty((0, 1)), a, 1.0)
+        v = est.estimate(est.FixedWeighted(1.0), X, a, 1.0)
         assert v[0] == pytest.approx(22 / 7, rel=1e-14)
 
     def test_clean_only_and_own_only(self):
         X = as_dataset([0.0, 2.0])
         a = alloc(clean=[4.0], corrupted=[100.0], eta_sq=1.0)
-        assert est.estimate(est.CleanOnlyMean(), X, np.empty((0, 1)), a, 1.0)[0] == 2.0
-        assert est.estimate(est.OwnDataOnlyMean(), X, np.empty((0, 1)), a, 1.0)[0] == 1.0
+        assert est.estimate(est.CleanOnlyMean(), X, a, 1.0)[0] == 2.0
+        assert est.estimate(est.OwnDataOnlyMean(), X, a, 1.0)[0] == 1.0
 
     def test_empty_input_rejected(self):
         a = alloc()
         with pytest.raises(est.EmptyInput):
-            est.estimate(est.PlainMeanAll(), np.empty((0, 1)), np.empty((0, 1)), a, 1.0)
+            est.estimate(est.PlainMeanAll(), np.empty((0, 1)), a, 1.0)
         with pytest.raises(est.EmptyInput):
-            est.estimate(est.RecommendedWeighted(), np.empty((0, 1)), np.empty((0, 1)), a, 1.0)
+            est.estimate(est.RecommendedWeighted(), np.empty((0, 1)), a, 1.0)
 
     @pytest.mark.parametrize("choice,a", [
         (est.RecommendedWeighted(), alloc(corrupted=[1.0], eta_sq=np.inf)),
@@ -158,11 +157,11 @@ class TestEstimate:
     ], ids=repr)
     def test_no_data_with_positive_weight(self, choice, a):
         with pytest.raises(est.EmptyInput):
-            est.estimate(choice, np.empty((0, 1)), np.empty((0, 1)), a, 1.0)
+            est.estimate(choice, np.empty((0, 1)), a, 1.0)
 
     def test_plain_mean_single_dataset(self):
         X = as_dataset([1.0, 2.0, 6.0])
-        v = est.estimate(est.PlainMeanAll(), X, np.empty((0, 1)), alloc(), 1.0)
+        v = est.estimate(est.PlainMeanAll(), X, alloc(), 1.0)
         assert v[0] == X.mean()
 
 
@@ -183,9 +182,9 @@ class TestEquivariance:
         X = as_dataset(rng.standard_normal(4))
         a = alloc(clean=rng.standard_normal(3), corrupted=rng.standard_normal(5),
                   eta_sq=float(rng.uniform(0, 4)))
-        base = est.estimate(choice, X, np.empty((0, 1)), a, 1.0)
+        base = est.estimate(choice, X, a, 1.0)
         shifted = Allocation(a.clean + t, a.corrupted + t, a.eta_sq)
-        moved = est.estimate(choice, X + t, np.empty((0, 1)), shifted, 1.0)
+        moved = est.estimate(choice, X + t, shifted, 1.0)
         extra = 0.0
         if isinstance(choice, est.PosteriorMean):
             # the prior precision is negligible at ell=1e7 but not exactly zero
@@ -199,10 +198,9 @@ class TestEquivariance:
         X = as_dataset(rng.standard_normal(4))
         a = alloc(clean=rng.standard_normal(3), corrupted=rng.standard_normal(5),
                   eta_sq=float(rng.uniform(0, 4)))
-        base = est.estimate(est.RecommendedWeighted(), X, np.empty((0, 1)), a, 1.0)
+        base = est.estimate(est.RecommendedWeighted(), X, a, 1.0)
         scaled_alloc = Allocation(a.clean * s, a.corrupted * s, a.eta_sq * s * s)
-        scaled = est.estimate(est.RecommendedWeighted(), X * s, np.empty((0, 1)),
-                              scaled_alloc, s)
+        scaled = est.estimate(est.RecommendedWeighted(), X * s, scaled_alloc, s)
         assert scaled[0] == pytest.approx(s * base[0], rel=1e-9)
 
     def test_weight_monotonicity(self):
@@ -211,7 +209,7 @@ class TestEquivariance:
         prev = None
         for eta in (0.0, 0.5, 2.0, 10.0, 1e6):
             a = alloc(clean=[0.0], corrupted=[10.0], eta_sq=eta)
-            v = est.estimate(est.RecommendedWeighted(), X, np.empty((0, 1)), a, 1.0)[0]
+            v = est.estimate(est.RecommendedWeighted(), X, a, 1.0)[0]
             if prev is not None:
                 assert v < prev
             prev = v

@@ -8,10 +8,6 @@ from meanshare import mechanisms as mech
 from meanshare.params import ProblemParams, as_dataset, spawn_stream, validate_params
 
 
-def streams(seed, m):
-    return [spawn_stream(seed, 100 + i) for i in range(m)]
-
-
 class TestPool:
     def test_union_of_others(self):
         subs = [as_dataset([1.0]), as_dataset([2.0]), as_dataset([3.0])]
@@ -91,7 +87,7 @@ class TestCrossCheckCorrupt:
     def test_small_m_pools(self):
         p = validate_params(ProblemParams(1.0, 1 / 64, 4, 1))
         subs = [as_dataset([float(i)] * 2) for i in range(4)]
-        out = mech.mech_cross_check_corrupt(subs, p, None, streams(3, 4))
+        out = mech.mech_cross_check_corrupt(subs, p, None, spawn_stream(3, 100))
         assert len(out[0].clean) == 6
         assert len(out[0].corrupted) == 0
         assert out[0].eta_sq[0] == 0.0
@@ -100,13 +96,13 @@ class TestCrossCheckCorrupt:
         # construct submissions so that mean(Y_0)=2 and every cross-check
         # point equals 1, giving eta^2 = alpha^2 (2-1)^2 = 16 for alpha=4
         subs = [as_dataset(np.full(10, 2.0))] + [as_dataset(np.ones(10))] * 8
-        out = mech.mech_cross_check_corrupt(subs, canonical, 4.0, streams(4, 9))
+        out = mech.mech_cross_check_corrupt(subs, canonical, 4.0, spawn_stream(4, 100))
         assert out[0].eta_sq[0] == pytest.approx(16.0)
 
     def test_equilibrium_sizes(self, canonical):
         rng = spawn_stream(5, 0)
         subs = [as_dataset(rng.standard_normal(10)) for _ in range(9)]
-        out = mech.mech_cross_check_corrupt(subs, canonical, 5.4, streams(5, 9))
+        out = mech.mech_cross_check_corrupt(subs, canonical, 5.4, spawn_stream(5, 100))
         for a in out:
             assert len(a.clean) == 10
             assert len(a.corrupted) == 70
@@ -114,7 +110,7 @@ class TestCrossCheckCorrupt:
     def test_partition_recovers_pool(self, canonical):
         rng = spawn_stream(6, 0)
         subs = [as_dataset(rng.standard_normal(10)) for _ in range(9)]
-        a = mech.mech_cross_check_corrupt(subs, canonical, 5.4, streams(6, 9))[0]
+        a = mech.mech_cross_check_corrupt(subs, canonical, 5.4, spawn_stream(6, 100))[0]
         sources = np.concatenate([a.clean, a.corrupted - a.noise])
         pool = np.concatenate(subs[1:])
         assert sorted(sources.ravel()) == pytest.approx(sorted(pool.ravel()), rel=1e-12)
@@ -123,28 +119,28 @@ class TestCrossCheckCorrupt:
         rng = spawn_stream(7, 0)
         subs = [as_dataset(rng.standard_normal(10)) for _ in range(9)]
         t = 13.25
-        a0 = mech.mech_cross_check_corrupt(subs, canonical, 5.4, streams(8, 9))[0]
+        a0 = mech.mech_cross_check_corrupt(subs, canonical, 5.4, spawn_stream(8, 100))[0]
         a1 = mech.mech_cross_check_corrupt([s + t for s in subs], canonical, 5.4,
-                                           streams(8, 9))[0]
+                                           spawn_stream(8, 100))[0]
         assert a1.eta_sq[0] == pytest.approx(a0.eta_sq[0], rel=1e-9, abs=1e-12)
         assert np.allclose(a1.clean, a0.clean + t)
         assert np.allclose(a1.corrupted, a0.corrupted + t, rtol=1e-9, atol=1e-9)
 
     def test_empty_submission_sentinel(self, canonical):
         subs = [np.empty((0, 1))] + [as_dataset(np.ones(10))] * 8
-        a = mech.mech_cross_check_corrupt(subs, canonical, 5.4, streams(9, 9))[0]
+        a = mech.mech_cross_check_corrupt(subs, canonical, 5.4, spawn_stream(9, 100))[0]
         assert np.isinf(a.eta_sq[0])
 
     def test_missing_alpha_rejected(self, canonical):
         subs = [as_dataset(np.ones(10))] * 9
         with pytest.raises(ValueError):
-            mech.mech_cross_check_corrupt(subs, canonical, None, streams(10, 9))
+            mech.mech_cross_check_corrupt(subs, canonical, None, spawn_stream(10, 100))
 
     def test_highdim_elementwise(self):
         p = validate_params(ProblemParams(1.0, 1 / 300, 9, 3))
         rng = spawn_stream(11, 0)
         subs = [rng.standard_normal((10, 3)) for _ in range(9)]
-        a = mech.mech_cross_check_corrupt(subs, p, 5.4, streams(11, 9))[0]
+        a = mech.mech_cross_check_corrupt(subs, p, 5.4, spawn_stream(11, 100))[0]
         assert a.eta_sq.shape == (3,)
         assert len(a.clean) == 10  # min(80, n*) with n* = sigma sqrt(d/(cm)) = 10
         delta = subs[0].mean(axis=0) - a.clean.mean(axis=0)
@@ -153,7 +149,7 @@ class TestCrossCheckCorrupt:
     def test_mechanism_stream_determinism(self, canonical):
         rng = spawn_stream(12, 0)
         subs = [as_dataset(rng.standard_normal(10)) for _ in range(9)]
-        a = mech.mech_cross_check_corrupt(subs, canonical, 5.4, streams(12, 9))[0]
-        b = mech.mech_cross_check_corrupt(subs, canonical, 5.4, streams(12, 9))[0]
+        a = mech.mech_cross_check_corrupt(subs, canonical, 5.4, spawn_stream(12, 100))[0]
+        b = mech.mech_cross_check_corrupt(subs, canonical, 5.4, spawn_stream(12, 100))[0]
         assert np.array_equal(a.clean, b.clean)
         assert np.array_equal(a.corrupted, b.corrupted)

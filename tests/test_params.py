@@ -157,8 +157,9 @@ class TestSampleSums:
     def test_moments(self, family, scale):
         spec = DistributionSpec(family, np.array([0.5, -1.0]), scale, 0.49)
         b, shift = 200_000, 1.5
-        sums = spec.sample_sums(spawn_stream(3, 0), b, (1, 7, 40), shift)
-        for k, s in zip((1, 7, 40), sums):
+        stream = spawn_stream(3, 0)
+        for k in (1, 7, 40):
+            s = spec.sample_sum(stream, b, k, shift)
             assert s.shape == (b, 2)
             mean_se = s.std(axis=0) / math.sqrt(b)
             assert np.all(np.abs(s.mean(axis=0) - k * (spec.mean + shift)) < 5 * mean_se)
@@ -169,7 +170,7 @@ class TestSampleSums:
     @pytest.mark.parametrize("k", [1, 2, 9, 990])
     def test_rademacher_lattice(self, k):
         spec = DistributionSpec("scaled_rademacher", np.array([0.25]), 0.5, 1.0)
-        (s,) = spec.sample_sums(spawn_stream(4, k), 5_000, (k,), 2.0)
+        s = spec.sample_sum(spawn_stream(4, k), 5_000, k, 2.0)
         steps = (s - k * 2.25) / 0.5 + k  # twice the number of +1 points
         assert steps.min() >= 0 and steps.max() <= 2 * k
         assert np.all(steps % 2 == 0)
@@ -179,14 +180,9 @@ class TestSampleSums:
         spec = DistributionSpec(family, np.ones(3), scale, 0.49)
         stream = spawn_stream(5, 0)
         before = stream.bit_generator.state
-        (z,) = spec.sample_sums(stream, 8, (0,), 3.0)
+        z = spec.sample_sum(stream, 8, 0, 3.0)
         assert np.array_equal(z, np.zeros((8, 3)))
         assert stream.bit_generator.state == before
-        # a zero-size block between two others leaves their draws unchanged
-        first, _, last = spec.sample_sums(spawn_stream(5, 1), 8, (4, 0, 6))
-        ref_first, ref_last = spec.sample_sums(spawn_stream(5, 1), 8, (4, 6))
-        assert np.array_equal(first, ref_first)
-        assert np.array_equal(last, ref_last)
 
 
 class TestCostForNStar:

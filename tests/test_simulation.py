@@ -200,12 +200,15 @@ class TestReferenceAgreement:
         tol = 4 * math.hypot(fast.std_error, ref.std_error)
         assert abs(fast.mean_sq_error - ref.mean_sq_error) < tol
 
-    @pytest.mark.parametrize("mechanism,per_round", [
-        ("pool", 1), ("size-check", 1), ("corrupt-deploy", 2), ("cross-check", 10)])
-    def test_reference_spawns_streams_only_where_drawn(self, canonical, canonical_alpha,
-                                                       monkeypatch, mechanism, per_round):
-        # one stream for the agents' data, plus one per mechanism stream read:
-        # none for pool and size-check, one for corrupt-deploy, m for cross-check
+    @pytest.mark.parametrize("mechanism,per_round,agents", [
+        ("pool", 1, 9), ("size-check", 1, 9), ("corrupt-deploy", 2, 9), ("cross-check", 2, 9),
+        ("cross-check", 1, 4),
+    ], ids=["pool-1", "size-check-1", "corrupt-deploy-2", "cross-check-2", "cross-check-m4-1"])
+    def test_reference_spawns_streams_only_where_drawn(self, canonical_alpha, monkeypatch,
+                                                       mechanism, per_round, agents):
+        # one stream for the agents' data, plus one mechanism stream where the
+        # mechanism draws: corrupt-deploy, and cross-check with m >= 5
+        p = params_for(agents)
         calls = []
 
         def counting(*args):
@@ -213,12 +216,12 @@ class TestReferenceAgreement:
             return spawn_stream(*args)
 
         monkeypatch.setattr(simulation, "spawn_stream", counting)
-        sc = _scenario(canonical, mechanism, recommended_strategy(canonical, mechanism),
+        sc = _scenario(p, mechanism, recommended_strategy(p, mechanism),
                        alpha=canonical_alpha, epsilon=0.5, reps=7, mu_grid=(0.0, 5.0))
         run_replications_reference(sc)
         assert len(calls) == 7 * per_round
         pen = run_replications_reference(replace(sc, focal=Strategy(
-            canonical.n_star, est.Scale(0.5), sc.focal.estimator)))
+            p.n_star, est.Scale(0.5), sc.focal.estimator)))
         assert len(pen.per_mu) == 2
         assert len(calls) == 3 * 7 * per_round
 
@@ -389,8 +392,14 @@ class TestScenario:
         {"alpha": 0.0},
         {"mechanism": "corrupt-deploy", "epsilon": None},
         {"mechanism": "corrupt-deploy", "epsilon": 0.0},
+        {"chunk_size": 0},
+        {"chunk_size": -5},
+        {"workers": 0},
+        {"mu_grid": ()},
+        {"focal": Strategy(-1, est.Identity(), est.PlainMeanAll())},
     ], ids=["unknown mechanism", "dim mismatch", "variance above sigma^2",
-            "no alpha", "zero alpha", "no epsilon", "zero epsilon"])
+            "no alpha", "zero alpha", "no epsilon", "zero epsilon", "zero chunk",
+            "negative chunk", "no workers", "empty mu grid", "negative focal n"])
     def test_bad_input_rejected(self, canonical, canonical_alpha, change):
         sc = _scenario(canonical, "cross-check", recommended_strategy(canonical),
                        alpha=canonical_alpha, epsilon=0.5, reps=10)
