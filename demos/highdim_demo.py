@@ -44,8 +44,8 @@ def main():
     res = highdim_nic_check(sc)
 
     print(f"{'strategy':<22} {'penalty':>10} {'+/-':>9}")
-    for s, pen in res["rows"]:
-        print(f"{s.label:<22} {pen.total:>10.6f} {3 * pen.std_error:>9.6f}")
+    for r in res["rows"]:
+        print(f"{r.strategy.label:<22} {r.penalty.total:>10.6f} {3 * r.penalty.std_error:>9.6f}")
     print(f"{'recommended':<22} {res['recommended']:>10.6f}")
 
     print(f"\nrecommended / best deviation = {res['ratio']:.4f} "

@@ -18,9 +18,7 @@ integrates numerically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-import numpy as np
 from scipy.special import erfcx
 
 from .mechanisms import k_eps
@@ -46,8 +44,6 @@ __all__ = [
     "mechpk_recommended_penalty",
     "sizecheck_penalty",
     "smallm_participating_penalty",
-    "PenaltyProfile",
-    "penalty_profile",
 ]
 
 _SQRT2PI = math.sqrt(2 * math.pi)
@@ -254,22 +250,3 @@ def smallm_participating_penalty(p: ProblemParams) -> float:
     (1 + 1/m) sigma sqrt(c d)."""
     m = p.agents
     return (1 + 1.0 / m) * p.sigma * math.sqrt(p.cost * p.dim)
-
-
-@dataclass(frozen=True)
-class PenaltyProfile:
-    n_grid: np.ndarray
-    p_values: np.ndarray
-    risk_values: np.ndarray
-    derivative_at_nstar: float
-
-
-def penalty_profile(p: ProblemParams, alpha: float, n_grid) -> PenaltyProfile:
-    n_grid = np.asarray(n_grid)
-    risks = np.array([rinf_max_risk(float(n), p, alpha) for n in n_grid])
-    return PenaltyProfile(
-        n_grid=n_grid,
-        p_values=risks + p.cost * n_grid,
-        risk_values=risks,
-        derivative_at_nstar=penalty_derivative_at_nstar(p, alpha),
-    )

@@ -21,6 +21,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -163,16 +164,6 @@ def cmd_figures(args) -> int:
     return EXIT_OK
 
 
-def _scenario(args, p: ProblemParams, alpha, focal) -> sim.Scenario:
-    spec = DistributionSpec("gaussian", np.zeros(p.dim), p.sigma, p.sigma**2)
-    return sim.Scenario(
-        params=p, mechanism=args.mechanism, focal=focal, distribution=spec,
-        replications=args.replications, master_seed=args.seed,
-        mu_grid=tuple(s * p.sigma for s in args.mu_grid),
-        epsilon=args.epsilon, alpha=alpha,
-    )
-
-
 def _maybe_alpha(args, p: ProblemParams):
     if args.mechanism == "cross-check" and p.agents >= 5:
         return solve_alpha(p).alpha
@@ -204,9 +195,16 @@ def cmd_experiment(args) -> int:
 
     p = _params_from(args)
     alpha = _maybe_alpha(args, p)
+    sc = sim.Scenario(
+        params=p, mechanism=args.mechanism,
+        focal=sim.recommended_strategy(p, args.mechanism, args.epsilon),
+        distribution=DistributionSpec("gaussian", np.zeros(p.dim), p.sigma, p.sigma**2),
+        replications=args.replications, master_seed=args.seed,
+        mu_grid=tuple(s * p.sigma for s in args.mu_grid),
+        epsilon=args.epsilon, alpha=alpha,
+    )
 
     if args.which == "ir-check":
-        sc = _scenario(args, p, alpha, sim.recommended_strategy(p, args.mechanism, args.epsilon))
         res = sim.ir_check(sc)
         _emit([{**_param_report(p), **res}], args.format, args.out)
         return EXIT_OK if res["ok"] else EXIT_STATISTICAL
@@ -216,7 +214,6 @@ def cmd_experiment(args) -> int:
             print("error: mc-vs-closed-form compares with the closed form of cross-check, "
                   "which is defined for 5 or more agents", file=sys.stderr)
             return EXIT_FLAGS
-        sc = _scenario(args, p, alpha, sim.recommended_strategy(p, args.mechanism, args.epsilon))
         pen = sim.run_replications(sc)
         closed = penalty_at_nstar(p, alpha) - p.cost * p.n_star
         gap = abs(pen.mean_sq_error - closed)
@@ -233,7 +230,6 @@ def cmd_experiment(args) -> int:
             ns = p.n_star
             menu = [sim.Strategy(n, est.Identity(), est.CleanOnlyMean(), f"n={n}")
                     for n in (max(ns // 2, 1), 2 * ns)]
-        sc = _scenario(args, p, alpha, sim.recommended_strategy(p, args.mechanism, args.epsilon))
         rows = sim.nash_deviation_sweep(sc, menu)
         out = [{"strategy": r.strategy.label, "n": r.strategy.n,
                 "total_penalty": r.penalty.total, "mse": r.penalty.mean_sq_error,
@@ -249,16 +245,12 @@ def cmd_experiment(args) -> int:
         return EXIT_STATISTICAL if exploited else EXIT_OK
 
     if args.which == "highdim-check":
+        # variance-bounded uniform data under cross-check, whatever --mechanism says
         spec = DistributionSpec("uniform_box", np.zeros(p.dim),
                                 p.sigma * math.sqrt(3.0), p.sigma**2)
-        sc = sim.Scenario(
-            params=p, mechanism="cross-check",
-            focal=sim.recommended_strategy(p, "cross-check"),
-            distribution=spec, replications=args.replications,
-            master_seed=args.seed, mu_grid=tuple(s * p.sigma for s in args.mu_grid),
-            alpha=alpha if alpha is not None else solve_alpha(p).alpha,
-        )
-        res = sim.highdim_nic_check(sc)
+        res = sim.highdim_nic_check(replace(
+            sc, mechanism="cross-check", distribution=spec,
+            alpha=alpha if alpha is not None else solve_alpha(p).alpha))
         _emit([{**_param_report(p), "ratio": res["ratio"], "bound": res["bound"],
                 "ok": res["ok"], "pos_proxy": res["pos_proxy"],
                 "pos_bound": res["pos_bound"], "pos_ok": res["pos_ok"],

@@ -89,18 +89,10 @@ def mech_pool(submissions: list[np.ndarray]) -> list[np.ndarray]:
 
 
 def mech_size_check(submissions: list[np.ndarray], p: ProblemParams) -> list[np.ndarray]:
-    """Pooling gated on submission size: agents submitting fewer than
-    n_star points receive nothing."""
-    if len(submissions) < 2:
-        raise ValueError("need at least 2 agents")
-    d = _dim(submissions)
-    out = []
-    for i, s in enumerate(submissions):
-        if len(s) >= p.n_star:
-            out.append(_pool_others(submissions, i, d))
-        else:
-            out.append(np.empty((0, d)))
-    return out
+    """:func:`mech_pool` gated on submission size: agents submitting fewer
+    than n_star points receive nothing."""
+    return [pool if len(s) >= p.n_star else pool[:0]
+            for s, pool in zip(submissions, mech_pool(submissions))]
 
 
 def k_eps(epsilon: float) -> int:

@@ -127,8 +127,10 @@ class DistributionSpec:
         object.__setattr__(self, "mean", np.atleast_1d(np.asarray(self.mean, float)))
         if self.family not in ("gaussian", "uniform_box", "scaled_rademacher"):
             raise InvalidParam(f"unknown family {self.family!r}")
-        if self.scale < 0:
-            raise InvalidParam("scale must be nonnegative")
+        if self.mean.ndim != 1 or not np.isfinite(self.mean).all():
+            raise InvalidParam(f"mean must be a finite 1-D vector, got {self.mean!r}")
+        if not self.scale >= 0:
+            raise InvalidParam(f"scale must be nonnegative, got {self.scale}")
         if self.per_dim_variance > self.var_cap + 1e-12:
             raise InvalidParam(
                 f"per-dimension variance {self.per_dim_variance} exceeds cap {self.var_cap}"

@@ -128,12 +128,15 @@ class Scenario:
         if self.mechanism == "corrupt-deploy" and \
                 (self.epsilon is None or not self.epsilon > 0):
             raise InvalidParam("corrupt-deploy needs epsilon > 0")
-        for name, value, low in (("replications", self.replications, 1),
+        for name, value, low in (("params.n_star", p.n_star, 1),
+                                 ("replications", self.replications, 1),
                                  ("chunk_size", self.chunk_size, 1), ("workers", self.workers, 1),
                                  ("len(mu_grid)", len(self.mu_grid), 1),
                                  ("focal.n", self.focal.n, 0)):
             if value < low:
                 raise InvalidParam(f"{name} must be >= {low}, got {value}")
+        if not all(math.isfinite(mu) for mu in self.mu_grid):
+            raise InvalidParam(f"mu_grid entries must be finite, got {self.mu_grid}")
 
 
 @dataclass(frozen=True)
@@ -360,20 +363,25 @@ class SweepRow:
     profitable: bool
 
 
+def _submits_data(s: Strategy) -> bool:
+    """Whether the profile collects data and submits some of it."""
+    return s.n > 0 and not isinstance(s.submission, est.Empty)
+
+
 def nash_deviation_sweep(sc: Scenario, menu: list[Strategy] | None = None) -> list[SweepRow]:
-    """Run the focal agent through the deviation menu (others fixed at the
-    recommended profile) and flag any entry that beats the recommended
-    strategy by more than 3 combined standard errors. The first row is the
-    recommended profile itself."""
+    """Score ``sc.focal`` and every menu entry against the same others (fixed
+    at the recommended profile), and flag any entry that beats the focal
+    profile by more than 3 combined standard errors. Row 0 is the focal
+    profile itself. The default menu is :func:`default_menu` with the focal
+    estimator."""
     p = sc.params
     if menu is None:
-        menu = default_menu(p, recommended_strategy(p, sc.mechanism).estimator)
+        menu = default_menu(p, sc.focal.estimator)
         if sc.mechanism == "corrupt-deploy":
-            # entries that submit nothing are excluded: corrupt-and-deploy
-            # rejects an empty submission by design, so they have no penalty
-            menu = [s for s in menu if s.n > 0 and not isinstance(s.submission, est.Empty)]
-    base_strategy = recommended_strategy(p, sc.mechanism, sc.epsilon)
-    base = run_replications(replace(sc, focal=base_strategy))
+            # corrupt-and-deploy rejects an empty submission by design, so
+            # entries that submit nothing have no penalty
+            menu = [s for s in menu if _submits_data(s)]
+    base = run_replications(sc)
 
     def closed(s: Strategy):
         if sc.mechanism == "cross-check" and p.agents >= 5 and \
@@ -384,7 +392,7 @@ def nash_deviation_sweep(sc: Scenario, menu: list[Strategy] | None = None) -> li
             return sizecheck_penalty(s.n, p)
         return None
 
-    rows = [SweepRow(base_strategy, base, closed(base_strategy), False)]
+    rows = [SweepRow(sc.focal, base, closed(sc.focal), False)]
     for s in menu:
         pen = run_replications(replace(sc, focal=s))
         gap = base.total - pen.total
@@ -394,11 +402,11 @@ def nash_deviation_sweep(sc: Scenario, menu: list[Strategy] | None = None) -> li
 
 
 def ir_check(sc: Scenario) -> dict:
-    """Participating penalty at the recommended profile vs. the best
-    standalone penalty 2 sigma sqrt(c d)."""
+    """Participating penalty of ``sc.focal`` vs. the best standalone
+    penalty 2 sigma sqrt(c d)."""
     p = sc.params
     standalone = 2 * p.sigma * math.sqrt(p.cost * p.dim)
-    pen = run_replications(replace(sc, focal=recommended_strategy(p, sc.mechanism, sc.epsilon)))
+    pen = run_replications(sc)
     return {
         "participating": pen.total,
         "std_error": pen.std_error,
@@ -411,26 +419,27 @@ def highdim_nic_check(sc: Scenario) -> dict:
     """Approximate-equilibrium check for the bounded-variance setting:
     recommended penalty <= (1 + 5/m) * (menu minimum), within 3 combined
     standard errors, plus the social-penalty ratio proxy against the
-    2 + 10/m bound."""
+    2 + 10/m bound.
+
+    The recommended profile is the paper's fixed-weight one, n* honest
+    points weighted with tau^2 = 2 alpha^2 sigma^2 / n*; it replaces
+    ``sc.focal``. The menu is the :func:`default_menu` entries that submit
+    data with that estimator, less the constant submission: with the fixed
+    weighting, the infinitely corrupted allocation of an empty or constant
+    submission makes its risk unbounded. ``rows`` holds one
+    :class:`SweepRow` per menu entry. Raises :class:`InvalidParam` unless
+    the mechanism is cross-check with 5 or more agents (so alpha is set):
+    with fewer it pools, and the 1 + 5/m bound is not claimed."""
     p = sc.params
-    tau_sq = 2 * sc.alpha**2 * p.sigma**2 / p.n_star
-    fixed = est.FixedWeighted(tau_sq)
-    base_strategy = Strategy(p.n_star, est.Identity(), fixed, "recommended")
-    ns = p.n_star
-    half = max(ns // 2, 1)
-    # zero-collection entries are excluded: with the fixed tau^2 weighting
-    # the infinitely-corrupted allocation makes their risk unbounded
-    menu = [
-        Strategy(half, est.Identity(), fixed, f"n={half}"),
-        Strategy(2 * ns, est.Identity(), fixed, f"n={2 * ns}"),
-        Strategy(ns, est.Scale(0.5), fixed, "scale 0.5"),
-        Strategy(ns, est.Shift(1.0), fixed, "shift 1"),
-        Strategy(ns, est.Subset(half), fixed, f"subset {half}"),
-        Strategy(1, est.FabricateFitGaussian(ns), fixed, f"fabricate {ns} from 1"),
-    ]
-    base = run_replications(replace(sc, focal=base_strategy))
-    entries = [(s, run_replications(replace(sc, focal=s))) for s in menu]
-    best_s, best = min(entries, key=lambda t: t[1].total)
+    if sc.mechanism != "cross-check" or p.agents < 5:
+        raise InvalidParam("the high-dimensional check needs cross-check with 5 or more agents")
+    fixed = est.FixedWeighted(2 * sc.alpha**2 * p.sigma**2 / p.n_star)
+    menu = [s for s in default_menu(p, fixed) if _submits_data(s) and s.estimator is fixed
+            and not isinstance(s.submission, est.SubmitConstant)]
+    rec, *rows = nash_deviation_sweep(
+        replace(sc, focal=Strategy(p.n_star, est.Identity(), fixed, "recommended")), menu)
+    best_row = min(rows, key=lambda r: r.penalty.total)
+    base, best = rec.penalty, best_row.penalty
     ratio = base.total / best.total
     bound = 1 + 5.0 / p.agents
     slack = 3.0 * math.hypot(base.std_error, best.std_error) / best.total
@@ -438,12 +447,12 @@ def highdim_nic_check(sc: Scenario) -> dict:
     return {
         "recommended": base.total,
         "best_deviation": best.total,
-        "best_label": best_s.label,
+        "best_label": best_row.strategy.label,
         "ratio": ratio,
         "bound": bound,
         "ok": ratio <= bound + slack,
         "pos_proxy": pos_proxy,
         "pos_bound": 2 + 10.0 / p.agents,
         "pos_ok": pos_proxy < 2 + 10.0 / p.agents,
-        "rows": entries,
+        "rows": rows,
     }

@@ -135,9 +135,9 @@ class TestPenalty:
 
     def test_convexity_midpoints(self, canonical, canonical_alpha):
         ns = np.arange(1, 41)
-        prof = an.penalty_profile(canonical, canonical_alpha, ns)
-        pv = prof.p_values
-        assert np.allclose(pv, prof.risk_values + canonical.cost * ns)
+        pv = np.array([an.penalty_closed_form(float(n), canonical, canonical_alpha) for n in ns])
+        risks = np.array([an.rinf_max_risk(float(n), canonical, canonical_alpha) for n in ns])
+        assert np.allclose(pv, risks + canonical.cost * ns)
         for i in range(len(ns) - 2):
             assert pv[i + 1] <= 0.5 * (pv[i] + pv[i + 2]) + 1e-10
 

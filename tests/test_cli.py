@@ -225,6 +225,14 @@ class TestExperiments:
         assert out == ""
         assert err.startswith("error: ") and "replications" in err
 
+    def test_non_finite_mu_grid_exits_1(self, capsys):
+        # a NaN offset used to print unflagged nan penalties and exit 0
+        code, out, err = run_cli(capsys, "experiment", "nash-sweep",
+                                 "--replications", "1000", "--mu-grid", "nan,5")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "mu_grid" in err
+
     def test_highdim_check(self, capsys):
         code, out, _ = run_cli(capsys, "experiment", "highdim-check",
                                "--agents", "9", "--dim", "3",

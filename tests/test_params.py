@@ -129,6 +129,17 @@ class TestSampleDataset:
         with pytest.raises(InvalidParam):
             DistributionSpec("uniform_box", np.zeros(2), 2.0, 1.0)
 
+    @pytest.mark.parametrize("mean,scale", [
+        (np.zeros(1), math.nan),
+        (np.zeros(1), -1.0),
+        (np.zeros((2, 1)), 1.0),
+        (np.array([0.0, math.nan]), 1.0),
+    ], ids=["nan scale", "negative scale", "2-D mean", "nan mean"])
+    def test_bad_spec_rejected(self, mean, scale):
+        # a NaN scale passes both variance comparisons, so it is named here
+        with pytest.raises(InvalidParam):
+            DistributionSpec("gaussian", mean, scale, 1.0)
+
     def test_uniform_variance_value(self):
         spec = DistributionSpec("uniform_box", np.zeros(1), math.sqrt(3.0), 1.0)
         ds = sample_dataset(spec, 200_000, spawn_stream(9, 0))

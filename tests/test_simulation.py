@@ -375,6 +375,36 @@ class TestSweepsAndChecks:
         assert res["ok"], (res["ratio"], res["bound"])
         assert res["pos_ok"], (res["pos_proxy"], res["pos_bound"])
 
+    @pytest.mark.parametrize("m,mechanism,alpha", [(9, "pool", None), (9, "size-check", None),
+                                                   (4, "cross-check", None), (4, "cross-check", 5.0)])
+    def test_highdim_needs_cross_check_with_alpha(self, m, mechanism, alpha):
+        # the 1 + 5/m claim is about cross-check with m >= 5 at a solved
+        # alpha; pooling used to be scored silently (and passed), and m = 4
+        # without alpha raised a TypeError
+        p = params_for(m)
+        sc = _scenario(p, mechanism, recommended_strategy(p, mechanism), alpha=alpha, reps=100)
+        with pytest.raises(InvalidParam, match="cross-check"):
+            highdim_nic_check(sc)
+
+    def test_highdim_rows_are_the_fixed_weight_menu(self, canonical, canonical_alpha):
+        res = highdim_nic_check(_scenario(canonical, "cross-check", recommended_strategy(canonical),
+                                          alpha=canonical_alpha, reps=2_000))
+        labels = [r.strategy.label for r in res["rows"]]
+        assert labels == ["n=5", "n=20", "scale 0.5", "shift 1", "subset 5", "fabricate 10 from 1"]
+        assert all(isinstance(r.strategy.estimator, est.FixedWeighted) for r in res["rows"])
+        best = min(res["rows"], key=lambda r: r.penalty.total)
+        assert (res["best_label"], res["best_deviation"]) == (best.strategy.label, best.penalty.total)
+
+    def test_sweep_scores_the_focal_profile(self, canonical, canonical_alpha):
+        # row 0 is sc.focal, and the default menu uses its estimator
+        foc = Strategy(canonical.n_star, est.Identity(), est.PlainMeanAll(), "plain")
+        sc = _scenario(canonical, "cross-check", foc, alpha=canonical_alpha, reps=2_000)
+        rows = nash_deviation_sweep(sc)
+        assert rows[0].strategy is foc
+        assert rows[0].penalty == run_replications(sc)
+        assert all(r.strategy.estimator is foc.estimator for r in rows[1:10])
+        assert ir_check(sc)["participating"] == rows[0].penalty.total
+
 
 class TestScenario:
     @pytest.mark.parametrize("reps", [0, -5])
@@ -397,9 +427,14 @@ class TestScenario:
         {"workers": 0},
         {"mu_grid": ()},
         {"focal": Strategy(-1, est.Identity(), est.PlainMeanAll())},
+        # not passed through validate_params: n* is 0, so nothing is collected
+        {"params": ProblemParams(1.0, 1.0 / 900.0, 9, 1)},
+        {"mu_grid": (math.nan, 5.0)},
+        {"mu_grid": (0.0, math.inf)},
     ], ids=["unknown mechanism", "dim mismatch", "variance above sigma^2",
             "no alpha", "zero alpha", "no epsilon", "zero epsilon", "zero chunk",
-            "negative chunk", "no workers", "empty mu grid", "negative focal n"])
+            "negative chunk", "no workers", "empty mu grid", "negative focal n",
+            "unvalidated params", "nan in mu grid", "inf in mu grid"])
     def test_bad_input_rejected(self, canonical, canonical_alpha, change):
         sc = _scenario(canonical, "cross-check", recommended_strategy(canonical),
                        alpha=canonical_alpha, epsilon=0.5, reps=10)
