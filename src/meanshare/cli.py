@@ -6,7 +6,8 @@ Commands:
 - ``figures g-check | em-check``: sign/bound scans over a range of agent
   counts (plot-ready CSV).
 - ``experiment nash-sweep | ir-check | pos-table | mc-vs-closed-form |
-  highdim-check``: Monte-Carlo and analytic verification runs.
+  highdim-check``: Monte-Carlo and analytic verification runs, each taking
+  only the flags it reads (``_EXPERIMENTS``), after its name.
 
 Exit codes: 0 all assertions passed; 1 bad flags; 2 no sign change in the
 root bracket; 3 figure-scan violation; 4 statistical failure; 5 analytic
@@ -55,7 +56,7 @@ class _Parser(argparse.ArgumentParser):
 def _rational(text: str) -> float:
     try:
         return float(Fraction(text))
-    except (ValueError, ZeroDivisionError) as e:
+    except (ValueError, ZeroDivisionError, OverflowError) as e:
         raise argparse.ArgumentTypeError(f"not a number or a/b rational: {text!r}") from e
 
 
@@ -103,19 +104,19 @@ def _emit(rows: list[dict], fmt: str, out_path: str | None):
 
 def _params_from(args, m: int | None = None) -> ProblemParams:
     agents = m if m is not None else args.agents
-    cost = args.cost
-    if cost is None:
-        # default: cost chosen so the recommended sample count is args.nstar
-        cost = cost_for_n_star(args.sigma, args.nstar, agents, args.dim)
+    cost = args.cost if args.cost is not None else cost_for_n_star(
+        args.sigma, 10 if args.nstar is None else args.nstar, agents, args.dim)
     return validate_params(ProblemParams(args.sigma, cost, agents, args.dim))
 
 
 def _add_common(p: _Parser):
     p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--cost", type=_rational, default=None,
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--cost", type=_rational, default=None,
                    help="cost per sample; accepts a/b rationals (default: chosen so n*=--nstar)")
-    p.add_argument("--nstar", type=int, default=10,
-                   help="target recommended sample count when --cost is omitted")
+    # default None, not 10: argparse ignores a conflicting flag given at its default value
+    g.add_argument("--nstar", type=int, default=None,
+                   help="target recommended sample count, instead of --cost (default: 10)")
     p.add_argument("--dim", type=int, default=1)
     p.add_argument("--format", choices=("csv", "json"), default="json")
     p.add_argument("--out", default=None)
@@ -164,12 +165,6 @@ def cmd_figures(args) -> int:
     return EXIT_OK
 
 
-def _maybe_alpha(args, p: ProblemParams):
-    if args.mechanism == "cross-check" and p.agents >= 5:
-        return solve_alpha(p).alpha
-    return None
-
-
 def cmd_experiment(args) -> int:
     if args.which == "pos-table":
         lo, hi = args.m_range
@@ -194,14 +189,13 @@ def cmd_experiment(args) -> int:
         return EXIT_OK if ok_all else EXIT_STATISTICAL
 
     p = _params_from(args)
-    alpha = _maybe_alpha(args, p)
+    alpha = solve_alpha(p).alpha if args.mechanism == "cross-check" and p.agents >= 5 else None
     sc = sim.Scenario(
         params=p, mechanism=args.mechanism,
         focal=sim.recommended_strategy(p, args.mechanism, args.epsilon),
         distribution=DistributionSpec("gaussian", np.zeros(p.dim), p.sigma, p.sigma**2),
         replications=args.replications, master_seed=args.seed,
-        mu_grid=tuple(s * p.sigma for s in args.mu_grid),
-        epsilon=args.epsilon, alpha=alpha,
+        mu_grid=tuple(s * p.sigma for s in args.mu_grid), epsilon=args.epsilon, alpha=alpha,
     )
 
     if args.which == "ir-check":
@@ -211,9 +205,8 @@ def cmd_experiment(args) -> int:
 
     if args.which == "mc-vs-closed-form":
         if alpha is None:
-            print("error: mc-vs-closed-form compares with the closed form of cross-check, "
-                  "which is defined for 5 or more agents", file=sys.stderr)
-            return EXIT_FLAGS
+            raise ValueError("mc-vs-closed-form compares with the closed form of cross-check, "
+                             "which is defined for 5 or more agents")
         pen = sim.run_replications(sc)
         closed = penalty_at_nstar(p, alpha) - p.cost * p.n_star
         gap = abs(pen.mean_sq_error - closed)
@@ -227,9 +220,8 @@ def cmd_experiment(args) -> int:
         menu = None
         if args.mechanism == "size-check" and not args.unrestricted:
             # restricted strategy space: honest submissions, varying counts
-            ns = p.n_star
             menu = [sim.Strategy(n, est.Identity(), est.CleanOnlyMean(), f"n={n}")
-                    for n in (max(ns // 2, 1), 2 * ns)]
+                    for n in (max(p.n_star // 2, 1), 2 * p.n_star)]
         rows = sim.nash_deviation_sweep(sc, menu)
         out = [{"strategy": r.strategy.label, "n": r.strategy.n,
                 "total_penalty": r.penalty.total, "mse": r.penalty.mean_sq_error,
@@ -237,27 +229,33 @@ def cmd_experiment(args) -> int:
                 "closed_form": r.closed_form if r.closed_form is not None else float("nan"),
                 "profitable_deviation": r.profitable} for r in rows]
         _emit(out, args.format, args.out)
-        exploited = any(r.profitable for r in rows)
-        if args.mechanism == "size-check" and args.unrestricted:
-            # the fabrication exploit is expected to be profitable here;
-            # report it without failing
-            return EXIT_OK
-        return EXIT_STATISTICAL if exploited else EXIT_OK
+        # unrestricted size-check: the fabrication exploit is expected to pay; report it
+        expected = args.mechanism == "size-check" and args.unrestricted
+        return EXIT_STATISTICAL if any(r.profitable for r in rows) and not expected else EXIT_OK
 
     if args.which == "highdim-check":
-        # variance-bounded uniform data under cross-check, whatever --mechanism says
-        spec = DistributionSpec("uniform_box", np.zeros(p.dim),
-                                p.sigma * math.sqrt(3.0), p.sigma**2)
-        res = sim.highdim_nic_check(replace(
-            sc, mechanism="cross-check", distribution=spec,
-            alpha=alpha if alpha is not None else solve_alpha(p).alpha))
-        _emit([{**_param_report(p), "ratio": res["ratio"], "bound": res["bound"],
-                "ok": res["ok"], "pos_proxy": res["pos_proxy"],
-                "pos_bound": res["pos_bound"], "pos_ok": res["pos_ok"],
+        # variance-bounded uniform data
+        res = sim.highdim_nic_check(replace(sc, distribution=DistributionSpec(
+            "uniform_box", np.zeros(p.dim), p.sigma * math.sqrt(3.0), p.sigma**2)))
+        keys = ("ratio", "bound", "ok", "pos_proxy", "pos_bound", "pos_ok")
+        _emit([{**_param_report(p), **{k: res[k] for k in keys},
                 "best_deviation": res["best_label"]}], args.format, args.out)
         return EXIT_OK if (res["ok"] and res["pos_ok"]) else EXIT_STATISTICAL
 
     raise AssertionError(args.which)
+
+
+_RUN = ("agents", "replications", "seed")
+# experiment -> the flags it reads besides _add_common's
+_EXPERIMENTS = {
+    "nash-sweep": (*_RUN, "mechanism", "epsilon", "mu_grid", "unrestricted"),
+    "ir-check": (*_RUN, "mechanism", "epsilon"),
+    "pos-table": ("m_range",),
+    "mc-vs-closed-form": _RUN,
+    "highdim-check": (*_RUN, "mu_grid"),
+}
+# what cmd_experiment reads for a flag the experiment does not take
+_NOT_TAKEN = {"mechanism": "cross-check", "epsilon": None, "mu_grid": (0.0,)}
 
 
 def build_parser() -> _Parser:
@@ -276,21 +274,23 @@ def build_parser() -> _Parser:
     _add_common(pf)
     pf.set_defaults(func=cmd_figures, format="csv")
 
-    pe = subs.add_parser("experiment", help="verification experiments")
-    pe.add_argument("which", choices=("nash-sweep", "ir-check", "pos-table",
-                                      "mc-vs-closed-form", "highdim-check"))
-    _add_common(pe)
-    pe.add_argument("--agents", type=int, default=9)
-    pe.add_argument("--epsilon", type=float, default=0.5)
-    pe.add_argument("--m-range", type=_m_range, default=(5, 100))
-    pe.add_argument("--replications", type=int, default=100_000)
-    pe.add_argument("--seed", type=int, default=0)
-    pe.add_argument("--mu-grid", type=_mu_grid, default=sim.DEFAULT_MU_GRID_SCALE,
-                    help="mean offsets in units of sigma for non-equivariant deviations")
-    pe.add_argument("--mechanism", choices=sim.MECHANISMS, default="cross-check")
-    pe.add_argument("--unrestricted", action="store_true",
-                    help="allow fabricated submissions in the size-check sweep")
-    pe.set_defaults(func=cmd_experiment)
+    flags = {"agents": dict(type=int, default=9), "replications": dict(type=int, default=100_000),
+             "seed": dict(type=int, default=0), "epsilon": dict(type=float, default=0.5),
+             "mechanism": dict(choices=sim.MECHANISMS, default="cross-check"),
+             "m_range": dict(type=_m_range, default=(5, 100)),
+             "mu_grid": dict(type=_mu_grid, default=sim.DEFAULT_MU_GRID_SCALE,
+                             help="mean offsets in units of sigma for non-equivariant deviations"),
+             "unrestricted": dict(action="store_true",
+                                  help="allow fabricated submissions in the size-check sweep")}
+    xs = subs.add_parser("experiment", help="verification experiments").add_subparsers(
+        dest="which", required=True)
+    for which, taken in _EXPERIMENTS.items():
+        px = xs.add_parser(which)
+        _add_common(px)
+        for dest in taken:
+            px.add_argument("--" + dest.replace("_", "-"), **flags[dest])
+        px.set_defaults(func=cmd_experiment,
+                        **{k: v for k, v in _NOT_TAKEN.items() if k not in taken})
 
     return top
 

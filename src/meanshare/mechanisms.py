@@ -97,8 +97,8 @@ def mech_size_check(submissions: list[np.ndarray], p: ProblemParams) -> list[np.
 
 def k_eps(epsilon: float) -> int:
     """Power exponent ceil(1/(2 epsilon)) for the corrupt-and-deploy mechanism."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     return math.ceil(1.0 / (2.0 * epsilon))
 
 

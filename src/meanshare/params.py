@@ -89,10 +89,10 @@ def validate_params(p: ProblemParams) -> ProblemParams:
     more than 1e-9 away from an integer (choose the cost so that it is
     exact), and :class:`InvalidParam` for out-of-range fields.
     """
-    if not (p.sigma > 0):
-        raise InvalidParam(f"sigma must be positive, got {p.sigma}")
-    if not (p.cost > 0):
-        raise InvalidParam(f"cost must be positive, got {p.cost}")
+    if not 0 < p.sigma < math.inf:
+        raise InvalidParam(f"sigma must be positive and finite, got {p.sigma}")
+    if not 0 < p.cost < math.inf:
+        raise InvalidParam(f"cost must be positive and finite, got {p.cost}")
     if p.agents < 2:
         raise InvalidParam(f"need at least 2 agents, got {p.agents}")
     if p.dim < 1:

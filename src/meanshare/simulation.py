@@ -126,8 +126,8 @@ class Scenario:
                 (self.alpha is None or not self.alpha > 0):
             raise InvalidParam("cross-check with 5 or more agents needs alpha > 0")
         if self.mechanism == "corrupt-deploy" and \
-                (self.epsilon is None or not self.epsilon > 0):
-            raise InvalidParam("corrupt-deploy needs epsilon > 0")
+                (self.epsilon is None or not 0 < self.epsilon < math.inf):
+            raise InvalidParam("corrupt-deploy needs a finite epsilon > 0")
         for name, value, low in (("params.n_star", p.n_star, 1),
                                  ("replications", self.replications, 1),
                                  ("chunk_size", self.chunk_size, 1), ("workers", self.workers, 1),

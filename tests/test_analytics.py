@@ -186,6 +186,10 @@ class TestPos:
         assert an.pos_mechpk(0.5) == pytest.approx(1.5)
         assert an.pos_mechpk(0.1) == pytest.approx(1.1)
 
+    def test_mechpk_infinite_epsilon_rejected(self):
+        with pytest.raises(ValueError, match="epsilon"):
+            an.pos_mechpk(math.inf)
+
     def test_small_m(self):
         p = validate_params(ProblemParams(1.0, 1 / 64, 4, 1))
         assert an.pos_smallm(p) == pytest.approx(1.25)

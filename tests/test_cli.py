@@ -1,8 +1,11 @@
+import argparse
 import csv
 import io
 import json
 import math
+import shlex
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -52,6 +55,14 @@ class TestSolveAlpha:
         assert out == ""
         assert err.startswith("error: ") and word in err
 
+    @pytest.mark.parametrize("flags", [("--sigma", "inf", "--cost", "1/900"), ("--sigma", "inf"),
+                                       ("--sigma", "nan")])
+    def test_non_finite_sigma_exits_1(self, capsys, flags):
+        code, out, err = run_cli(capsys, "solve-alpha", "--agents", "9", *flags)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: sigma must be positive and finite")
+
     def test_default_cost_matches_explicit(self, capsys):
         _, out1, _ = run_cli(capsys, "solve-alpha", "--agents", "9",
                              "--nstar", "10")
@@ -68,6 +79,12 @@ class TestSolveAlpha:
         with pytest.raises(SystemExit) as ei:
             main(["solve-alpha", "--agents", "9", "--cost", "1/0"])
         assert ei.value.code == 1
+
+    def test_cost_beyond_float_range_exits_1(self, capsys):
+        with pytest.raises(SystemExit) as ei:
+            main(["solve-alpha", "--agents", "9", "--cost", "1e400"])
+        assert ei.value.code == 1
+        assert "--cost" in capsys.readouterr().err
 
     def test_unknown_command_exits_1(self, capsys):
         with pytest.raises(SystemExit) as ei:
@@ -202,12 +219,11 @@ class TestExperiments:
         assert not {"n=0", "submit nothing"} & {r["strategy"] for r in rows}
         assert not any(r["profitable_deviation"] for r in rows)
 
-    @pytest.mark.parametrize("flags", [("--mechanism", "pool"), ("--agents", "4")])
-    def test_mc_vs_closed_form_without_alpha_exits_1(self, capsys, monkeypatch, flags):
+    def test_mc_vs_closed_form_without_alpha_exits_1(self, capsys, monkeypatch):
         # rejected before any Monte-Carlo work
         monkeypatch.setattr(cli.sim, "run_replications", None)
         code, out, err = run_cli(capsys, "experiment", "mc-vs-closed-form",
-                                 "--replications", "1000", *flags)
+                                 "--replications", "1000", "--agents", "4")
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and "cross-check" in err
@@ -233,6 +249,15 @@ class TestExperiments:
         assert out == ""
         assert err.startswith("error: ") and "mu_grid" in err
 
+    @pytest.mark.parametrize("command", ["nash-sweep", "ir-check"])
+    def test_infinite_epsilon_exits_1(self, capsys, command):
+        # k_eps(inf) used to be 0, and the sweep died dividing by it
+        code, out, err = run_cli(capsys, "experiment", command, "--mechanism", "corrupt-deploy",
+                                 "--epsilon", "inf", "--replications", "1000")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "epsilon" in err
+
     def test_highdim_check(self, capsys):
         code, out, _ = run_cli(capsys, "experiment", "highdim-check",
                                "--agents", "9", "--dim", "3",
@@ -249,3 +274,65 @@ class TestExperiments:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 3
         assert set(rows[0].keys()) == {"m", "alpha", "pos"}
+
+
+COMMON_FLAGS = {"--sigma", "--cost", "--nstar", "--dim", "--format", "--out"}
+RUN_FLAGS = {"--agents", "--replications", "--seed"}
+# the flags each experiment reads besides the common ones
+EXPERIMENT_FLAGS = {
+    "pos-table": {"--m-range"},
+    "ir-check": RUN_FLAGS | {"--mechanism", "--epsilon"},
+    "mc-vs-closed-form": RUN_FLAGS,
+    "nash-sweep": RUN_FLAGS | {"--mechanism", "--epsilon", "--mu-grid", "--unrestricted"},
+    "highdim-check": RUN_FLAGS | {"--mu-grid"},
+}
+
+
+def _subcommands(parser: argparse.ArgumentParser) -> dict:
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+class TestExperimentFlags:
+    def test_each_experiment_takes_only_the_flags_it_reads(self):
+        experiments = _subcommands(_subcommands(cli.build_parser())["experiment"])
+        taken = {name: {o for a in sub._actions for o in a.option_strings
+                        if o.startswith("--") and o != "--help"}
+                 for name, sub in experiments.items()}
+        assert taken == {name: COMMON_FLAGS | flags for name, flags in EXPERIMENT_FLAGS.items()}
+        assert sum(len(flags) for flags in taken.values()) == 50
+
+    @pytest.mark.parametrize("argv", [
+        ("experiment", "highdim-check", "--mechanism", "pool"),
+        ("experiment", "pos-table", "--replications", "0"),
+        ("experiment", "ir-check", "--mu-grid", "0,5"),
+        ("experiment", "mc-vs-closed-form", "--epsilon", "0.1"),
+        ("experiment", "mc-vs-closed-form", "--mechanism", "pool"),
+        ("experiment", "nash-sweep", "--m-range", "5:6"),
+        ("experiment", "--agents", "9", "nash-sweep"),
+        ("solve-alpha", "--agents", "9", "--cost", "1/900", "--nstar", "5"),
+        # the --nstar default, given explicitly, still conflicts
+        ("solve-alpha", "--agents", "9", "--cost", "1/900", "--nstar", "10"),
+        ("experiment", "ir-check", "--nstar", "5", "--cost", "1/900"),
+    ], ids=["highdim-check --mechanism", "pos-table --replications", "ir-check --mu-grid",
+            "mc-vs-closed-form --epsilon", "mc-vs-closed-form --mechanism",
+            "nash-sweep --m-range", "flag before the experiment", "--cost and --nstar",
+            "--cost and default --nstar", "--nstar and --cost"])
+    def test_flag_not_taken_exits_1(self, capsys, monkeypatch, argv):
+        # rejected while parsing, before any Monte-Carlo work
+        monkeypatch.setattr(cli.sim, "run_replications", None)
+        with pytest.raises(SystemExit) as ei:
+            main(list(argv))
+        assert ei.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error: " in err
+
+    def test_readme_command_lines_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+        lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+        commands = [words[1:] for words in lines if words[:1] == ["meanshare"]]
+        assert {argv[1] for argv in commands if argv[0] == "experiment"} == set(EXPERIMENT_FLAGS)
+        for argv in commands:
+            cli.build_parser().parse_args(argv)

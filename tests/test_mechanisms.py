@@ -52,6 +52,13 @@ class TestCorruptDeploy:
     def test_k_eps(self, eps, k):
         assert mech.k_eps(eps) == k
 
+    @pytest.mark.parametrize("eps", [math.inf, math.nan])
+    def test_k_eps_rejects_non_finite(self, eps):
+        # an infinite epsilon used to give k = 0, and a division by zero
+        # in beta_sq_published
+        with pytest.raises(ValueError, match="epsilon"):
+            mech.k_eps(eps)
+
     def test_zero_discrepancy_is_plain_pool(self, canonical):
         subs = [as_dataset(np.full(10, 5.0))] * 9
         out = mech.mech_corrupt_deploy(subs, canonical, 0.5, spawn_stream(1, 0))

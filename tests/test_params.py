@@ -43,6 +43,8 @@ class TestValidateParams:
         ProblemParams(1.0, 0.0, 9),
         ProblemParams(1.0, 1 / 900, 1),
         ProblemParams(1.0, 1 / 900, 9, 0),
+        ProblemParams(math.inf, 1 / 900, 9),
+        ProblemParams(1.0, math.inf, 9),
     ])
     def test_invalid(self, bad):
         with pytest.raises(InvalidParam):

@@ -431,10 +431,11 @@ class TestScenario:
         {"params": ProblemParams(1.0, 1.0 / 900.0, 9, 1)},
         {"mu_grid": (math.nan, 5.0)},
         {"mu_grid": (0.0, math.inf)},
+        {"mechanism": "corrupt-deploy", "epsilon": math.inf},
     ], ids=["unknown mechanism", "dim mismatch", "variance above sigma^2",
             "no alpha", "zero alpha", "no epsilon", "zero epsilon", "zero chunk",
             "negative chunk", "no workers", "empty mu grid", "negative focal n",
-            "unvalidated params", "nan in mu grid", "inf in mu grid"])
+            "unvalidated params", "nan in mu grid", "inf in mu grid", "inf epsilon"])
     def test_bad_input_rejected(self, canonical, canonical_alpha, change):
         sc = _scenario(canonical, "cross-check", recommended_strategy(canonical),
                        alpha=canonical_alpha, epsilon=0.5, reps=10)
