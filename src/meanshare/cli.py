@@ -137,7 +137,8 @@ def cmd_solve_alpha(args) -> int:
     sol = solve_alpha(p)
     row = {**_param_report(p), "alpha": sol.alpha, "a_m": sol.a_m,
            "bracket_lo": sol.bracket_lo, "bracket_hi": sol.bracket_hi,
-           "residual": sol.residual, "warnings": ";".join(sol.warnings)}
+           "residual": sol.residual, "iterations": sol.iterations,
+           "warnings": ";".join(sol.warnings)}
     _emit([row], args.format, args.out)
     return EXIT_OK
 

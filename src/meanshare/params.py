@@ -70,16 +70,25 @@ def _n_star_real(sigma: float, cost: float, m: int, d: int) -> float:
 def cost_for_n_star(sigma: float, n_star: int, agents: int, dim: int = 1) -> float:
     """The per-sample cost at which the recommended count is exactly
     ``n_star``: the inverse of the n* formula. Raises :class:`InvalidParam`
-    for fewer than 2 agents, dim < 1 or n_star < 1."""
+    for a sigma that is not positive and finite, fewer than 2 agents,
+    dim < 1, n_star < 1, or a cost outside (0, inf) in floating point."""
+    if not 0 < sigma < math.inf:
+        raise InvalidParam(f"sigma must be positive and finite, got {sigma}")
     if agents < 2:
         raise InvalidParam(f"need at least 2 agents, got {agents}")
     if dim < 1:
         raise InvalidParam(f"dim must be >= 1, got {dim}")
     if n_star < 1:
         raise InvalidParam(f"n_star must be >= 1, got {n_star}")
-    if agents >= 5:
-        return sigma**2 * dim / (n_star**2 * agents)
-    return sigma**2 * dim / (n_star * agents) ** 2
+    den = n_star**2 * agents if agents >= 5 else (n_star * agents) ** 2
+    try:
+        cost = sigma**2 * dim / den
+    except OverflowError:  # sigma**2 beyond the float range
+        cost = math.inf
+    if not 0 < cost < math.inf:
+        raise InvalidParam(f"the cost that gives n_star={n_star} at sigma={sigma} is {cost}, "
+                           "outside the floating-point range")
+    return cost
 
 
 def validate_params(p: ProblemParams) -> ProblemParams:

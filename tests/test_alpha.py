@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import params_for
+from meanshare import alphasolve
 from meanshare.alphasolve import (
+    MaxIterations,
     NonpositiveX,
     bracket,
     c_m,
@@ -136,3 +138,60 @@ class TestSolveAlpha:
 
     def test_no_warnings_canonical(self, canonical):
         assert solve_alpha(canonical).warnings == ()
+
+
+def alpha_oracle(m: int, n_star: int) -> float:
+    """Root of G on the proven bracket in 30-digit mpmath arithmetic."""
+    with mpmath.workdps(30):
+        mn = mpmath.mpf(m * n_star)
+
+        def G(a):
+            return ((4 * a**2 / n_star * mpmath.mpf(m - 4) / (m - 2) - 1) * 4 * a / mpmath.sqrt(mn)
+                    - (4 * (m + 1) * a**2 / mn - 1) * mpmath.sqrt(2 * mpmath.pi)
+                    * mpmath.exp(mn / (8 * a**2)) * mpmath.erfc(mpmath.sqrt(mn) / (2 * mpmath.sqrt(2) * a)))
+
+        lo = mpmath.sqrt(n_star)
+        hi = (1 + mpmath.mpf(c_m(m)) / m) * lo
+        return float(mpmath.findroot(G, (lo, hi), solver="anderson"))
+
+
+class TestITP:
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("m", [5, 6, 9, 20, 21, 100, 500])
+    def test_root_within_tol_of_mpmath(self, m, d):
+        p = params_for(m, dim=d)
+        sol = solve_alpha(p)
+        assert abs(sol.alpha - alpha_oracle(m, p.n_star)) <= 1e-12 * math.sqrt(p.n_star)
+
+    def test_iterations_within_itp_bound(self):
+        counts = []
+        for m in range(5, 501):
+            p = params_for(m)
+            lo, hi = bracket(p)
+            sol = solve_alpha(p)
+            assert 1 <= sol.iterations <= math.ceil(math.log2((hi - lo) / (2e-12 * lo))) + 1
+            counts.append(sol.iterations)
+        assert np.median(counts) <= 10
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_tol_rejected(self, canonical, tol):
+        with pytest.raises(ValueError, match="tol"):
+            solve_alpha(canonical, tol=tol)
+
+    def test_stalled_bracket_raises(self, canonical, monkeypatch):
+        # a sign change at 5.0 with no floating-point zero: the bracket stops
+        # shrinking at one ulp, far above 2 tol
+        monkeypatch.setattr(alphasolve, "g_of_alpha", lambda a, p: -1.0 if a < 5.0 else 1.0)
+        with pytest.raises(MaxIterations):
+            solve_alpha(canonical, tol=1e-300)
+
+    @pytest.mark.parametrize("m", [5, 9, 100])
+    def test_scalar_path_matches_array_path(self, m):
+        p = params_for(m)
+        lo, hi = bracket(p)
+        grid = np.linspace(lo, hi, 25)
+        vec = g_of_alpha(grid, p)
+        for a, g in zip(grid.tolist(), vec):
+            val = g_of_alpha(a, p)
+            assert type(val) is float
+            assert val == pytest.approx(g, rel=1e-14, abs=0)

@@ -3,12 +3,16 @@ import csv
 import io
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import meanshare
 from meanshare import cli
 from meanshare.alphasolve import solve_alpha
 from meanshare.cli import main
@@ -62,6 +66,18 @@ class TestSolveAlpha:
         assert code == 1
         assert out == ""
         assert err.startswith("error: sigma must be positive and finite")
+
+    def test_sigma_overflowing_default_cost_exits_1(self, capsys):
+        code, out, err = run_cli(capsys, "solve-alpha", "--agents", "9", "--sigma", "1e200")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "cost" in err
+
+    def test_csv_row_reports_iterations(self, capsys, canonical):
+        code, out, _ = run_cli(capsys, "solve-alpha", "--agents", "9", "--format", "csv")
+        assert code == 0
+        (row,) = csv.DictReader(io.StringIO(out))
+        assert int(row["iterations"]) == solve_alpha(canonical).iterations
 
     def test_default_cost_matches_explicit(self, capsys):
         _, out1, _ = run_cli(capsys, "solve-alpha", "--agents", "9",
@@ -336,3 +352,17 @@ class TestExperimentFlags:
         assert {argv[1] for argv in commands if argv[0] == "experiment"} == set(EXPERIMENT_FLAGS)
         for argv in commands:
             cli.build_parser().parse_args(argv)
+
+
+def test_import_loads_only_scipy_special():
+    # set-up cost: importing the CLI must not pull in scipy.optimize,
+    # scipy.stats or another scipy subpackage besides scipy.special
+    code = ("import sys, scipy; before = set(sys.modules); import meanshare, meanshare.cli; "
+            "print(' '.join(m for m in sys.modules if m.startswith('scipy.') and m not in before))")
+    src = str(Path(meanshare.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60).stdout.split()
+    assert "scipy.special" in out
+    loaded = {m.split(".")[1] for m in out}
+    assert {top for top in loaded if not top.startswith("_")} == {"special"}

@@ -208,3 +208,9 @@ class TestCostForNStar:
     def test_out_of_range_rejected(self, agents, n_star, dim):
         with pytest.raises(InvalidParam):
             cost_for_n_star(1.0, n_star, agents, dim)
+
+    @pytest.mark.parametrize("sigma", [1e200, 1e-200])
+    def test_cost_outside_float_range_rejected(self, sigma):
+        # sigma**2 overflows (1e200) or underflows to 0 (1e-200)
+        with pytest.raises(InvalidParam, match="cost"):
+            cost_for_n_star(sigma, 10, 9, 1)
