@@ -25,7 +25,6 @@ from .params import (
     ProblemParams,
     double_factorial,
     normal_central_moment,
-    sample_dataset,
     spawn_stream,
     validate_params,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "ProblemParams",
     "validate_params",
     "DistributionSpec",
-    "sample_dataset",
     "double_factorial",
     "normal_central_moment",
     "spawn_stream",

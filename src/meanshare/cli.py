@@ -189,14 +189,20 @@ def cmd_experiment(args) -> int:
         _emit(rows, args.format, args.out)
         return EXIT_OK if ok_all else EXIT_STATISTICAL
 
+    # --epsilon and --unrestricted are each read by one mechanism only
+    for flag, given, reader in (("--epsilon", args.epsilon is not None, "corrupt-deploy"),
+                                ("--unrestricted", args.unrestricted, "size-check")):
+        if given and args.mechanism != reader:
+            raise ValueError(f"{flag} is read only by --mechanism {reader}")
+    epsilon = 0.5 if args.epsilon is None and args.mechanism == "corrupt-deploy" else args.epsilon
     p = _params_from(args)
     alpha = solve_alpha(p).alpha if args.mechanism == "cross-check" and p.agents >= 5 else None
     sc = sim.Scenario(
         params=p, mechanism=args.mechanism,
-        focal=sim.recommended_strategy(p, args.mechanism, args.epsilon),
+        focal=sim.recommended_strategy(p, args.mechanism, epsilon),
         distribution=DistributionSpec("gaussian", np.zeros(p.dim), p.sigma, p.sigma**2),
         replications=args.replications, master_seed=args.seed,
-        mu_grid=tuple(s * p.sigma for s in args.mu_grid), epsilon=args.epsilon, alpha=alpha,
+        mu_grid=tuple(s * p.sigma for s in args.mu_grid), epsilon=epsilon, alpha=alpha,
     )
 
     if args.which == "ir-check":
@@ -256,7 +262,8 @@ _EXPERIMENTS = {
     "highdim-check": (*_RUN, "mu_grid"),
 }
 # what cmd_experiment reads for a flag the experiment does not take
-_NOT_TAKEN = {"mechanism": "cross-check", "epsilon": None, "mu_grid": (0.0,)}
+_NOT_TAKEN = {"mechanism": "cross-check", "epsilon": None, "mu_grid": (0.0,),
+              "unrestricted": False}
 
 
 def build_parser() -> _Parser:
@@ -276,13 +283,14 @@ def build_parser() -> _Parser:
     pf.set_defaults(func=cmd_figures, format="csv")
 
     flags = {"agents": dict(type=int, default=9), "replications": dict(type=int, default=100_000),
-             "seed": dict(type=int, default=0), "epsilon": dict(type=float, default=0.5),
+             "seed": dict(type=int, default=0),
+             "epsilon": dict(type=float, default=None, help="corrupt-deploy only (default: 0.5)"),
              "mechanism": dict(choices=sim.MECHANISMS, default="cross-check"),
              "m_range": dict(type=_m_range, default=(5, 100)),
              "mu_grid": dict(type=_mu_grid, default=sim.DEFAULT_MU_GRID_SCALE,
                              help="mean offsets in units of sigma for non-equivariant deviations"),
              "unrestricted": dict(action="store_true",
-                                  help="allow fabricated submissions in the size-check sweep")}
+                                  help="size-check only: allow fabricated submissions")}
     xs = subs.add_parser("experiment", help="verification experiments").add_subparsers(
         dest="which", required=True)
     for which, taken in _EXPERIMENTS.items():

@@ -88,11 +88,15 @@ def mech_pool(submissions: list[np.ndarray]) -> list[np.ndarray]:
     return [_pool_others(submissions, i, d) for i in range(len(submissions))]
 
 
+def _size_gate(own: np.ndarray, pool: np.ndarray, p: ProblemParams) -> np.ndarray:
+    """``pool``, or none of it for a submission ``own`` of fewer than n_star points."""
+    return pool if len(own) >= p.n_star else pool[:0]
+
+
 def mech_size_check(submissions: list[np.ndarray], p: ProblemParams) -> list[np.ndarray]:
     """:func:`mech_pool` gated on submission size: agents submitting fewer
     than n_star points receive nothing."""
-    return [pool if len(s) >= p.n_star else pool[:0]
-            for s, pool in zip(submissions, mech_pool(submissions))]
+    return [_size_gate(s, pool, p) for s, pool in zip(submissions, mech_pool(submissions))]
 
 
 def k_eps(epsilon: float) -> int:
@@ -122,43 +126,74 @@ def beta_sq_recommended_form(own_points: int, p: ProblemParams, k: int) -> float
     return num / den
 
 
-def mech_corrupt_deploy(
-    submissions: list[np.ndarray],
-    p: ProblemParams,
-    epsilon: float,
-    stream: np.random.Generator,
-) -> list[DeployedEstimate]:
-    """Corrupt every other agent's point with noise of variance
-    beta^2 * (mean discrepancy)^{2k} and deploy the plain mean of the
-    agent's own submission united with the corrupted pool."""
-    m = len(submissions)
-    if m < 2:
+def _deploy_scale(submissions: list[np.ndarray], p: ProblemParams,
+                  epsilon: float) -> tuple[int, int, float]:
+    """Check a corrupt-and-deploy round's submissions and return its
+    dimension, power k and published beta^2."""
+    if len(submissions) < 2:
         raise ValueError("need at least 2 agents")
     d = _dim(submissions)
     if any(len(s) == 0 for s in submissions):
         raise EmptySubmission("corrupt-and-deploy requires nonempty submissions")
     k = k_eps(epsilon)
-    total = sum(len(s) for s in submissions)
-    beta_sq = beta_sq_published(total, p, k)
-
-    out = []
-    for i, s in enumerate(submissions):
-        others = _pool_others(submissions, i, d)
-        delta = s.mean(axis=0) - others.mean(axis=0)
-        eta_sq = beta_sq * delta ** (2 * k)
-        noise = stream.standard_normal(others.shape) * np.sqrt(eta_sq)
-        corrupted = others + noise
-        value = np.concatenate([s, corrupted], axis=0).mean(axis=0)
-        out.append(DeployedEstimate(value=value, corrupted=corrupted, eta_sq=eta_sq))
-    return out
+    return d, k, beta_sq_published(sum(len(s) for s in submissions), p, k)
 
 
-def mech_cross_check_corrupt(
-    submissions: list[np.ndarray],
-    p: ProblemParams,
-    alpha: float | None,
-    stream: np.random.Generator | None,
-) -> list[Allocation]:
+def _corrupt_deploy_for(submissions: list[np.ndarray], i: int, d: int, k: int,
+                        beta_sq: float, stream: np.random.Generator) -> DeployedEstimate:
+    """Agent i's output under :func:`mech_corrupt_deploy`, drawing its
+    noise from ``stream``."""
+    s = submissions[i]
+    others = _pool_others(submissions, i, d)
+    delta = s.mean(axis=0) - others.mean(axis=0)
+    eta_sq = beta_sq * delta ** (2 * k)
+    corrupted = others + stream.standard_normal(others.shape) * np.sqrt(eta_sq)
+    value = np.concatenate([s, corrupted], axis=0).mean(axis=0)
+    return DeployedEstimate(value=value, corrupted=corrupted, eta_sq=eta_sq)
+
+
+def mech_corrupt_deploy(submissions: list[np.ndarray], p: ProblemParams, epsilon: float,
+                        stream: np.random.Generator) -> list[DeployedEstimate]:
+    """Corrupt every other agent's point with noise of variance
+    beta^2 * (mean discrepancy)^{2k} and deploy the plain mean of the
+    agent's own submission united with the corrupted pool."""
+    scale = _deploy_scale(submissions, p, epsilon)
+    return [_corrupt_deploy_for(submissions, i, *scale, stream)
+            for i in range(len(submissions))]
+
+
+def _cross_check_for(submissions: list[np.ndarray], i: int, d: int, p: ProblemParams,
+                     alpha: float, stream: np.random.Generator) -> Allocation:
+    """Agent i's allocation under :func:`mech_cross_check_corrupt` with
+    m >= 5, drawing its cross-check subset and noise from ``stream``."""
+    s = submissions[i]
+    others = _pool_others(submissions, i, d)
+    take = min(len(others), p.n_star)
+    idx = stream.permutation(len(others))
+    clean = others[idx[:take]]
+    rest = others[idx[take:]]
+
+    if len(s) == 0 or take == 0:
+        # discrepancy undefined: infinite corruption (weight-zero data)
+        eta_sq = np.full(d, np.inf) if len(s) == 0 else np.zeros(d)
+    else:
+        delta = s.mean(axis=0) - clean.mean(axis=0)
+        eta_sq = alpha**2 * delta**2
+
+    if len(rest):
+        z = stream.standard_normal(rest.shape)
+        with np.errstate(invalid="ignore"):
+            noise = z * np.sqrt(eta_sq)
+        corrupted = rest + noise
+    else:
+        noise = np.empty((0, d))
+        corrupted = rest
+    return Allocation(clean=clean, corrupted=corrupted, eta_sq=eta_sq, noise=noise)
+
+
+def mech_cross_check_corrupt(submissions: list[np.ndarray], p: ProblemParams,
+                             alpha: float | None,
+                             stream: np.random.Generator | None) -> list[Allocation]:
     """Cross-check-and-corrupt. With m <= 4 agents this degenerates to
     pooling (no corruption). Otherwise each agent's allocation holds a
     clean cross-check subset of up to n_star points sampled without
@@ -177,29 +212,4 @@ def mech_cross_check_corrupt(
     d = _dim(submissions)
     if alpha is None or alpha <= 0:
         raise ValueError("m >= 5 requires the solved corruption level alpha")
-
-    out = []
-    for i, s in enumerate(submissions):
-        others = _pool_others(submissions, i, d)
-        take = min(len(others), p.n_star)
-        idx = stream.permutation(len(others))
-        clean = others[idx[:take]]
-        rest = others[idx[take:]]
-
-        if len(s) == 0 or take == 0:
-            # discrepancy undefined: infinite corruption (weight-zero data)
-            eta_sq = np.full(d, np.inf) if len(s) == 0 else np.zeros(d)
-        else:
-            delta = s.mean(axis=0) - clean.mean(axis=0)
-            eta_sq = alpha**2 * delta**2
-
-        if len(rest):
-            z = stream.standard_normal(rest.shape)
-            with np.errstate(invalid="ignore"):
-                noise = z * np.sqrt(eta_sq)
-            corrupted = rest + noise
-        else:
-            noise = np.empty((0, d))
-            corrupted = rest
-        out.append(Allocation(clean=clean, corrupted=corrupted, eta_sq=eta_sq, noise=noise))
-    return out
+    return [_cross_check_for(submissions, i, d, p, alpha, stream) for i in range(m)]

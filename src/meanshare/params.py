@@ -20,11 +20,9 @@ __all__ = [
     "validate_params",
     "cost_for_n_star",
     "DistributionSpec",
-    "sample_dataset",
     "double_factorial",
     "normal_central_moment",
     "spawn_stream",
-    "as_dataset",
 ]
 
 
@@ -187,25 +185,6 @@ class DistributionSpec:
             return self.scale * (2.0 * stream.binomial(k, 0.5, size=shape) - k) + k * loc
         # Irwin-Hall sums have no cheap exact sampler: draw the blocks in full
         return self.sample(stream, (b, k, self.dim), shift).sum(axis=1)
-
-
-def sample_dataset(spec: DistributionSpec, n: int, stream: np.random.Generator) -> np.ndarray:
-    """Draw n i.i.d. points from spec; returns array of shape (n, dim)."""
-    if n < 0:
-        raise InvalidParam("n must be nonnegative")
-    return spec.sample(stream, (n, spec.dim))
-
-
-def as_dataset(points, dim: int | None = None) -> np.ndarray:
-    """Coerce a point list / 1-d array to dataset shape (n, d)."""
-    a = np.asarray(points, float)
-    if a.ndim == 0:
-        a = a.reshape(1, 1)
-    elif a.ndim == 1:
-        a = a.reshape(-1, 1)
-    if dim is not None and a.size and a.shape[1] != dim:
-        raise InvalidParam(f"expected dimension {dim}, got {a.shape[1]}")
-    return a
 
 
 def double_factorial(k: int) -> int:

@@ -35,9 +35,10 @@ needs its standard deviation and subsets a prefix of it.
 
 The engine shares its submission rules and its estimator kernel
 (:func:`estimators.apply_submission`, :func:`estimators._block_weights`)
-with the object-level API. The slow reference path, which runs the
-object-level mechanisms point by point on explicit pools, therefore checks
-the mechanisms, the conditioning on block sums and the streams
+with the object-level API. The slow reference path plays each round
+through the object-level mechanisms on explicit pools, for the focal agent
+only (the only one scored, and the first to draw from a mechanism stream),
+so it checks the mechanisms, the conditioning on block sums and the streams
 independently; the estimator and submission arithmetic is pinned by the
 hand-computed oracles in the estimator tests.
 
@@ -51,9 +52,10 @@ master seed, for the mi-th mean offset of the grid:
 
 - engine: chunk ci draws from ``(0, mi, ci)``;
 - reference, replication r: the focal agent's data, its submission and
-  the others' data draw from ``(1000, mi, r)``. A mechanism that draws
-  gets one stream, ``(2000, mi, r)``: corrupt-deploy, and cross-check
-  with m >= 5. Pool, size-check and cross-check with m <= 4 get none.
+  then the others' data, in one (m - 1, n*, d) draw, come from
+  ``(1000, mi, r)``. A mechanism that draws gets one stream,
+  ``(2000, mi, r)``: corrupt-deploy, and cross-check with m >= 5. Pool,
+  size-check and cross-check with m <= 4 get none.
 """
 
 from __future__ import annotations
@@ -292,18 +294,21 @@ def _reference_sq_error(sc: Scenario, mi: int, mu: float, r: int) -> float:
     agent_stream = spawn_stream(sc.master_seed, 1000, mi, r)
     X = spec.sample(agent_stream, (foc.n, d), mu)
     Y = est.apply_submission(foc.submission, X, p, agent_stream)
-    subs = [Y] + [spec.sample(agent_stream, (ns, d), mu) for _ in range(m - 1)]
+    subs = [Y, *spec.sample(agent_stream, (m - 1, ns, d), mu)]
     no_data = np.empty((0, d))
+    # agent 0, the only one scored, draws first from a mechanism stream: play it alone
     if sc.mechanism == "corrupt-deploy":
         stream = spawn_stream(sc.master_seed, 2000, mi, r)
-        dep = mech.mech_corrupt_deploy(subs, p, sc.epsilon, stream)[0]
+        dep = mech._corrupt_deploy_for(subs, 0, *mech._deploy_scale(subs, p, sc.epsilon), stream)
         alloc = mech.Allocation(no_data, dep.corrupted, dep.eta_sq)
-    elif sc.mechanism == "cross-check":
-        stream = spawn_stream(sc.master_seed, 2000, mi, r) if m >= 5 else None
-        alloc = mech.mech_cross_check_corrupt(subs, p, sc.alpha, stream)[0]
+    elif sc.mechanism == "cross-check" and m >= 5:
+        stream = spawn_stream(sc.master_seed, 2000, mi, r)
+        alloc = mech._cross_check_for(subs, 0, d, p, sc.alpha, stream)
     else:
-        pools = mech.mech_pool(subs) if sc.mechanism == "pool" else mech.mech_size_check(subs, p)
-        alloc = mech.Allocation(pools[0], no_data, np.zeros(d))
+        pool = mech._pool_others(subs, 0, d)
+        if sc.mechanism == "size-check":
+            pool = mech._size_gate(Y, pool, p)
+        alloc = mech.Allocation(pool, no_data, np.zeros(d))
     if sc.mechanism == "corrupt-deploy" and isinstance(foc.estimator, est.PlainMeanAll):
         v = dep.value
     else:

@@ -274,6 +274,43 @@ class TestExperiments:
         assert out == ""
         assert err.startswith("error: ") and "epsilon" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("nash-sweep", "--epsilon", "inf"),
+        # the corrupt-deploy default, given explicitly, is still not read
+        ("nash-sweep", "--epsilon", "0.5"),
+        ("ir-check", "--mechanism", "pool", "--epsilon", "0.1"),
+        ("ir-check", "--mechanism", "size-check", "--epsilon", "0.1"),
+        ("nash-sweep", "--unrestricted"),
+        ("nash-sweep", "--mechanism", "pool", "--unrestricted"),
+        ("nash-sweep", "--mechanism", "corrupt-deploy", "--unrestricted"),
+    ], ids=["cross-check --epsilon inf", "cross-check --epsilon 0.5", "pool --epsilon",
+            "size-check --epsilon", "cross-check --unrestricted", "pool --unrestricted",
+            "corrupt-deploy --unrestricted"])
+    def test_flag_of_another_mechanism_exits_1(self, capsys, monkeypatch, argv):
+        # each used to run, ignoring the flag; now rejected before any
+        # Monte-Carlo work
+        monkeypatch.setattr(cli.sim, "run_replications", None)
+        code, out, err = run_cli(capsys, "experiment", *argv, "--replications", "1000")
+        assert code == 1
+        assert out == ""
+        flag = next(a for a in argv if a in ("--epsilon", "--unrestricted"))
+        assert err.startswith("error: ") and flag in err
+
+    @pytest.mark.parametrize("mechanism,argv,epsilon", [
+        ("corrupt-deploy", (), 0.5),
+        ("corrupt-deploy", ("--epsilon", "0.1"), 0.1),
+        ("cross-check", (), None),
+        ("pool", (), None),
+    ])
+    def test_epsilon_reaches_corrupt_deploy_only(self, capsys, monkeypatch, mechanism, argv,
+                                                 epsilon):
+        seen = []
+        monkeypatch.setattr(cli.sim, "ir_check",
+                            lambda sc: seen.append(sc.epsilon) or {"ok": True})
+        code, _, _ = run_cli(capsys, "experiment", "ir-check", "--mechanism", mechanism, *argv)
+        assert code == 0
+        assert seen == [epsilon]
+
     def test_highdim_check(self, capsys):
         code, out, _ = run_cli(capsys, "experiment", "highdim-check",
                                "--agents", "9", "--dim", "3",

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from meanshare import estimators as est
 from meanshare.mechanisms import Allocation
-from meanshare.params import as_dataset, spawn_stream
+from meanshare.params import spawn_stream
+
+from conftest import as_dataset
 
 
 def alloc(clean=(), corrupted=(), eta_sq=0.0, d=1):

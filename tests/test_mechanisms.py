@@ -1,11 +1,13 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from conftest import params_for
+from conftest import as_dataset, params_for
 from meanshare import mechanisms as mech
-from meanshare.params import ProblemParams, as_dataset, spawn_stream, validate_params
+from meanshare.alphasolve import solve_alpha
+from meanshare.params import ProblemParams, spawn_stream, validate_params
 
 
 class TestPool:
@@ -160,3 +162,55 @@ class TestCrossCheckCorrupt:
         b = mech.mech_cross_check_corrupt(subs, canonical, 5.4, spawn_stream(12, 100))[0]
         assert np.array_equal(a.clean, b.clean)
         assert np.array_equal(a.corrupted, b.corrupted)
+
+
+def _arrays(out) -> list:
+    """A mechanism output as its list of fields (an array is its own field)."""
+    if isinstance(out, np.ndarray):
+        return [out]
+    return [getattr(out, f.name) for f in fields(out)]
+
+
+class TestFocalHelpers:
+    # the reference path plays agent 0 alone through the per-agent helpers;
+    # agent 0 draws first from the mechanism stream, so on the same stream
+    # each helper must give exactly what the list function gives agent 0
+    @pytest.mark.parametrize("own", [10, 5, 0], ids=["n*", "n*/2", "empty"])
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("m", [4, 9])
+    @pytest.mark.parametrize("mechanism", ["pool", "size-check", "corrupt-deploy",
+                                           "cross-check"])
+    def test_agent_0_matches_list_function(self, mechanism, m, d, own):
+        p = params_for(m, dim=d)
+        rng = spawn_stream(13, m, d, own)
+        subs = [rng.standard_normal((own, d)) + 0.5] + \
+            [rng.standard_normal((p.n_star, d)) for _ in range(m - 1)]
+        if mechanism == "corrupt-deploy":
+            if own == 0:
+                with pytest.raises(mech.EmptySubmission):
+                    mech.mech_corrupt_deploy(subs, p, 0.5, spawn_stream(14))
+                with pytest.raises(mech.EmptySubmission):
+                    mech._deploy_scale(subs, p, 0.5)
+                return
+            listed = mech.mech_corrupt_deploy(subs, p, 0.5, spawn_stream(14))[0]
+            alone = mech._corrupt_deploy_for(subs, 0, *mech._deploy_scale(subs, p, 0.5),
+                                             spawn_stream(14))
+        elif mechanism == "cross-check" and m >= 5:
+            alpha = solve_alpha(p).alpha
+            listed = mech.mech_cross_check_corrupt(subs, p, alpha, spawn_stream(14))[0]
+            alone = mech._cross_check_for(subs, 0, d, p, alpha, spawn_stream(14))
+            assert np.isinf(alone.eta_sq).all() == (own == 0)
+        elif mechanism == "cross-check":
+            listed = mech.mech_cross_check_corrupt(subs, p, None, None)[0]
+            alone = mech.Allocation(mech._pool_others(subs, 0, d), np.empty((0, d)),
+                                    np.zeros(d))
+        elif mechanism == "pool":
+            listed = mech.mech_pool(subs)[0]
+            alone = mech._pool_others(subs, 0, d)
+        else:
+            listed = mech.mech_size_check(subs, p)[0]
+            alone = mech._size_gate(subs[0], mech._pool_others(subs, 0, d), p)
+            assert len(alone) == (0 if own < p.n_star else (m - 1) * p.n_star)
+        assert type(alone) is type(listed)
+        for a, b in zip(_arrays(alone), _arrays(listed), strict=True):
+            assert (a is None and b is None) or np.array_equal(a, b)

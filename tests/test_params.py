@@ -14,10 +14,11 @@ from meanshare.params import (
     cost_for_n_star,
     double_factorial,
     normal_central_moment,
-    sample_dataset,
     spawn_stream,
     validate_params,
 )
+
+from conftest import sample_dataset
 
 
 class TestValidateParams:

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from meanshare import estimators as est
+from meanshare import mechanisms as mech
 from meanshare import simulation
+from meanshare.alphasolve import solve_alpha
 from meanshare.analytics import (
     baseline_penalties,
     mechpk_exploit_risk,
@@ -188,6 +190,25 @@ class TestReferenceAgreement:
         tol = 4 * math.hypot(fast.std_error, ref.std_error)
         assert abs(fast.mean_sq_error - ref.mean_sq_error) < tol
 
+    # canonical n* = 10
+    @pytest.mark.parametrize("n,submission,mu_grid", [
+        (5, est.Identity(), (0.0,)),
+        (10, est.Subset(5), (0.0,)),
+        (1, est.FabricateFitGaussian(10), (0.0,)),
+        (10, est.Scale(0.5), (0.0, 5.0)),
+    ], ids=["n=n*/2", "subset n*/2", "fabricate n* from 1", "scale 0.5"])
+    def test_fast_vs_reference_cross_check_menu(self, canonical, canonical_alpha, n,
+                                                 submission, mu_grid):
+        foc = Strategy(n, submission, est.RecommendedWeighted())
+        kw = dict(alpha=canonical_alpha, mu_grid=mu_grid)
+        fast = run_replications(_scenario(canonical, "cross-check", foc, reps=40_000, **kw))
+        ref = run_replications_reference(
+            _scenario(canonical, "cross-check", foc, reps=4_000, **kw))
+        assert len(fast.per_mu) == len(ref.per_mu) == len(mu_grid)
+        for (mu, fast_mse, fast_se), (_, ref_mse, ref_se) in zip(fast.per_mu, ref.per_mu):
+            tol = 4 * math.hypot(fast_se, ref_se)
+            assert abs(fast_mse - ref_mse) < tol, mu
+
     def test_fast_vs_reference_uniform_box_fixed_weighted(self):
         p = validate_params(ProblemParams(1.0, 1.0 / 300.0, 9, 3))
         from meanshare.alphasolve import solve_alpha
@@ -224,6 +245,71 @@ class TestReferenceAgreement:
             p.n_star, est.Scale(0.5), sc.focal.estimator)))
         assert len(pen.per_mu) == 2
         assert len(calls) == 3 * 7 * per_round
+
+
+def _list_reference_sq_error(sc, mi, mu, r):
+    """One reference round played through the list mechanisms: every agent's
+    allocation is built and agent 0's is scored, and the others' data are
+    drawn in m - 1 calls."""
+    p = sc.params
+    d, ns, m = p.dim, p.n_star, p.agents
+    spec, foc = sc.distribution, sc.focal
+    agent_stream = spawn_stream(sc.master_seed, 1000, mi, r)
+    X = spec.sample(agent_stream, (foc.n, d), mu)
+    Y = est.apply_submission(foc.submission, X, p, agent_stream)
+    subs = [Y] + [spec.sample(agent_stream, (ns, d), mu) for _ in range(m - 1)]
+    no_data = np.empty((0, d))
+    if sc.mechanism == "corrupt-deploy":
+        stream = spawn_stream(sc.master_seed, 2000, mi, r)
+        dep = mech.mech_corrupt_deploy(subs, p, sc.epsilon, stream)[0]
+        alloc = mech.Allocation(no_data, dep.corrupted, dep.eta_sq)
+    elif sc.mechanism == "cross-check":
+        stream = spawn_stream(sc.master_seed, 2000, mi, r) if m >= 5 else None
+        alloc = mech.mech_cross_check_corrupt(subs, p, sc.alpha, stream)[0]
+    else:
+        pools = mech.mech_pool(subs) if sc.mechanism == "pool" else mech.mech_size_check(subs, p)
+        alloc = mech.Allocation(pools[0], no_data, np.zeros(d))
+    if sc.mechanism == "corrupt-deploy" and isinstance(foc.estimator, est.PlainMeanAll):
+        v = dep.value
+    else:
+        try:
+            v = est.estimate(foc.estimator, X, alloc, p.sigma)
+        except est.EmptyInput:
+            return math.inf
+    e = v - (spec.mean + mu)
+    return float(e @ e)
+
+
+class TestReferenceRoundPin:
+    # the reference path plays agent 0 alone and draws the others' data in
+    # one call; every round must stay bit for bit what the list mechanisms,
+    # with one draw per other agent, give
+    DEVIATIONS = {
+        "pool": Strategy(0, est.Identity(), est.PlainMeanAll(), "free rider"),
+        "size-check": Strategy(10, est.Subset(5), est.PlainMeanAll(), "subset 5"),
+        "corrupt-deploy": Strategy(10, est.Shift(1.0), est.FixedWeighted(1.0), "shift 1"),
+        "cross-check": Strategy(1, est.FabricateFitGaussian(10), est.RecommendedWeighted(),
+                                "fabricate 10 from 1"),
+    }
+
+    @pytest.mark.parametrize("family,dim,scale", [
+        ("gaussian", 1, 1.0), ("uniform_box", 3, math.sqrt(3.0)), ("scaled_rademacher", 1, 1.0),
+    ], ids=["gaussian", "uniform_box-d3", "scaled_rademacher"])
+    @pytest.mark.parametrize("m", [4, 9])
+    @pytest.mark.parametrize("mechanism", simulation.MECHANISMS)
+    def test_rounds_match_list_mechanisms(self, mechanism, m, family, dim, scale):
+        p = params_for(m, dim=dim)
+        alpha = solve_alpha(p).alpha if mechanism == "cross-check" and m >= 5 else None
+        finite = 0
+        for foc in (recommended_strategy(p, mechanism), self.DEVIATIONS[mechanism]):
+            sc = _scenario(p, mechanism, foc, alpha=alpha, epsilon=0.5, reps=3, seed=19,
+                           family=family, scale=scale)
+            for mi, mu in ((0, 0.0), (1, 5.0)):
+                for r in range(3):
+                    got = simulation._reference_sq_error(sc, mi, mu, r)
+                    assert got.hex() == _list_reference_sq_error(sc, mi, mu, r).hex()
+                    finite += math.isfinite(got)
+        assert finite == 12
 
 
 class TestEquivariance:
