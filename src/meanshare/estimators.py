@@ -143,6 +143,37 @@ def apply_submission(rule, X: np.ndarray, p: ProblemParams, stream=None) -> np.n
     raise TypeError(f"unknown submission rule {rule!r}")
 
 
+def _submitted_sum(rule, n: int, p: ProblemParams, block_sum):
+    """:func:`apply_submission` read through block sums, for every rule but
+    fabrication, which reads more than a sum.
+
+    ``block_sum(k)`` returns the sums, shape (b, d), of the next k of the n
+    collected points. Returns ``(sum_x, sum_y, n_y)``: the sum of the
+    collected points, the sum of the submitted points and their count.
+    Subset reads two blocks, its k kept points and the other n - k; every
+    other rule reads one block of n points.
+    """
+    if isinstance(rule, Subset):
+        if rule.k > n:
+            raise SubsetTooLarge(f"subset size {rule.k} exceeds collected {n}")
+        head = block_sum(rule.k)
+        return head + block_sum(n - rule.k), head, rule.k
+    sum_x = block_sum(n)
+    if isinstance(rule, Identity):
+        return sum_x, sum_x, n
+    if isinstance(rule, Scale):
+        return sum_x, sum_x * rule.gamma, n
+    if isinstance(rule, Shift):
+        return sum_x, sum_x + n * rule.delta, n
+    if isinstance(rule, SubmitConstant):
+        return sum_x, np.full_like(sum_x, n * rule.v), n
+    if isinstance(rule, Empty):
+        return sum_x, np.zeros_like(sum_x), 0
+    if isinstance(rule, ShrinkEll):
+        return sum_x, (sum_x * shrink_factor(n, p.sigma, rule.ell) if n else sum_x), n
+    raise TypeError(f"no block-sum form for submission rule {rule!r}")
+
+
 # ---------------------------------------------------------------------------
 # estimators
 # ---------------------------------------------------------------------------

@@ -116,6 +116,10 @@ def validate_params(p: ProblemParams) -> ProblemParams:
     return ProblemParams(p.sigma, p.cost, p.agents, p.dim, int(rounded))
 
 
+# memory cap on one slice of the point draws behind a uniform block sum
+_SUM_SLICE_BYTES = 1 << 22
+
+
 @dataclass(frozen=True)
 class DistributionSpec:
     """Data-generating distribution with per-dimension variance <= var_cap.
@@ -174,6 +178,13 @@ class DistributionSpec:
         Gaussian and Rademacher sums are drawn exactly, as N(k loc, k scale^2)
         and scale (2 Binomial(k, 1/2) - k) + k loc, in O(b dim) draws whatever
         k is. With k = 0 the sums are zero and nothing is drawn.
+
+        Uniform sums have no cheap exact sampler, so their points are drawn,
+        in slices of whole blocks along the batch axis of at most
+        ``_SUM_SLICE_BYTES`` each (one block if a block is larger). The
+        generator draws the slices in sequence, so the sums are the same as
+        those of one ``(b, k, dim)`` draw, while memory stays bounded
+        whatever b and k are.
         """
         shape = (b, self.dim)
         if k == 0:
@@ -183,8 +194,12 @@ class DistributionSpec:
             return math.sqrt(k) * self.scale * stream.standard_normal(shape) + k * loc
         if self.family == "scaled_rademacher":
             return self.scale * (2.0 * stream.binomial(k, 0.5, size=shape) - k) + k * loc
-        # Irwin-Hall sums have no cheap exact sampler: draw the blocks in full
-        return self.sample(stream, (b, k, self.dim), shift).sum(axis=1)
+        out = np.empty(shape)
+        rows = max(1, _SUM_SLICE_BYTES // (8 * k * self.dim))
+        for lo in range(0, b, rows):
+            hi = min(lo + rows, b)
+            out[lo:hi] = self.sample(stream, (hi - lo, k, self.dim), shift).sum(axis=1)
+        return out
 
 
 def double_factorial(k: int) -> int:

@@ -29,17 +29,25 @@ family, and it cannot raise the variance of a round's score.
   noise are drawn. Integrating the (b, d) noise draw out would save no
   time.
 
-Uniform data has no cheap exact sum sampler, so its prefix is drawn point
-by point. The focal agent's own data is drawn in full, since fabrication
-needs its standard deviation and subsets a prefix of it.
+The focal agent's own data is drawn as block sums too, since the round
+reads it only through its sum, the submitted sum and the submitted count.
+:func:`estimators._submitted_sum` gives these for every submission rule
+but fabrication, from one block sum of the n collected points, or from two
+(the kept k points and the other n - k) for a subset. Fabrication fits a
+standard deviation to the points themselves, so for it the focal points
+are drawn and passed through :func:`estimators.apply_submission`. Gaussian
+and Rademacher block sums are exact O(b d) draws. Uniform data has no
+cheap exact sum sampler, so its block sums, the cross-check prefix and the
+corrupt-deploy pool included, are summed from points drawn in slices of
+bounded memory.
 
-The engine shares its submission rules and its estimator kernel
-(:func:`estimators.apply_submission`, :func:`estimators._block_weights`)
+The engine shares its estimator kernel (:func:`estimators._block_weights`)
 with the object-level API. The slow reference path plays each round
-through the object-level mechanisms on explicit pools, for the focal agent
-only (the only one scored, and the first to draw from a mechanism stream),
-so it checks the mechanisms, the conditioning on block sums and the streams
-independently; the estimator and submission arithmetic is pinned by the
+through the object-level mechanisms and :func:`estimators.apply_submission`
+on explicit points and pools, for the focal agent only (the only one
+scored, and the first to draw from a mechanism stream), so it checks the
+mechanisms, the block-sum submission map, the conditioning on block sums
+and the streams independently; the estimator arithmetic is pinned by the
 hand-computed oracles in the estimator tests.
 
 Reproducibility: replications are processed in fixed-size chunks, each
@@ -189,15 +197,19 @@ def _chunk_sq_errors(sc: Scenario, mu_offset: float, b: int, stream) -> np.ndarr
     loc = spec.mean + mu_offset
     v = spec.per_dim_variance
 
-    X = spec.sample(stream, (b, foc.n, d), mu_offset)
-    Y = est.apply_submission(foc.submission, X, p, stream)
-    n_y = Y.shape[1]
-    sum_y = Y.sum(axis=1)
+    if isinstance(foc.submission, est.FabricateFitGaussian):
+        # the fitted sd reads the points themselves, not only their sum
+        X = spec.sample(stream, (b, foc.n, d), mu_offset)
+        Y = est.apply_submission(foc.submission, X, p, stream)
+        sum_x, sum_y, n_y = X.sum(axis=1), Y.sum(axis=1), Y.shape[1]
+    else:
+        sum_x, sum_y, n_y = est._submitted_sum(
+            foc.submission, foc.n, p, lambda k: spec.sample_sum(stream, b, k, mu_offset))
 
     # the focal allocation, as (sum, count, conditional variance per
     # dimension) of its clean and corrupted blocks; pool, size-check and
     # cross-check with m <= 4 hand over the others' whole pool, undrawn
-    own = (X.sum(axis=1), foc.n)
+    own = (sum_x, foc.n)
     k_pool = (m - 1) * ns
     clean, corrupted, eta_sq = (k_pool * loc, k_pool, k_pool * v), (0.0, 0, 0.0), 0.0
     if sc.mechanism == "size-check" and n_y < ns:

@@ -94,6 +94,52 @@ class TestBatchedSubmission:
                                  spawn_stream(3, 0))
 
 
+BLOCK_SUM_RULES = st.one_of(
+    st.just(est.Identity()), st.just(est.Empty()),
+    st.builds(est.Scale, st.floats(-3.0, 3.0)),
+    st.builds(est.Shift, st.floats(-3.0, 3.0)),
+    st.builds(est.SubmitConstant, st.floats(-3.0, 3.0)),
+    st.builds(est.Subset, st.integers(0, 9)),
+    st.builds(est.ShrinkEll, st.floats(0.1, 10.0)),
+)
+
+
+class TestSubmittedSum:
+    # the engine's block-sum form of every rule but fabrication must give
+    # what the object-level rule gives, read through sums
+    @settings(max_examples=300, deadline=None)
+    @given(rule=BLOCK_SUM_RULES, b=st.integers(1, 4), n=st.integers(0, 8), d=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_apply_submission(self, canonical, rule, b, n, d, seed):
+        X = 5.0 * spawn_stream(seed, 0).standard_normal((b, n, d)) + 2.0
+        read = []
+
+        def block_sum(k):
+            lo = sum(read)
+            read.append(k)
+            return X[:, lo:lo + k].sum(axis=1)
+
+        if isinstance(rule, est.Subset) and rule.k > n:
+            for f in (lambda: est.apply_submission(rule, X, canonical),
+                      lambda: est._submitted_sum(rule, n, canonical, block_sum)):
+                with pytest.raises(est.SubsetTooLarge):
+                    f()
+            return
+        Y = est.apply_submission(rule, X, canonical)
+        sum_x, sum_y, n_y = est._submitted_sum(rule, n, canonical, block_sum)
+        assert sum(read) == n
+        assert n_y == Y.shape[1]
+        for got, want, pts in ((sum_x, X.sum(axis=1), X), (sum_y, Y.sum(axis=1), Y)):
+            assert got.shape == (b, d)
+            # relative to the points' magnitudes, which a cancelling sum can fall far below
+            np.testing.assert_allclose(got, want, rtol=1e-12,
+                                       atol=1e-12 * (np.abs(pts).sum() + 1.0))
+
+    def test_fabrication_has_no_block_sum_form(self, canonical):
+        with pytest.raises(TypeError):
+            est._submitted_sum(est.FabricateFitGaussian(3), 2, canonical, lambda k: np.zeros((1, 1)))
+
+
 class TestEstimate:
     def test_hand_oracle(self):
         # X={0,2}, D={4}, D'={10}, eta^2 = sigma^2 = 1:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from meanshare import params
 from meanshare.params import (
     DistributionSpec,
     EvenInput,
@@ -197,6 +198,19 @@ class TestSampleSums:
         z = spec.sample_sum(stream, 8, 0, 3.0)
         assert np.array_equal(z, np.zeros((8, 3)))
         assert stream.bit_generator.state == before
+
+
+    @pytest.mark.parametrize("budget", [1 << 22, 10_000, 1])
+    def test_uniform_slices_match_one_draw(self, monkeypatch, budget):
+        # the slices are drawn in sequence from one generator, so the sums
+        # equal those of one (b, k, dim) draw, bit for bit; a budget below
+        # one block still draws one block per slice
+        monkeypatch.setattr(params, "_SUM_SLICE_BYTES", budget)
+        spec = DistributionSpec("uniform_box", np.array([0.5, -1.0, 2.0]), 1.5, 0.75)
+        for b, k in ((1, 7), (333, 40), (4_000, 200)):
+            got = spec.sample_sum(spawn_stream(6, b), b, k, 1.5)
+            want = spec.sample(spawn_stream(6, b), (b, k, 3), 1.5).sum(axis=1)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestCostForNStar:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -190,17 +191,26 @@ class TestReferenceAgreement:
         tol = 4 * math.hypot(fast.std_error, ref.std_error)
         assert abs(fast.mean_sq_error - ref.mean_sq_error) < tol
 
-    # canonical n* = 10
-    @pytest.mark.parametrize("n,submission,mu_grid", [
-        (5, est.Identity(), (0.0,)),
-        (10, est.Subset(5), (0.0,)),
-        (1, est.FabricateFitGaussian(10), (0.0,)),
-        (10, est.Scale(0.5), (0.0, 5.0)),
-    ], ids=["n=n*/2", "subset n*/2", "fabricate n* from 1", "scale 0.5"])
+    # canonical n* = 10; the engine reads every rule but fabrication through
+    # estimators._submitted_sum, which the reference path does not use
+    @pytest.mark.parametrize("n,submission,mu_grid,family", [
+        (5, est.Identity(), (0.0,), "gaussian"),
+        (10, est.Subset(5), (0.0,), "gaussian"),
+        (1, est.FabricateFitGaussian(10), (0.0,), "gaussian"),
+        (10, est.Scale(0.5), (0.0, 5.0), "gaussian"),
+        (10, est.SubmitConstant(0.0), (0.0, 5.0), "gaussian"),
+        (1, est.Empty(), (0.0,), "gaussian"),
+        (10, est.ShrinkEll(1.0), (0.0,), "gaussian"),
+        (10, est.Subset(5), (0.0,), "scaled_rademacher"),
+        (10, est.Subset(5), (0.0,), "uniform_box"),
+    ], ids=["n=n*/2", "subset n*/2", "fabricate n* from 1", "scale 0.5", "constant 0",
+            "submit nothing from 1", "shrink ell=1", "subset n*/2 rademacher",
+            "subset n*/2 uniform_box"])
     def test_fast_vs_reference_cross_check_menu(self, canonical, canonical_alpha, n,
-                                                 submission, mu_grid):
+                                                 submission, mu_grid, family):
         foc = Strategy(n, submission, est.RecommendedWeighted())
-        kw = dict(alpha=canonical_alpha, mu_grid=mu_grid)
+        scale = math.sqrt(3.0) if family == "uniform_box" else 1.0
+        kw = dict(alpha=canonical_alpha, mu_grid=mu_grid, family=family, scale=scale)
         fast = run_replications(_scenario(canonical, "cross-check", foc, reps=40_000, **kw))
         ref = run_replications_reference(
             _scenario(canonical, "cross-check", foc, reps=4_000, **kw))
@@ -208,6 +218,18 @@ class TestReferenceAgreement:
         for (mu, fast_mse, fast_se), (_, ref_mse, ref_se) in zip(fast.per_mu, ref.per_mu):
             tol = 4 * math.hypot(fast_se, ref_se)
             assert abs(fast_mse - ref_mse) < tol, mu
+
+    @pytest.mark.parametrize("mechanism,kw", [
+        ("size-check", {}),
+        ("corrupt-deploy", {"epsilon": 0.5}),
+    ])
+    def test_fast_vs_reference_shift(self, canonical, mechanism, kw):
+        foc = Strategy(canonical.n_star, est.Shift(1.0),
+                       recommended_strategy(canonical, mechanism).estimator, "shift 1")
+        fast = run_replications(_scenario(canonical, mechanism, foc, reps=40_000, **kw))
+        ref = run_replications_reference(_scenario(canonical, mechanism, foc, reps=4_000, **kw))
+        tol = 4 * math.hypot(fast.std_error, ref.std_error)
+        assert abs(fast.mean_sq_error - ref.mean_sq_error) < tol
 
     def test_fast_vs_reference_uniform_box_fixed_weighted(self):
         p = validate_params(ProblemParams(1.0, 1.0 / 300.0, 9, 3))
@@ -310,6 +332,67 @@ class TestReferenceRoundPin:
                     assert got.hex() == _list_reference_sq_error(sc, mi, mu, r).hex()
                     finite += math.isfinite(got)
         assert finite == 12
+
+
+BLOCK_SUM_RULES = [est.Identity(), est.Scale(0.5), est.Shift(1.0), est.SubmitConstant(0.0),
+                   est.Subset(5), est.Empty(), est.ShrinkEll(1.0)]
+
+
+class TestFocalBlockSums:
+    # the engine draws the focal agent's data as block sums, and points only
+    # for fabrication, whose fitted sd reads the points themselves
+    @pytest.mark.parametrize("family", ["gaussian", "scaled_rademacher"])
+    @pytest.mark.parametrize("mechanism", simulation.MECHANISMS)
+    def test_no_point_draws_on_exact_sum_families(self, canonical, canonical_alpha, monkeypatch,
+                                                  mechanism, family):
+        calls = []
+        sample = DistributionSpec.sample
+
+        def counting(self, *args, **kwargs):
+            calls.append(args[1])
+            return sample(self, *args, **kwargs)
+
+        monkeypatch.setattr(DistributionSpec, "sample", counting)
+        sc = _scenario(canonical, mechanism, recommended_strategy(canonical, mechanism),
+                       alpha=canonical_alpha, epsilon=0.5, family=family)
+        for rule in BLOCK_SUM_RULES:
+            if mechanism == "corrupt-deploy" and isinstance(rule, est.Empty):
+                continue  # corrupt-and-deploy rejects an empty submission
+            foc = Strategy(canonical.n_star, rule, sc.focal.estimator)
+            sq = simulation._chunk_sq_errors(replace(sc, focal=foc), 5.0, 64, spawn_stream(3, 0))
+            assert sq.shape == (64,) and np.all(np.isfinite(sq))
+        assert calls == []
+        foc = Strategy(1, est.FabricateFitGaussian(10), sc.focal.estimator)
+        simulation._chunk_sq_errors(replace(sc, focal=foc), 5.0, 64, spawn_stream(3, 0))
+        assert calls == [(64, 1, 1)]
+
+    @pytest.mark.parametrize("family,scale", [
+        ("gaussian", 1.0), ("scaled_rademacher", 1.0), ("uniform_box", math.sqrt(3.0)),
+    ], ids=["gaussian", "scaled_rademacher", "uniform_box"])
+    @pytest.mark.parametrize("rule", [*BLOCK_SUM_RULES, est.FabricateFitGaussian(10)], ids=repr)
+    def test_workers_byte_identical(self, canonical, canonical_alpha, rule, family, scale):
+        foc = Strategy(canonical.n_star, rule, est.RecommendedWeighted())
+        kw = dict(alpha=canonical_alpha, reps=6_000, family=family, scale=scale,
+                  chunk_size=1_000, mu_grid=(0.0, 5.0))
+        a = run_replications(_scenario(canonical, "cross-check", foc, workers=1, **kw))
+        b = run_replications(_scenario(canonical, "cross-check", foc, workers=2, **kw))
+        assert math.isfinite(a.total)
+        assert a == b
+
+    def test_uniform_chunk_memory_is_bounded(self):
+        # corrupt-deploy draws the (m - 1) n* points of each round's pool on
+        # uniform data; one default chunk of them at m = 9, d = 3 is 126 MB
+        # if drawn at once
+        p = params_for(9, dim=3)
+        sc = _scenario(p, "corrupt-deploy", recommended_strategy(p, "corrupt-deploy"),
+                       epsilon=0.5, family="uniform_box", scale=math.sqrt(3.0))
+        tracemalloc.start()
+        try:
+            simulation._chunk_sq_errors(sc, 0.0, sc.chunk_size, spawn_stream(3, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
 
 
 class TestEquivariance:
