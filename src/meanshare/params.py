@@ -116,7 +116,7 @@ def validate_params(p: ProblemParams) -> ProblemParams:
     return ProblemParams(p.sigma, p.cost, p.agents, p.dim, int(rounded))
 
 
-# memory cap on one slice of the point draws behind a uniform block sum
+# memory cap on one slice of the standard uniforms behind a uniform block sum
 _SUM_SLICE_BYTES = 1 << 22
 
 
@@ -179,12 +179,15 @@ class DistributionSpec:
         and scale (2 Binomial(k, 1/2) - k) + k loc, in O(b dim) draws whatever
         k is. With k = 0 the sums are zero and nothing is drawn.
 
-        Uniform sums have no cheap exact sampler, so their points are drawn,
-        in slices of whole blocks along the batch axis of at most
-        ``_SUM_SLICE_BYTES`` each (one block if a block is larger). The
-        generator draws the slices in sequence, so the sums are the same as
-        those of one ``(b, k, dim)`` draw, while memory stays bounded
-        whatever b and k are.
+        Uniform sums have no cheap exact sampler, so they are sums of k
+        standard uniforms U(0, 1), mapped once at the end by
+        ``2 scale S + k (loc - scale)``: the law of a sum of k points of
+        U(loc - scale, loc + scale). The uniforms fill one ``(rows, dim, k)``
+        buffer of at most ``_SUM_SLICE_BYTES`` (one block if a block is
+        larger), slice after slice along the batch axis, and each slice is
+        summed along its contiguous last axis. The generator draws the slices
+        in sequence, so the sums are the same as those of one
+        ``(b, dim, k)`` draw, while memory stays bounded whatever b and k are.
         """
         shape = (b, self.dim)
         if k == 0:
@@ -195,10 +198,13 @@ class DistributionSpec:
         if self.family == "scaled_rademacher":
             return self.scale * (2.0 * stream.binomial(k, 0.5, size=shape) - k) + k * loc
         out = np.empty(shape)
-        rows = max(1, _SUM_SLICE_BYTES // (8 * k * self.dim))
+        rows = min(b, max(1, _SUM_SLICE_BYTES // (8 * k * self.dim)))
+        buf = np.empty((rows, self.dim, k))
         for lo in range(0, b, rows):
             hi = min(lo + rows, b)
-            out[lo:hi] = self.sample(stream, (hi - lo, k, self.dim), shift).sum(axis=1)
+            stream.random(out=buf[:hi - lo]).sum(axis=2, out=out[lo:hi])
+        out *= 2.0 * self.scale
+        out += k * (loc - self.scale)
         return out
 
 

@@ -38,8 +38,8 @@ standard deviation to the points themselves, so for it the focal points
 are drawn and passed through :func:`estimators.apply_submission`. Gaussian
 and Rademacher block sums are exact O(b d) draws. Uniform data has no
 cheap exact sum sampler, so its block sums, the cross-check prefix and the
-corrupt-deploy pool included, are summed from points drawn in slices of
-bounded memory.
+corrupt-deploy pool included, are sums of standard uniforms, drawn in
+slices of bounded memory and mapped once onto the box.
 
 The engine shares its estimator kernel (:func:`estimators._block_weights`)
 with the object-level API. The slow reference path plays each round
@@ -175,10 +175,12 @@ def recommended_strategy(p: ProblemParams, mechanism: str = "cross-check",
 def is_translation_equivariant(strategy: Strategy) -> bool:
     """Whether the focal profile's risk is independent of the true mean.
 
-    Scaling and constant submissions break translation equivariance; the
-    rest commute with adding a constant to all data (corruption variances
-    are functions of mean differences)."""
-    return not isinstance(strategy.submission, (est.Scale, est.SubmitConstant))
+    Scaling, shrinking and constant submissions break translation
+    equivariance, and so does the posterior mean, which shrinks toward 0;
+    the rest commute with adding a constant to all data (corruption
+    variances are functions of mean differences)."""
+    return not (isinstance(strategy.submission, (est.Scale, est.SubmitConstant, est.ShrinkEll))
+                or isinstance(strategy.estimator, est.PosteriorMean))
 
 
 def _chunk_sq_errors(sc: Scenario, mu_offset: float, b: int, stream) -> np.ndarray:

@@ -202,15 +202,38 @@ class TestSampleSums:
 
     @pytest.mark.parametrize("budget", [1 << 22, 10_000, 1])
     def test_uniform_slices_match_one_draw(self, monkeypatch, budget):
-        # the slices are drawn in sequence from one generator, so the sums
-        # equal those of one (b, k, dim) draw, bit for bit; a budget below
-        # one block still draws one block per slice
+        # the slices of standard uniforms are drawn in sequence from one
+        # generator, so the sums equal those of one (b, dim, k) draw put
+        # through the same affine map, bit for bit; a budget below one block
+        # still draws one block per slice
         monkeypatch.setattr(params, "_SUM_SLICE_BYTES", budget)
         spec = DistributionSpec("uniform_box", np.array([0.5, -1.0, 2.0]), 1.5, 0.75)
+        loc = spec.mean + 1.5
         for b, k in ((1, 7), (333, 40), (4_000, 200)):
             got = spec.sample_sum(spawn_stream(6, b), b, k, 1.5)
-            want = spec.sample(spawn_stream(6, b), (b, k, 3), 1.5).sum(axis=1)
+            want = spawn_stream(6, b).random((b, 3, k)).sum(axis=2)
+            want *= 2.0 * spec.scale
+            want += k * (loc - spec.scale)
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 40])
+    def test_uniform_sums_within_support(self, k):
+        spec = DistributionSpec("uniform_box", np.array([0.5, -1.0]), 1.5, 0.75)
+        loc, s = spec.mean + 2.0, spec.scale
+        sums = spec.sample_sum(spawn_stream(8, k), 100_000, k, 2.0)
+        assert np.all(sums >= k * (loc - s)) and np.all(sums <= k * (loc + s))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_uniform_sums_irwin_hall_kurtosis(self, k):
+        # a sum of k uniforms is Irwin-Hall, with excess kurtosis -6/(5k); a
+        # Gaussian stand-in with the right mean and variance has 0
+        spec = DistributionSpec("uniform_box", np.array([0.5, -1.0]), 1.5, 0.75)
+        z = spec.sample_sum(spawn_stream(9, k), 200_000, k, 2.0)
+        z = (z - z.mean(axis=0)) / z.std(axis=0)
+        kurt = (z**4).mean(axis=0)
+        # delta-method standard error of m4 / m2^2 for a symmetric law
+        se = (z**4 - 2 * kurt * z**2).std(axis=0) / math.sqrt(len(z))
+        assert np.all(np.abs(kurt - 3 + 6 / (5 * k)) < 5 * se)
 
 
 class TestCostForNStar:

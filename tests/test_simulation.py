@@ -340,8 +340,9 @@ BLOCK_SUM_RULES = [est.Identity(), est.Scale(0.5), est.Shift(1.0), est.SubmitCon
 
 class TestFocalBlockSums:
     # the engine draws the focal agent's data as block sums, and points only
-    # for fabrication, whose fitted sd reads the points themselves
-    @pytest.mark.parametrize("family", ["gaussian", "scaled_rademacher"])
+    # for fabrication, whose fitted sd reads the points themselves; uniform
+    # sums are drawn from standard uniforms, not through the point sampler
+    @pytest.mark.parametrize("family", ["gaussian", "scaled_rademacher", "uniform_box"])
     @pytest.mark.parametrize("mechanism", simulation.MECHANISMS)
     def test_no_point_draws_on_exact_sum_families(self, canonical, canonical_alpha, monkeypatch,
                                                   mechanism, family):
@@ -414,6 +415,22 @@ class TestEquivariance:
             Strategy(10, est.Scale(0.5), est.PlainMeanAll()))
         assert not is_translation_equivariant(
             Strategy(10, est.SubmitConstant(0.0), est.PlainMeanAll()))
+        assert not is_translation_equivariant(
+            Strategy(10, est.ShrinkEll(0.5), est.PlainMeanAll()))
+        assert not is_translation_equivariant(
+            Strategy(10, est.Identity(), est.PosteriorMean(0.5)))
+
+    def test_shrink_scored_at_every_offset(self, canonical, canonical_alpha):
+        # shrinking every point toward 0 biases the submission by (1 - f) mu,
+        # so the risk grows with the mean's distance from 0
+        foc = Strategy(canonical.n_star, est.ShrinkEll(0.5), est.RecommendedWeighted(), "shrink")
+        pen = run_replications(_scenario(canonical, "cross-check", foc, alpha=canonical_alpha,
+                                         reps=100_000, mu_grid=(0.0, 5.0)))
+        by_mu = {mu: mse for mu, mse, _ in pen.per_mu}
+        assert set(by_mu) == {0.0, 5.0}
+        assert by_mu[0.0] == pytest.approx(0.025, rel=0.1)
+        assert by_mu[5.0] == pytest.approx(0.047, rel=0.1)
+        assert pen.mean_sq_error == by_mu[5.0]
 
     def test_non_equivariant_sweeps_mu_grid(self, canonical, canonical_alpha):
         foc = Strategy(canonical.n_star, est.Scale(0.5),
