@@ -58,9 +58,8 @@ class MaxIterations(RuntimeError):
     pass
 
 
-# ITP steps before solve_alpha raises MaxIterations. ITP needs at most
-# ceil(log2(width / (2 tol))) + _ITP_N0 steps in exact arithmetic; more
-# happen only when tol is below the float spacing at the root.
+# ITP steps before solve_alpha raises MaxIterations: a guard only, since
+# the loop stops after its budget of at most 42 steps
 _MAX_ITER = 200
 # ITP constants: truncation delta = (_ITP_K1 / initial width) * width^2, and
 # _ITP_N0 steps of slack over bisection's count
@@ -183,24 +182,24 @@ class AlphaSolution:
     warnings: tuple[str, ...] = field(default=())
 
 
-def solve_alpha(p: ProblemParams, tol: float | None = None) -> AlphaSolution:
+def solve_alpha(p: ProblemParams) -> AlphaSolution:
     """Locate the root of G on the proven bracket with ITP steps.
 
-    Each step evaluates G once and keeps a bracket with a sign change; the
-    returned root is the midpoint of a final bracket of width at most
-    2 tol, so it lies within tol of a sign change. tol defaults to
-    1e-12 * sqrt(n*). ITP takes at most ceil(log2((hi - lo) / (2 tol))) + 1
-    steps, one more than bisection, and far fewer on a smooth simple root.
-    A 64-point grid scan over the bracket reports (as a warning, not an
-    error) any extra sign changes, since uniqueness of the root is not
-    guaranteed.
+    Each step evaluates G once and keeps a bracket with a sign change, to a
+    tolerance tol = 1e-12 * sqrt(n*). ITP stops once the bracket is at most
+    2 tol wide or after n_max = ceil(log2((hi - lo) / (2 tol))) + 1 steps,
+    one more than bisection, whichever comes first; on a smooth simple root
+    it takes far fewer. The root is the midpoint of the final bracket. In
+    exact arithmetic n_max steps shrink the bracket to 2 tol; in floating
+    point the rounded midpoints can leave it wider by less than one unit in
+    the last place of the root, so the root lies within tol of a sign
+    change up to that rounding. A 64-point grid scan over the bracket
+    reports (as a warning, not an error) any extra sign changes, since
+    uniqueness of the root is not guaranteed.
     """
     _check_regime(p)
     lo, hi = bracket(p)
-    if tol is None:
-        tol = 1e-12 * lo
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    tol = 1e-12 * lo
 
     g_lo = g_of_alpha(lo, p)
     g_hi = g_of_alpha(hi, p)
@@ -215,14 +214,12 @@ def solve_alpha(p: ProblemParams, tol: float | None = None) -> AlphaSolution:
         )
     else:
         a, b, fa, fb = lo, hi, g_lo, g_hi
-        # step budget of the minmax guarantee; log2 of each side keeps a tol
-        # near the float minimum from overflowing the ratio
-        n_max = math.ceil(math.log2(b - a) - math.log2(2 * tol)) + _ITP_N0
+        # step budget of the minmax guarantee
+        n_max = math.ceil(math.log2((b - a) / (2 * tol))) + _ITP_N0
         k1 = _ITP_K1 / (b - a)
-        while b - a > 2 * tol:
+        while b - a > 2 * tol and steps < n_max:
             if steps == _MAX_ITER:
-                raise MaxIterations(f"ITP did not shrink the bracket to 2 tol in {_MAX_ITER} steps; "
-                                    f"tol={tol} may be below the float spacing at the root")
+                raise MaxIterations(f"ITP did not shrink the bracket to 2 tol in {_MAX_ITER} steps")
             mid = 0.5 * (a + b)
             # interpolate: the regula falsi point
             xf = (b * fa - a * fb) / (fa - fb)

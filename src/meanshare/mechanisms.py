@@ -11,8 +11,9 @@ Object-level implementations operating on explicit submission lists:
   corrupt the remainder with variance proportional to the squared mean
   discrepancy, and return everything for the agent to estimate with.
 
-Datasets are arrays of shape (n, d). Corruption noise draws are recorded
-on the returned allocations so audits can reconstruct source points.
+Datasets are arrays of shape (n, d). A mechanism that draws takes one
+generator of its own, so an audit that replays that generator
+reconstructs its noise.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ class Allocation:
     clean: np.ndarray
     corrupted: np.ndarray
     eta_sq: np.ndarray
-    noise: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -180,15 +180,11 @@ def _cross_check_for(submissions: list[np.ndarray], i: int, d: int, p: ProblemPa
         delta = s.mean(axis=0) - clean.mean(axis=0)
         eta_sq = alpha**2 * delta**2
 
+    corrupted = rest
     if len(rest):
-        z = stream.standard_normal(rest.shape)
         with np.errstate(invalid="ignore"):
-            noise = z * np.sqrt(eta_sq)
-        corrupted = rest + noise
-    else:
-        noise = np.empty((0, d))
-        corrupted = rest
-    return Allocation(clean=clean, corrupted=corrupted, eta_sq=eta_sq, noise=noise)
+            corrupted = rest + stream.standard_normal(rest.shape) * np.sqrt(eta_sq)
+    return Allocation(clean=clean, corrupted=corrupted, eta_sq=eta_sq)
 
 
 def mech_cross_check_corrupt(submissions: list[np.ndarray], p: ProblemParams,

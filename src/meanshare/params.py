@@ -43,15 +43,16 @@ class ProblemParams:
     """Market parameters: per-dimension noise std, per-sample cost,
     number of agents, and dimension.
 
-    ``n_star`` is the recommended per-agent sample count, derived by
-    :func:`validate_params`; it is 0 until validation attaches it.
+    ``n_star`` is the recommended per-agent sample count. It is derived
+    from the other fields by :func:`validate_params`, is not a constructor
+    argument, and is 0 until validation attaches it.
     """
 
     sigma: float
     cost: float
     agents: int
     dim: int = 1
-    n_star: int = field(default=0, compare=False)
+    n_star: int = field(default=0, init=False, compare=False)
 
     @property
     def cost_eff(self) -> float:
@@ -113,11 +114,9 @@ def validate_params(p: ProblemParams) -> ProblemParams:
         )
     if rounded < 1:
         raise NonIntegerNStar(f"recommended sample count rounds to {rounded} < 1")
-    return ProblemParams(p.sigma, p.cost, p.agents, p.dim, int(rounded))
-
-
-# memory cap on one slice of the standard uniforms behind a uniform block sum
-_SUM_SLICE_BYTES = 1 << 22
+    out = ProblemParams(p.sigma, p.cost, p.agents, p.dim)
+    object.__setattr__(out, "n_star", int(rounded))
+    return out
 
 
 @dataclass(frozen=True)
@@ -182,12 +181,10 @@ class DistributionSpec:
         Uniform sums have no cheap exact sampler, so they are sums of k
         standard uniforms U(0, 1), mapped once at the end by
         ``2 scale S + k (loc - scale)``: the law of a sum of k points of
-        U(loc - scale, loc + scale). The uniforms fill one ``(rows, dim, k)``
-        buffer of at most ``_SUM_SLICE_BYTES`` (one block if a block is
-        larger), slice after slice along the batch axis, and each slice is
-        summed along its contiguous last axis. The generator draws the slices
-        in sequence, so the sums are the same as those of one
-        ``(b, dim, k)`` draw, while memory stays bounded whatever b and k are.
+        U(loc - scale, loc + scale). The k ``(b, dim)`` planes of uniforms are
+        drawn in turn into one scratch array and added into the result, so a
+        call holds two ``(b, dim)`` arrays whatever k is, and the sums equal
+        those of one ``(k, b, dim)`` draw summed over its first axis.
         """
         shape = (b, self.dim)
         if k == 0:
@@ -197,12 +194,9 @@ class DistributionSpec:
             return math.sqrt(k) * self.scale * stream.standard_normal(shape) + k * loc
         if self.family == "scaled_rademacher":
             return self.scale * (2.0 * stream.binomial(k, 0.5, size=shape) - k) + k * loc
-        out = np.empty(shape)
-        rows = min(b, max(1, _SUM_SLICE_BYTES // (8 * k * self.dim)))
-        buf = np.empty((rows, self.dim, k))
-        for lo in range(0, b, rows):
-            hi = min(lo + rows, b)
-            stream.random(out=buf[:hi - lo]).sum(axis=2, out=out[lo:hi])
+        out, tmp = stream.random(shape), np.empty(shape)
+        for _ in range(k - 1):
+            out += stream.random(out=tmp)
         out *= 2.0 * self.scale
         out += k * (loc - self.scale)
         return out

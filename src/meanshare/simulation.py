@@ -38,8 +38,8 @@ standard deviation to the points themselves, so for it the focal points
 are drawn and passed through :func:`estimators.apply_submission`. Gaussian
 and Rademacher block sums are exact O(b d) draws. Uniform data has no
 cheap exact sum sampler, so its block sums, the cross-check prefix and the
-corrupt-deploy pool included, are sums of standard uniforms, drawn in
-slices of bounded memory and mapped once onto the box.
+corrupt-deploy pool included, are sums of k (b, d) planes of standard
+uniforms, added one plane at a time and mapped once onto the box.
 
 The engine shares its estimator kernel (:func:`estimators._block_weights`)
 with the object-level API. The slow reference path plays each round
@@ -351,14 +351,13 @@ def run_replications_reference(sc: Scenario) -> EmpiricalPenalty:
 # ---------------------------------------------------------------------------
 
 
-def default_menu(p: ProblemParams, estimator=None) -> list[Strategy]:
+def default_menu(p: ProblemParams, estimator) -> list[Strategy]:
     """The fixed deviation menu swept by the equilibrium checks: sample-count
-    deviations, submission manipulations, and estimator swaps."""
-    if estimator is None:
-        estimator = est.RecommendedWeighted()
+    deviations and submission manipulations with ``estimator``, and
+    estimator swaps."""
     ns = p.n_star
     half = max(ns // 2, 1)
-    menu = [
+    return [
         Strategy(0, est.Identity(), estimator, "n=0"),
         Strategy(half, est.Identity(), estimator, f"n={half}"),
         Strategy(2 * ns, est.Identity(), estimator, f"n={2 * ns}"),
@@ -371,7 +370,6 @@ def default_menu(p: ProblemParams, estimator=None) -> list[Strategy]:
         Strategy(ns, est.Identity(), est.PlainMeanAll(), "estimator: plain mean"),
         Strategy(ns, est.Identity(), est.CleanOnlyMean(), "estimator: clean only"),
     ]
-    return menu
 
 
 @dataclass(frozen=True)
@@ -392,7 +390,8 @@ def nash_deviation_sweep(sc: Scenario, menu: list[Strategy] | None = None) -> li
     at the recommended profile), and flag any entry that beats the focal
     profile by more than 3 combined standard errors. Row 0 is the focal
     profile itself. The default menu is :func:`default_menu` with the focal
-    estimator."""
+    estimator. Menu entries equal to ``sc.focal`` apart from the label are
+    dropped: they would repeat row 0 on the same streams."""
     p = sc.params
     if menu is None:
         menu = default_menu(p, sc.focal.estimator)
@@ -400,6 +399,7 @@ def nash_deviation_sweep(sc: Scenario, menu: list[Strategy] | None = None) -> li
             # corrupt-and-deploy rejects an empty submission by design, so
             # entries that submit nothing have no penalty
             menu = [s for s in menu if _submits_data(s)]
+    menu = [s for s in menu if replace(s, label=sc.focal.label) != sc.focal]
     base = run_replications(sc)
 
     def closed(s: Strategy):

@@ -120,7 +120,12 @@ class TestCrossCheckCorrupt:
         rng = spawn_stream(6, 0)
         subs = [as_dataset(rng.standard_normal(10)) for _ in range(9)]
         a = mech.mech_cross_check_corrupt(subs, canonical, 5.4, spawn_stream(6, 100))[0]
-        sources = np.concatenate([a.clean, a.corrupted - a.noise])
+        # replay agent 0's draws from the mechanism stream: the cross-check
+        # permutation, then the noise on the remainder
+        replay = spawn_stream(6, 100)
+        replay.permutation(80)
+        noise = replay.standard_normal(a.corrupted.shape) * np.sqrt(a.eta_sq)
+        sources = np.concatenate([a.clean, a.corrupted - noise])
         pool = np.concatenate(subs[1:])
         assert sorted(sources.ravel()) == pytest.approx(sorted(pool.ravel()), rel=1e-12)
 

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meanshare import params
 from meanshare.params import (
     DistributionSpec,
     EvenInput,
@@ -52,9 +51,15 @@ class TestValidateParams:
         with pytest.raises(InvalidParam):
             validate_params(bad)
 
+    def test_n_star_not_settable(self):
+        # n* is derived from (sigma, c, m, d); a forged value would change alpha
+        with pytest.raises(TypeError):
+            ProblemParams(1.0, 1 / 900, 9, 1, n_star=3)
+
     def test_idempotent(self):
         p = validate_params(ProblemParams(1.0, 1 / 900, 9, 1))
-        assert validate_params(p) == p
+        # n_star is left out of ==, so compare it too
+        assert validate_params(p) == p and validate_params(p).n_star == p.n_star == 10
 
     def test_highdim_n_star(self):
         p = validate_params(ProblemParams(1.0, 1 / 300, 9, 3))
@@ -199,19 +204,16 @@ class TestSampleSums:
         assert np.array_equal(z, np.zeros((8, 3)))
         assert stream.bit_generator.state == before
 
-
-    @pytest.mark.parametrize("budget", [1 << 22, 10_000, 1])
-    def test_uniform_slices_match_one_draw(self, monkeypatch, budget):
-        # the slices of standard uniforms are drawn in sequence from one
-        # generator, so the sums equal those of one (b, dim, k) draw put
-        # through the same affine map, bit for bit; a budget below one block
-        # still draws one block per slice
-        monkeypatch.setattr(params, "_SUM_SLICE_BYTES", budget)
+    def test_uniform_sums_match_one_draw(self):
+        # the (b, dim) planes of standard uniforms are drawn in sequence from
+        # one generator and added in order, so the sums equal those of one
+        # (k, b, dim) draw summed over its first axis and put through the
+        # same affine map, bit for bit
         spec = DistributionSpec("uniform_box", np.array([0.5, -1.0, 2.0]), 1.5, 0.75)
         loc = spec.mean + 1.5
-        for b, k in ((1, 7), (333, 40), (4_000, 200)):
+        for b, k in ((1, 7), (333, 40), (4_000, 200), (500, 1)):
             got = spec.sample_sum(spawn_stream(6, b), b, k, 1.5)
-            want = spawn_stream(6, b).random((b, 3, k)).sum(axis=2)
+            want = spawn_stream(6, b).random((k, b, 3)).sum(axis=0)
             want *= 2.0 * spec.scale
             want += k * (loc - spec.scale)
             assert got.tobytes() == want.tobytes()

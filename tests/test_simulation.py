@@ -591,6 +591,21 @@ class TestSweepsAndChecks:
         assert all(r.strategy.estimator is foc.estimator for r in rows[1:10])
         assert ir_check(sc)["participating"] == rows[0].penalty.total
 
+    def test_sweep_drops_copies_of_the_focal_profile(self, canonical):
+        # under size-check the focal profile is n* honest points with the
+        # plain mean, which "estimator: plain mean" repeats on the same
+        # streams; a copy under another label is dropped too
+        foc = recommended_strategy(canonical, "size-check")
+        sc = _scenario(canonical, "size-check", foc, reps=2_000)
+        labels = [r.strategy.label for r in nash_deviation_sweep(sc)]
+        assert labels[0] == "recommended" and "estimator: plain mean" not in labels
+        # row 0 plus every menu entry but the copy
+        assert len(labels) == len(default_menu(canonical, foc.estimator))
+        copy = replace(foc, label="copy")
+        other = replace(foc, n=canonical.n_star + 1, label="n+1")
+        rows = nash_deviation_sweep(sc, [copy, other])
+        assert [r.strategy.label for r in rows] == ["recommended", "n+1"]
+
 
 class TestScenario:
     @pytest.mark.parametrize("reps", [0, -5])
@@ -631,7 +646,7 @@ class TestScenario:
 
 class TestMenu:
     def test_default_menu_shape(self, canonical):
-        menu = default_menu(canonical)
+        menu = default_menu(canonical, est.RecommendedWeighted())
         assert len(menu) == 11
         labels = [s.label for s in menu]
         assert len(set(labels)) == len(labels)
