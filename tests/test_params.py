@@ -204,16 +204,17 @@ class TestSampleSums:
         assert np.array_equal(z, np.zeros((8, 3)))
         assert stream.bit_generator.state == before
 
-    def test_uniform_sums_match_one_draw(self):
-        # the (b, dim) planes of standard uniforms are drawn in sequence from
+    @pytest.mark.parametrize("seed", [1 << 22, 10_000, 1])
+    def test_uniform_slices_match_one_draw(self, seed):
+        # the (b, dim) slices of standard uniforms are drawn in sequence from
         # one generator and added in order, so the sums equal those of one
         # (k, b, dim) draw summed over its first axis and put through the
         # same affine map, bit for bit
         spec = DistributionSpec("uniform_box", np.array([0.5, -1.0, 2.0]), 1.5, 0.75)
         loc = spec.mean + 1.5
         for b, k in ((1, 7), (333, 40), (4_000, 200), (500, 1)):
-            got = spec.sample_sum(spawn_stream(6, b), b, k, 1.5)
-            want = spawn_stream(6, b).random((k, b, 3)).sum(axis=0)
+            got = spec.sample_sum(spawn_stream(seed, b), b, k, 1.5)
+            want = spawn_stream(seed, b).random((k, b, 3)).sum(axis=0)
             want *= 2.0 * spec.scale
             want += k * (loc - spec.scale)
             assert got.tobytes() == want.tobytes()
