@@ -138,12 +138,9 @@ def penalty_at_nstar(p: ProblemParams, alpha: float) -> float:
 
 
 def penalty_at_nstar_simplified(p: ProblemParams, alpha: float) -> float:
-    """Algebraically reduced form of p(n*) (no special functions)."""
-    m, ns = p.agents, p.n_star
-    a2 = alpha**2 / ns
-    return p.dim * p.sigma * math.sqrt(p.cost_eff / m) * (
-        (10 * a2 - 1) / (4 * a2 * (m + 1) / m - 1) + 1
-    )
+    """Algebraically reduced form of p(n*) (no special functions):
+    2 sigma sqrt(c d / m) times :func:`pos_mechany`."""
+    return p.dim * p.sigma * math.sqrt(p.cost_eff / p.agents) * (2 * pos_mechany(p, alpha))
 
 
 def penalty_derivative_at_nstar(p: ProblemParams, alpha: float) -> float:

@@ -262,9 +262,11 @@ def estimate(choice, X: np.ndarray, alloc: Allocation, sigma: float) -> np.ndarr
     No estimator reads the agent's submission, only what it collected. A
     corrupted block with infinite eta^2 gets weight zero and its sum, which
     may then be non-finite, is ignored. Raises :class:`EmptyInput` when no
-    data has positive weight.
+    data has positive weight, and :class:`DimensionMismatch` when the
+    nonempty blocks or eta^2 disagree on the dimension.
     """
-    if len(X) and len(alloc.clean) and alloc.clean.shape[1] != X.shape[1]:
+    dims = {len(alloc.eta_sq), *(a.shape[1] for a in (X, alloc.clean, alloc.corrupted) if len(a))}
+    if len(dims) > 1:
         raise DimensionMismatch("X and allocation dimensions differ")
     w_x, w_clean, w_corr = _block_weights(choice, len(X), len(alloc.clean),
                                           len(alloc.corrupted), alloc.eta_sq, sigma)

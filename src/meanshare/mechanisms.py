@@ -1,10 +1,11 @@
 """The four data-sharing mechanisms.
 
-Object-level implementations operating on explicit submission lists:
+Each mechanism is one function that serves agent i of a round of
+explicit submissions:
 
-- ``mech_pool``: unconditionally give each agent everyone else's data.
+- ``mech_pool``: unconditionally give the agent everyone else's data.
 - ``mech_size_check``: pooling gated on a minimum submission size.
-- ``mech_corrupt_deploy``: corrupt others' data in proportion to the
+- ``mech_corrupt_deploy``: corrupt the others' data in proportion to the
   mean discrepancy raised to a power 2k, then deploy a fixed sample-mean
   estimate on the agent's behalf.
 - ``mech_cross_check_corrupt``: hold out a clean cross-check subset,
@@ -13,7 +14,10 @@ Object-level implementations operating on explicit submission lists:
 
 Datasets are arrays of shape (n, d). A mechanism that draws takes one
 generator of its own, so an audit that replays that generator
-reconstructs its noise.
+reconstructs its noise. A round serves the agents in index order from one
+such generator, ``[mech(submissions, i, ...) for i in range(m)]``; each
+call checks its inputs before it draws, so agent i's draws follow those
+of agents 0..i-1.
 """
 
 from __future__ import annotations
@@ -63,40 +67,30 @@ class DeployedEstimate:
     eta_sq: np.ndarray
 
 
-def _pool_others(submissions: list[np.ndarray], i: int, d: int) -> np.ndarray:
-    parts = [s for j, s in enumerate(submissions) if j != i and len(s)]
-    if not parts:
-        return np.empty((0, d))
-    return np.concatenate(parts, axis=0)
-
-
-def _dim(submissions: list[np.ndarray]) -> int:
+def mech_pool(submissions: list[np.ndarray], i: int) -> np.ndarray:
+    """Agent i receives the union of all other agents' submissions, in
+    index order. The round must have at least 2 agents, 0 <= i < m, and
+    submissions of shape (n, d) with one d."""
+    m = len(submissions)
+    if m < 2:
+        raise ValueError("need at least 2 agents")
+    if not 0 <= i < m:
+        raise ValueError(f"agent index {i} out of range for {m} agents")
     for s in submissions:
         if s.ndim != 2:
             raise ValueError("submissions must be arrays of shape (n, d)")
     dims = {s.shape[1] for s in submissions if len(s)}
     if len(dims) > 1:
         raise ValueError(f"mixed dimensions {dims}")
-    return dims.pop() if dims else 1
+    parts = [s for j, s in enumerate(submissions) if j != i and len(s)]
+    return np.concatenate(parts, axis=0) if parts else np.empty((0, dims.pop() if dims else 1))
 
 
-def mech_pool(submissions: list[np.ndarray]) -> list[np.ndarray]:
-    """Each agent receives the union of all other agents' submissions."""
-    if len(submissions) < 2:
-        raise ValueError("need at least 2 agents")
-    d = _dim(submissions)
-    return [_pool_others(submissions, i, d) for i in range(len(submissions))]
-
-
-def _size_gate(own: np.ndarray, pool: np.ndarray, p: ProblemParams) -> np.ndarray:
-    """``pool``, or none of it for a submission ``own`` of fewer than n_star points."""
-    return pool if len(own) >= p.n_star else pool[:0]
-
-
-def mech_size_check(submissions: list[np.ndarray], p: ProblemParams) -> list[np.ndarray]:
-    """:func:`mech_pool` gated on submission size: agents submitting fewer
-    than n_star points receive nothing."""
-    return [_size_gate(s, pool, p) for s, pool in zip(submissions, mech_pool(submissions))]
+def mech_size_check(submissions: list[np.ndarray], i: int, p: ProblemParams) -> np.ndarray:
+    """:func:`mech_pool` gated on submission size: an agent submitting fewer
+    than n_star points receives nothing."""
+    pool = mech_pool(submissions, i)
+    return pool if len(submissions[i]) >= p.n_star else pool[:0]
 
 
 def k_eps(epsilon: float) -> int:
@@ -126,25 +120,18 @@ def beta_sq_recommended_form(own_points: int, p: ProblemParams, k: int) -> float
     return num / den
 
 
-def _deploy_scale(submissions: list[np.ndarray], p: ProblemParams,
-                  epsilon: float) -> tuple[int, int, float]:
-    """Check a corrupt-and-deploy round's submissions and return its
-    dimension, power k and published beta^2."""
-    if len(submissions) < 2:
-        raise ValueError("need at least 2 agents")
-    d = _dim(submissions)
+def mech_corrupt_deploy(submissions: list[np.ndarray], i: int, p: ProblemParams,
+                        epsilon: float, stream: np.random.Generator) -> DeployedEstimate:
+    """Corrupt every other agent's point with noise of variance
+    beta^2 * (mean discrepancy)^{2k}, drawn from ``stream``, and deploy the
+    plain mean of agent i's submission united with the corrupted pool.
+    Every submission of the round must be nonempty."""
+    others = mech_pool(submissions, i)
     if any(len(s) == 0 for s in submissions):
         raise EmptySubmission("corrupt-and-deploy requires nonempty submissions")
     k = k_eps(epsilon)
-    return d, k, beta_sq_published(sum(len(s) for s in submissions), p, k)
-
-
-def _corrupt_deploy_for(submissions: list[np.ndarray], i: int, d: int, k: int,
-                        beta_sq: float, stream: np.random.Generator) -> DeployedEstimate:
-    """Agent i's output under :func:`mech_corrupt_deploy`, drawing its
-    noise from ``stream``."""
+    beta_sq = beta_sq_published(sum(len(s) for s in submissions), p, k)
     s = submissions[i]
-    others = _pool_others(submissions, i, d)
     delta = s.mean(axis=0) - others.mean(axis=0)
     eta_sq = beta_sq * delta ** (2 * k)
     corrupted = others + stream.standard_normal(others.shape) * np.sqrt(eta_sq)
@@ -152,22 +139,26 @@ def _corrupt_deploy_for(submissions: list[np.ndarray], i: int, d: int, k: int,
     return DeployedEstimate(value=value, corrupted=corrupted, eta_sq=eta_sq)
 
 
-def mech_corrupt_deploy(submissions: list[np.ndarray], p: ProblemParams, epsilon: float,
-                        stream: np.random.Generator) -> list[DeployedEstimate]:
-    """Corrupt every other agent's point with noise of variance
-    beta^2 * (mean discrepancy)^{2k} and deploy the plain mean of the
-    agent's own submission united with the corrupted pool."""
-    scale = _deploy_scale(submissions, p, epsilon)
-    return [_corrupt_deploy_for(submissions, i, *scale, stream)
-            for i in range(len(submissions))]
+def mech_cross_check_corrupt(submissions: list[np.ndarray], i: int, p: ProblemParams,
+                             alpha: float | None,
+                             stream: np.random.Generator | None) -> Allocation:
+    """Cross-check-and-corrupt for agent i. With m <= 4 agents this
+    degenerates to pooling (no corruption). Otherwise the allocation holds a
+    clean cross-check subset of up to n_star points sampled without
+    replacement from the others' pool, and the remainder corrupted with
+    per-dimension variance alpha^2 (mean(Y_i) - mean(D_i))^2.
 
-
-def _cross_check_for(submissions: list[np.ndarray], i: int, d: int, p: ProblemParams,
-                     alpha: float, stream: np.random.Generator) -> Allocation:
-    """Agent i's allocation under :func:`mech_cross_check_corrupt` with
-    m >= 5, drawing its cross-check subset and noise from ``stream``."""
+    ``stream`` is the mechanism's own generator, disjoint from any
+    agent-side randomness; it draws the cross-check subset, then the noise.
+    With m <= 4 it is not read and may be None.
+    """
+    others = mech_pool(submissions, i)
+    d = others.shape[1]
+    if len(submissions) <= 4:
+        return Allocation(clean=others, corrupted=np.empty((0, d)), eta_sq=np.zeros(d))
+    if alpha is None or alpha <= 0:
+        raise ValueError("m >= 5 requires the solved corruption level alpha")
     s = submissions[i]
-    others = _pool_others(submissions, i, d)
     take = min(len(others), p.n_star)
     idx = stream.permutation(len(others))
     clean = others[idx[:take]]
@@ -185,27 +176,3 @@ def _cross_check_for(submissions: list[np.ndarray], i: int, d: int, p: ProblemPa
         with np.errstate(invalid="ignore"):
             corrupted = rest + stream.standard_normal(rest.shape) * np.sqrt(eta_sq)
     return Allocation(clean=clean, corrupted=corrupted, eta_sq=eta_sq)
-
-
-def mech_cross_check_corrupt(submissions: list[np.ndarray], p: ProblemParams,
-                             alpha: float | None,
-                             stream: np.random.Generator | None) -> list[Allocation]:
-    """Cross-check-and-corrupt. With m <= 4 agents this degenerates to
-    pooling (no corruption). Otherwise each agent's allocation holds a
-    clean cross-check subset of up to n_star points sampled without
-    replacement from the others' pool, and the remainder corrupted with
-    per-dimension variance alpha^2 (mean(Y_i) - mean(D_i))^2.
-
-    ``stream`` is the mechanism's own generator, disjoint from any
-    agent-side randomness; the agents draw from it in index order. With
-    m <= 4 it is not read and may be None.
-    """
-    m = len(submissions)
-    if m <= 4:
-        return [Allocation(clean=pool, corrupted=np.empty((0, pool.shape[1])),
-                           eta_sq=np.zeros(pool.shape[1]))
-                for pool in mech_pool(submissions)]
-    d = _dim(submissions)
-    if alpha is None or alpha <= 0:
-        raise ValueError("m >= 5 requires the solved corruption level alpha")
-    return [_cross_check_for(submissions, i, d, p, alpha, stream) for i in range(m)]

@@ -43,12 +43,14 @@ uniforms, added one plane at a time and mapped once onto the box.
 
 The engine shares its estimator kernel (:func:`estimators._block_weights`)
 with the object-level API. The slow reference path plays each round
-through the object-level mechanisms and :func:`estimators.apply_submission`
-on explicit points and pools, for the focal agent only (the only one
-scored, and the first to draw from a mechanism stream), so it checks the
-mechanisms, the block-sum submission map, the conditioning on block sums
-and the streams independently; the estimator arithmetic is pinned by the
-hand-computed oracles in the estimator tests.
+through the mechanisms, each of which serves one agent, and
+:func:`estimators.apply_submission` on explicit points and pools. A round
+serves the agents in index order, so the focal agent, the only one scored,
+is agent 0, the first to draw from a mechanism stream, and the reference
+path serves it alone. It checks the mechanisms, the block-sum submission
+map, the conditioning on block sums and the streams independently; the
+estimator arithmetic is pinned by the hand-computed oracles in the
+estimator tests.
 
 Reproducibility: replications are processed in fixed-size chunks, each
 chunk drawing from its own hierarchically-derived stream, and the chunk
@@ -313,16 +315,15 @@ def _reference_sq_error(sc: Scenario, mi: int, mu: float, r: int) -> float:
     # agent 0, the only one scored, draws first from a mechanism stream: play it alone
     if sc.mechanism == "corrupt-deploy":
         stream = spawn_stream(sc.master_seed, 2000, mi, r)
-        dep = mech._corrupt_deploy_for(subs, 0, *mech._deploy_scale(subs, p, sc.epsilon), stream)
+        dep = mech.mech_corrupt_deploy(subs, 0, p, sc.epsilon, stream)
         alloc = mech.Allocation(no_data, dep.corrupted, dep.eta_sq)
-    elif sc.mechanism == "cross-check" and m >= 5:
-        stream = spawn_stream(sc.master_seed, 2000, mi, r)
-        alloc = mech._cross_check_for(subs, 0, d, p, sc.alpha, stream)
+    elif sc.mechanism == "cross-check":
+        stream = spawn_stream(sc.master_seed, 2000, mi, r) if m >= 5 else None
+        alloc = mech.mech_cross_check_corrupt(subs, 0, p, sc.alpha, stream)
+    elif sc.mechanism == "size-check":
+        alloc = mech.Allocation(mech.mech_size_check(subs, 0, p), no_data, np.zeros(d))
     else:
-        pool = mech._pool_others(subs, 0, d)
-        if sc.mechanism == "size-check":
-            pool = mech._size_gate(Y, pool, p)
-        alloc = mech.Allocation(pool, no_data, np.zeros(d))
+        alloc = mech.Allocation(mech.mech_pool(subs, 0), no_data, np.zeros(d))
     if sc.mechanism == "corrupt-deploy" and isinstance(foc.estimator, est.PlainMeanAll):
         v = dep.value
     else:

@@ -302,9 +302,10 @@ def test_c12_properties():
     # estimator, and shift invariance of the corruption variance
     stream = spawn_stream(99)
     subs = [stream.standard_normal((ns, 1)) for _ in range(p.agents)]
-    allocs = mech.mech_cross_check_corrupt(subs, p, alpha, spawn_stream(99, 500))
-    shifted_allocs = mech.mech_cross_check_corrupt(
-        [s + 3.25 for s in subs], p, alpha, spawn_stream(99, 500))
+    stream, shifted_stream = spawn_stream(99, 500), spawn_stream(99, 500)
+    allocs = [mech.mech_cross_check_corrupt(subs, i, p, alpha, stream) for i in range(p.agents)]
+    shifted_allocs = [mech.mech_cross_check_corrupt([s + 3.25 for s in subs], i, p, alpha,
+                                                    shifted_stream) for i in range(p.agents)]
     for a, b in zip(allocs, shifted_allocs):
         np.testing.assert_allclose(b.eta_sq, a.eta_sq, rtol=1e-9)
     X = subs[0]

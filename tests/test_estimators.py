@@ -202,10 +202,22 @@ class TestEstimate:
         (est.FixedWeighted(np.inf), alloc(corrupted=[1.0])),
         (est.CleanOnlyMean(), alloc(corrupted=[1.0])),
         (est.OwnDataOnlyMean(), alloc(clean=[1.0])),
-    ], ids=repr)
+    ], ids=["recommended-inf-eta", "fixed-inf-tau", "clean-only", "own-only"])
     def test_no_data_with_positive_weight(self, choice, a):
         with pytest.raises(est.EmptyInput):
             est.estimate(choice, np.empty((0, 1)), a, 1.0)
+
+    @pytest.mark.parametrize("X,a", [
+        (np.ones((5, 1)), Allocation(np.empty((0, 3)), np.ones((4, 3)), np.zeros(3))),
+        (np.ones((5, 1)), Allocation(np.ones((4, 3)), np.empty((0, 3)), np.zeros(3))),
+        (np.empty((0, 1)), Allocation(np.ones((4, 1)), np.ones((4, 3)), np.zeros(3))),
+        (np.ones((5, 2)), Allocation(np.ones((2, 2)), np.empty((0, 2)), np.zeros(3))),
+    ], ids=["own-vs-corrupted", "own-vs-clean", "clean-vs-corrupted", "eta-sq"])
+    def test_dimension_mismatch(self, X, a):
+        # the corrupted block and eta^2 used to go unchecked: the first case
+        # returned [1. 1. 1.]
+        with pytest.raises(est.DimensionMismatch):
+            est.estimate(est.PlainMeanAll(), X, a, 1.0)
 
     def test_plain_mean_single_dataset(self):
         X = as_dataset([1.0, 2.0, 6.0])

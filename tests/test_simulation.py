@@ -270,9 +270,9 @@ class TestReferenceAgreement:
 
 
 def _list_reference_sq_error(sc, mi, mu, r):
-    """One reference round played through the list mechanisms: every agent's
-    allocation is built and agent 0's is scored, and the others' data are
-    drawn in m - 1 calls."""
+    """One reference round played in full: every agent is served in index
+    order from the round's mechanism stream and agent 0's allocation is
+    scored, and the others' data are drawn in m - 1 calls."""
     p = sc.params
     d, ns, m = p.dim, p.n_star, p.agents
     spec, foc = sc.distribution, sc.focal
@@ -283,13 +283,15 @@ def _list_reference_sq_error(sc, mi, mu, r):
     no_data = np.empty((0, d))
     if sc.mechanism == "corrupt-deploy":
         stream = spawn_stream(sc.master_seed, 2000, mi, r)
-        dep = mech.mech_corrupt_deploy(subs, p, sc.epsilon, stream)[0]
+        dep = [mech.mech_corrupt_deploy(subs, i, p, sc.epsilon, stream) for i in range(m)][0]
         alloc = mech.Allocation(no_data, dep.corrupted, dep.eta_sq)
     elif sc.mechanism == "cross-check":
         stream = spawn_stream(sc.master_seed, 2000, mi, r) if m >= 5 else None
-        alloc = mech.mech_cross_check_corrupt(subs, p, sc.alpha, stream)[0]
+        alloc = [mech.mech_cross_check_corrupt(subs, i, p, sc.alpha, stream)
+                 for i in range(m)][0]
     else:
-        pools = mech.mech_pool(subs) if sc.mechanism == "pool" else mech.mech_size_check(subs, p)
+        pools = [mech.mech_pool(subs, i) if sc.mechanism == "pool"
+                 else mech.mech_size_check(subs, i, p) for i in range(m)]
         alloc = mech.Allocation(pools[0], no_data, np.zeros(d))
     if sc.mechanism == "corrupt-deploy" and isinstance(foc.estimator, est.PlainMeanAll):
         v = dep.value
@@ -303,9 +305,9 @@ def _list_reference_sq_error(sc, mi, mu, r):
 
 
 class TestReferenceRoundPin:
-    # the reference path plays agent 0 alone and draws the others' data in
-    # one call; every round must stay bit for bit what the list mechanisms,
-    # with one draw per other agent, give
+    # the reference path serves agent 0 alone and draws the others' data in
+    # one call; every round must stay bit for bit what a full round, with
+    # every agent served and one draw per other agent, gives
     DEVIATIONS = {
         "pool": Strategy(0, est.Identity(), est.PlainMeanAll(), "free rider"),
         "size-check": Strategy(10, est.Subset(5), est.PlainMeanAll(), "subset 5"),
