@@ -12,6 +12,11 @@ with c_eff = c/d in d dimensions), G depends only on (alpha, m, n*):
 The exp * erfc product is evaluated with the scaled kernel
 erfcx(z) = e^{z^2} erfc(z), which is exact here because the exponent
 m n*/(8 a^2) equals z^2; the raw exponential would overflow for large m.
+The kernel is :func:`meanshare.params.erfcx` (a float) and
+:func:`meanshare.params.erfcx_array` (the sign scan's grid): e^{z^2}
+erfc(z) through ``math`` below z = 8, and a 12-term continued fraction
+from 8 on, with relative error below 4e-15. On the bracket z is at most
+sqrt(m/8), its value at alpha = sqrt(n*), so it stays below 8 for m < 512.
 
 The root is bracketed in (sqrt(n*), (1 + C_m/m) sqrt(n*)) with C_m = 20
 for m <= 20 and C_m = 5 for m > 20, and located by the ITP method
@@ -26,9 +31,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfcx
 
-from .params import ProblemParams
+from .params import ProblemParams, erfcx, erfcx_array
 
 __all__ = [
     "NonpositiveX",
@@ -132,8 +136,9 @@ def g_of_alpha(alpha, p: ProblemParams) -> float:
     if not isinstance(alpha, float):
         alpha = np.asarray(alpha, float)
     t1, coef, z = _g_terms(alpha, p.agents, p.n_star)
-    val = t1 - coef * _SQRT_2PI * erfcx(z)
-    return val if isinstance(val, np.ndarray) else float(val)
+    if isinstance(z, np.ndarray):
+        return t1 - coef * _SQRT_2PI * erfcx_array(z)
+    return float(t1 - coef * _SQRT_2PI * erfcx(z))
 
 
 def g_bounds(alpha, p: ProblemParams):

@@ -140,6 +140,8 @@ class Scenario:
         if self.mechanism == "corrupt-deploy" and \
                 (self.epsilon is None or not 0 < self.epsilon < math.inf):
             raise InvalidParam("corrupt-deploy needs a finite epsilon > 0")
+        if self.mechanism != "corrupt-deploy" and self.epsilon is not None:
+            raise InvalidParam(f"epsilon is read by corrupt-deploy only, not by {self.mechanism}")
         for name, value, low in (("params.n_star", p.n_star, 1),
                                  ("replications", self.replications, 1),
                                  ("chunk_size", self.chunk_size, 1), ("workers", self.workers, 1),

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -147,6 +151,25 @@ def alpha_oracle(m: int, n_star: int) -> float:
         lo = mpmath.sqrt(n_star)
         hi = (1 + mpmath.mpf(c_m(m)) / m) * lo
         return float(mpmath.findroot(G, (lo, hi), solver="anderson"))
+
+
+def test_roots_without_scipy():
+    # the package's own erfcx: with scipy blocked, the CLI imports and
+    # solve_alpha still finds each root within tol
+    ms = (5, 6, 9, 500)
+    code = ("import sys; sys.modules['scipy'] = None; import meanshare.cli\n"
+            "from meanshare.alphasolve import solve_alpha\n"
+            "from meanshare.params import ProblemParams, cost_for_n_star, validate_params\n"
+            f"for m in {ms!r}:\n"
+            "    p = validate_params(ProblemParams(1.0, cost_for_n_star(1.0, 10, m), m))\n"
+            "    print(repr(solve_alpha(p).alpha))\n")
+    src = str(Path(alphasolve.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60).stdout.split()
+    assert len(out) == len(ms)
+    for m, root in zip(ms, out):
+        assert abs(float(root) - alpha_oracle(m, 10)) <= 1e-12 * math.sqrt(10), m
 
 
 class TestITP:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,8 @@ from meanshare.params import (
     ProblemParams,
     cost_for_n_star,
     double_factorial,
+    erfcx,
+    erfcx_array,
     normal_central_moment,
     spawn_stream,
     validate_params,
@@ -255,3 +258,34 @@ class TestCostForNStar:
         # sigma**2 overflows (1e200) or underflows to 0 (1e-200)
         with pytest.raises(InvalidParam, match="cost"):
             cost_for_n_star(sigma, 10, 9, 1)
+
+
+# z over [0, 1e4]: dense below the switch to the continued fraction at 8,
+# geometric above it, and the floats on both sides of 8
+ERFCX_GRID = np.unique(np.concatenate([
+    np.linspace(0.0, 8.0, 801),
+    np.geomspace(8.0, 1e4, 401),
+    [np.nextafter(8.0, 0.0), np.nextafter(8.0, 9.0)],
+]))
+
+
+class TestErfcx:
+    def test_matches_mpmath(self):
+        with mpmath.workdps(40):
+            worst = 0.0
+            for z in ERFCX_GRID.tolist():
+                x = mpmath.mpf(z)  # exact: the float itself
+                ref = mpmath.exp(x * x) * mpmath.erfc(x)
+                worst = max(worst, float(abs(erfcx(z) - ref) / ref))
+        assert worst <= 1e-14
+
+    def test_array_form_matches_scalar_form(self):
+        vec = erfcx_array(ERFCX_GRID)
+        scalar = np.array([erfcx(z) for z in ERFCX_GRID.tolist()])
+        assert vec.shape == ERFCX_GRID.shape
+        assert np.all(np.abs(vec - scalar) <= 4 * np.spacing(scalar))
+
+    def test_limits(self):
+        assert erfcx(0.0) == 1.0
+        assert erfcx(math.inf) == 0.0
+        assert erfcx_array(np.array([0.0, math.inf])).tolist() == [1.0, 0.0]

@@ -259,8 +259,9 @@ class TestReferenceAgreement:
             return spawn_stream(*args)
 
         monkeypatch.setattr(simulation, "spawn_stream", counting)
+        eps = 0.5 if mechanism == "corrupt-deploy" else None
         sc = _scenario(p, mechanism, recommended_strategy(p, mechanism),
-                       alpha=canonical_alpha, epsilon=0.5, reps=7, mu_grid=(0.0, 5.0))
+                       alpha=canonical_alpha, epsilon=eps, reps=7, mu_grid=(0.0, 5.0))
         run_replications_reference(sc)
         assert len(calls) == 7 * per_round
         pen = run_replications_reference(replace(sc, focal=Strategy(
@@ -324,9 +325,10 @@ class TestReferenceRoundPin:
     def test_rounds_match_list_mechanisms(self, mechanism, m, family, dim, scale):
         p = params_for(m, dim=dim)
         alpha = solve_alpha(p).alpha if mechanism == "cross-check" and m >= 5 else None
+        eps = 0.5 if mechanism == "corrupt-deploy" else None
         finite = 0
         for foc in (recommended_strategy(p, mechanism), self.DEVIATIONS[mechanism]):
-            sc = _scenario(p, mechanism, foc, alpha=alpha, epsilon=0.5, reps=3, seed=19,
+            sc = _scenario(p, mechanism, foc, alpha=alpha, epsilon=eps, reps=3, seed=19,
                            family=family, scale=scale)
             for mi, mu in ((0, 0.0), (1, 5.0)):
                 for r in range(3):
@@ -356,8 +358,9 @@ class TestFocalBlockSums:
             return sample(self, *args, **kwargs)
 
         monkeypatch.setattr(DistributionSpec, "sample", counting)
+        eps = 0.5 if mechanism == "corrupt-deploy" else None
         sc = _scenario(canonical, mechanism, recommended_strategy(canonical, mechanism),
-                       alpha=canonical_alpha, epsilon=0.5, family=family)
+                       alpha=canonical_alpha, epsilon=eps, family=family)
         for rule in BLOCK_SUM_RULES:
             if mechanism == "corrupt-deploy" and isinstance(rule, est.Empty):
                 continue  # corrupt-and-deploy rejects an empty submission
@@ -635,13 +638,18 @@ class TestScenario:
         {"mu_grid": (math.nan, 5.0)},
         {"mu_grid": (0.0, math.inf)},
         {"mechanism": "corrupt-deploy", "epsilon": math.inf},
+        # only corrupt-deploy reads epsilon
+        {"epsilon": 0.5},
+        {"mechanism": "pool", "epsilon": 0.5},
+        {"mechanism": "size-check", "epsilon": 0.5},
     ], ids=["unknown mechanism", "dim mismatch", "variance above sigma^2",
             "no alpha", "zero alpha", "no epsilon", "zero epsilon", "zero chunk",
             "negative chunk", "no workers", "empty mu grid", "negative focal n",
-            "unvalidated params", "nan in mu grid", "inf in mu grid", "inf epsilon"])
+            "unvalidated params", "nan in mu grid", "inf in mu grid", "inf epsilon",
+            "epsilon under cross-check", "epsilon under pool", "epsilon under size-check"])
     def test_bad_input_rejected(self, canonical, canonical_alpha, change):
         sc = _scenario(canonical, "cross-check", recommended_strategy(canonical),
-                       alpha=canonical_alpha, epsilon=0.5, reps=10)
+                       alpha=canonical_alpha, reps=10)
         with pytest.raises(InvalidParam):
             replace(sc, **change)
 
