@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .params import ProblemParams, erfcx, erfcx_array
+from .params import InvalidParam, ProblemParams, erfcx, erfcx_array
 
 __all__ = [
     "NonpositiveX",
@@ -130,11 +130,17 @@ def g_of_alpha(alpha, p: ProblemParams) -> float:
     """Evaluate G(alpha). Accepts scalars or arrays of alpha values.
 
     A float (the root finder's case) stays a float through ``math`` and
-    ``erfcx``, with no array conversion.
+    ``erfcx``, with no array conversion. Raises :class:`InvalidParam` for
+    an alpha that is not positive, NaN included: G is defined for alpha > 0.
     """
     _check_regime(p)
-    if not isinstance(alpha, float):
+    if isinstance(alpha, float):
+        if not alpha > 0:
+            raise InvalidParam(f"G is defined for alpha > 0, got {alpha}")
+    else:
         alpha = np.asarray(alpha, float)
+        if alpha.size and not alpha.min() > 0:
+            raise InvalidParam(f"G is defined for alpha > 0, got {alpha}")
     t1, coef, z = _g_terms(alpha, p.agents, p.n_star)
     if isinstance(z, np.ndarray):
         return t1 - coef * _SQRT_2PI * erfcx_array(z)

@@ -34,12 +34,25 @@ reads it only through its sum, the submitted sum and the submitted count.
 :func:`estimators._submitted_sum` gives these for every submission rule
 but fabrication, from one block sum of the n collected points, or from two
 (the kept k points and the other n - k) for a subset. Fabrication fits a
-standard deviation to the points themselves, so for it the focal points
-are drawn and passed through :func:`estimators.apply_submission`. Gaussian
-and Rademacher block sums are exact O(b d) draws. Uniform data has no
-cheap exact sum sampler, so its block sums, the cross-check prefix and the
-corrupt-deploy pool included, are sums of k (b, d) planes of standard
-uniforms, added one plane at a time and mapped once onto the box.
+standard deviation s to the collected points, so those points are drawn;
+the n_fake points it submits enter only through their sum, which is drawn
+as n_fake xbar + sqrt(n_fake) s z with z standard normal, its exact law
+given the collected points. Gaussian and Rademacher block sums are exact
+O(b d) draws. Uniform data has no cheap exact sum sampler, so its block
+sums, the cross-check prefix and the corrupt-deploy pool included, are
+sums of k (b, d) planes of standard uniforms, added one plane at a time
+and mapped once onto the box.
+
+A chunk is played in two phases. The draw phase (:func:`_draw_chunk`)
+draws everything random once, at mean offset 0. The score phase
+(:func:`_score_rows`) scores each offset of the mu grid on those draws: a
+k-point block sum at offset mu is the offset-0 sum plus k mu, exactly, so
+every offset of a row reads the same draws (common random numbers), and a
+non-equivariant row costs one draw, not one per offset. The score phase
+runs over blocks of 8192 // d rounds, so each of its (rounds, d)
+temporaries is at most 64 KiB: it stays in L2 cache, and glibc serves it
+from the heap instead of mapping, and page-faulting, fresh memory, as it
+does for requests above its mmap threshold (128 KiB by default).
 
 The engine shares its estimator kernel (:func:`estimators._block_weights`)
 with the object-level API. The slow reference path plays each round
@@ -47,8 +60,10 @@ through the mechanisms, each of which serves one agent, and
 :func:`estimators.apply_submission` on explicit points and pools. A round
 serves the agents in index order, so the focal agent, the only one scored,
 is agent 0, the first to draw from a mechanism stream, and the reference
-path serves it alone. It checks the mechanisms, the block-sum submission
-map, the conditioning on block sums and the streams independently; the
+path serves it alone. It draws fabricated points one by one and every
+offset on streams of its own, so it checks the mechanisms, the block-sum
+submission map, the fabricated-sum law, the shift of block sums by k mu,
+the conditioning on block sums and the streams independently; the
 estimator arithmetic is pinned by the hand-computed oracles in the
 estimator tests.
 
@@ -58,12 +73,14 @@ results are reduced in index order. Outputs are therefore identical for
 any worker count.
 
 Stream layout, as :func:`params.spawn_stream` paths under the scenario's
-master seed, for the mi-th mean offset of the grid:
+master seed:
 
-- engine: chunk ci draws from ``(0, mi, ci)``;
-- reference, replication r: the focal agent's data, its submission and
-  then the others' data, in one (m - 1, n*, d) draw, come from
-  ``(1000, mi, r)``. A mechanism that draws gets one stream,
+- engine: chunk ci draws from ``(0, 0, ci)``, for every offset of the
+  grid;
+- reference, for the mi-th mean offset of the grid, replication r: the
+  focal agent's data, its submission and then the others' data, in one
+  (m - 1, n*, d) draw, come from ``(1000, mi, r)``, at that offset. A
+  mechanism that draws gets one stream,
   ``(2000, mi, r)``: corrupt-deploy, and cross-check with m >= 5. Pool,
   size-check and cross-check with m <= 4 get none.
 """
@@ -187,30 +204,81 @@ def is_translation_equivariant(strategy: Strategy) -> bool:
                 or isinstance(strategy.estimator, est.PosteriorMean))
 
 
-def _chunk_sq_errors(sc: Scenario, mu_offset: float, b: int, stream) -> np.ndarray:
-    """Squared estimation errors ||est - mu||^2 for one chunk of b rounds,
-    each averaged over the blocks of the others' pool it does not draw.
+# rows per score block: every (rows, d) float64 temporary of the score phase
+# is then at most 64 KiB, so it stays in L2 and below glibc's default mmap
+# threshold (128 KiB)
+_SCORE_BLOCK_ITEMS = 8192
+
+
+def _draw_chunk(sc: Scenario, b: int, stream):
+    """Draw phase of one chunk of b rounds: everything random its rounds
+    read, drawn once at mean offset 0.
+
+    Returns ``(array, k)`` pairs of (b, d) arrays: the sums of the focal
+    agent's k-point blocks, in the order :func:`estimators._submitted_sum`
+    reads them (for fabrication, the collected sum and the fabricated sum),
+    then the sum the mechanism draws, if any, and corrupt-deploy's standard
+    normal noise, with k = 0. At offset mu an array reads its value here
+    plus k mu."""
+    p, spec, foc = sc.params, sc.distribution, sc.focal
+    d, ns, m = p.dim, p.n_star, p.agents
+    blocks = []
+    if isinstance(foc.submission, est.FabricateFitGaussian):
+        # the fitted sd reads the collected points; the n_fake fabricated
+        # points enter only through their sum n_fake xbar + sqrt(n_fake) sd z
+        if foc.n == 0:
+            raise est.EmptyInput("cannot fit a Gaussian to an empty sample")
+        X = spec.sample(stream, (b, foc.n, d))
+        n_y = foc.submission.n_fake
+        sum_x = X.sum(axis=1)
+        fab = stream.standard_normal((b, d))
+        fab *= X.std(axis=1)
+        fab *= math.sqrt(n_y)
+        fab += (n_y / foc.n) * sum_x
+        blocks += [(sum_x, foc.n), (fab, n_y)]
+    else:
+        def draw(k):
+            blocks.append((spec.sample_sum(stream, b, k), k))
+            return np.empty((0, d))  # the sums are kept in blocks; only n_y is read here
+
+        n_y = est._submitted_sum(foc.submission, foc.n, p, draw)[2]
+    k_pool = (m - 1) * ns
+    if sc.mechanism == "corrupt-deploy":
+        # eta^2 reads the pool sum, so the pool and its noise are drawn
+        if n_y == 0:
+            raise mech.EmptySubmission("corrupt-and-deploy requires a nonempty submission")
+        blocks.append((spec.sample_sum(stream, b, k_pool), k_pool))
+        blocks.append((stream.standard_normal((b, d)), 0))
+    elif sc.mechanism == "cross-check" and m >= 5:
+        # eta^2 reads the cross-check prefix, so only the prefix is drawn;
+        # the corrupted remainder and its noise are independent of it
+        take = min(k_pool, ns)
+        blocks.append((spec.sample_sum(stream, b, take), take))
+    return blocks
+
+
+def _score_rows(sc: Scenario, sums, mu_offset: float) -> np.ndarray:
+    """Score phase of a block of rounds: their squared estimation errors
+    ||est - mu||^2 at ``mu_offset``, each averaged over the blocks of the
+    others' pool it does not draw. ``sums`` holds the rounds' block sums
+    at that offset, in the order of :func:`_draw_chunk`'s blocks.
 
     A block of k points that is not drawn enters the estimate through its
     mean k loc, and its conditional variance k (v + eta^2) per dimension,
-    times the block's squared weight, is added to the round's score. A
-    round in which the focal estimator has no data with positive weight
-    scores +inf."""
+    times the block's squared weight, is added to the round's score. Raises
+    :class:`estimators.EmptyInput` when the focal estimator has no data with
+    positive weight."""
     p = sc.params
-    d, ns, m = p.dim, p.n_star, p.agents
+    ns, m = p.n_star, p.agents
     spec = sc.distribution
     foc = sc.focal
     loc = spec.mean + mu_offset
     v = spec.per_dim_variance
-
+    sums = iter(sums)
     if isinstance(foc.submission, est.FabricateFitGaussian):
-        # the fitted sd reads the points themselves, not only their sum
-        X = spec.sample(stream, (b, foc.n, d), mu_offset)
-        Y = est.apply_submission(foc.submission, X, p, stream)
-        sum_x, sum_y, n_y = X.sum(axis=1), Y.sum(axis=1), Y.shape[1]
+        sum_x, sum_y, n_y = next(sums), next(sums), foc.submission.n_fake
     else:
-        sum_x, sum_y, n_y = est._submitted_sum(
-            foc.submission, foc.n, p, lambda k: spec.sample_sum(stream, b, k, mu_offset))
+        sum_x, sum_y, n_y = est._submitted_sum(foc.submission, foc.n, p, lambda k: next(sums))
 
     # the focal allocation, as (sum, count, conditional variance per
     # dimension) of its clean and corrupted blocks; pool, size-check and
@@ -221,53 +289,67 @@ def _chunk_sq_errors(sc: Scenario, mu_offset: float, b: int, stream) -> np.ndarr
     if sc.mechanism == "size-check" and n_y < ns:
         clean = (0.0, 0, 0.0)
     elif sc.mechanism == "corrupt-deploy":
-        # eta^2 reads the pool sum, so the pool and its noise are drawn
-        if n_y == 0:
-            raise mech.EmptySubmission("corrupt-and-deploy requires a nonempty submission")
-        sum_p = spec.sample_sum(stream, b, k_pool, mu_offset)
+        sum_p, z = next(sums), next(sums)
         k = mech.k_eps(sc.epsilon)
         beta_sq = mech.beta_sq_published(n_y + k_pool, p, k)
         delta = sum_y / n_y - sum_p / k_pool
         eta_sq = beta_sq * delta ** (2 * k)
-        z = stream.standard_normal((b, d))
         clean = (0.0, 0, 0.0)
         corrupted = (sum_p + math.sqrt(k_pool) * np.sqrt(eta_sq) * z, k_pool, 0.0)
         if isinstance(foc.estimator, est.PlainMeanAll):
             # the estimate the mechanism deploys: mean of Y_i and the corrupted pool
             own = (sum_y, n_y)
     elif sc.mechanism == "cross-check" and m >= 5:
-        # eta^2 reads the cross-check prefix, so only the prefix is drawn;
-        # the corrupted remainder and its noise are independent of it
+        sum_d = next(sums)
         take = min(k_pool, ns)
         n_rest = k_pool - take
-        sum_d = spec.sample_sum(stream, b, take, mu_offset)
         if n_y == 0:
-            eta_sq = np.full((b, d), np.inf)
+            eta_sq = np.full(sum_d.shape, np.inf)
         else:
             eta_sq = (sc.alpha**2) * (sum_y / n_y - sum_d / take) ** 2
         clean = (sum_d, take, 0.0)
         corrupted = (n_rest * loc, n_rest, n_rest * (v + eta_sq))
 
-    try:
-        w_x, w_clean, w_corr = est._block_weights(foc.estimator, own[1], clean[1],
-                                                  corrupted[1], eta_sq, p.sigma)
-    except est.EmptyInput:
-        return np.full(b, np.inf)
+    w_x, w_clean, w_corr = est._block_weights(foc.estimator, own[1], clean[1],
+                                              corrupted[1], eta_sq, p.sigma)
     err = w_x * own[0] + w_clean * clean[0] + w_corr * corrupted[0] - loc
     with np.errstate(invalid="ignore"):
         # a zero weight drops its block's variance, even an infinite one
         var = sum(np.where(w == 0, 0.0, w * w * blk[2])
                   for w, blk in ((w_clean, clean), (w_corr, corrupted)))
-    return np.einsum("bd,bd->b", err, err) + np.broadcast_to(var, (b, d)).sum(axis=1)
+    return np.einsum("bd,bd->b", err, err) + np.broadcast_to(var, err.shape).sum(axis=1)
 
 
-def _max_over_mu(sc: Scenario, cell) -> EmpiricalPenalty:
-    """Score each mean offset with ``cell(mi, mu) -> (mse, se)``, the mi-th
-    offset's mean squared error and its standard error, and return the
-    penalty at the worst one. A translation-equivariant profile is scored
-    at offset 0 only."""
+def _chunk_sq_errors(sc: Scenario, mus, b: int, stream):
+    """Squared estimation errors of one chunk of b rounds at each mean
+    offset of ``mus``: yields one (b,) array per offset, in order.
+
+    The chunk is drawn once, at offset 0 (:func:`_draw_chunk`), and every
+    offset is scored on those draws by adding k mu to each k-point block
+    sum, a few thousand rounds at a time. A chunk in which the focal
+    estimator has no data with positive weight scores +inf."""
+    blocks = _draw_chunk(sc, b, stream)
+    rows = max(_SCORE_BLOCK_ITEMS // sc.params.dim, 1)
+    for mu in mus:
+        sq = np.empty(b)
+        for r in range(0, b, rows):
+            at = slice(r, r + rows)
+            sums = [s[at] + k * mu if k * mu else s[at] for s, k in blocks]
+            try:
+                sq[at] = _score_rows(sc, sums, mu)
+            except est.EmptyInput:
+                sq.fill(np.inf)
+                break
+        yield sq
+
+
+def _max_over_mu(sc: Scenario, cells) -> EmpiricalPenalty:
+    """Score the mean offsets with ``cells(mus)``, which returns one
+    ``(mse, se)`` per offset of ``mus``: its mean squared error and the
+    standard error of that mean. Return the penalty at the worst offset. A
+    translation-equivariant profile is scored at offset 0 only."""
     mus = (0.0,) if is_translation_equivariant(sc.focal) else tuple(sc.mu_grid)
-    per_mu = tuple((mu, *cell(mi, mu)) for mi, mu in enumerate(mus))
+    per_mu = tuple((mu, *cell) for mu, cell in zip(mus, cells(mus)))
     _, mse, se = max(per_mu, key=lambda t: t[1])
     cost = sc.params.cost * sc.focal.n
     return EmpiricalPenalty(mean_sq_error=mse, std_error=se, cost=cost,
@@ -282,25 +364,29 @@ def run_replications(sc: Scenario) -> EmpiricalPenalty:
     chunks = [(ci, min(sc.chunk_size, n - ci * sc.chunk_size))
               for ci in range((n + sc.chunk_size - 1) // sc.chunk_size)]
 
-    def cell(mi, mu):
+    def cells(mus):
         def work(item):
             ci, b = item
-            sq = _chunk_sq_errors(sc, mu, b, spawn_stream(sc.master_seed, 0, mi, ci))
-            return float(sq.sum()), float((sq * sq).sum())
+            stream = spawn_stream(sc.master_seed, 0, 0, ci)
+            return [(float(sq.sum()), float(np.square(sq, out=sq).sum()))
+                    for sq in _chunk_sq_errors(sc, mus, b, stream)]
 
         if sc.workers > 1:
             with ThreadPoolExecutor(max_workers=sc.workers) as ex:
                 parts = list(ex.map(work, chunks))
         else:
             parts = [work(item) for item in chunks]
-        s1 = math.fsum(x[0] for x in parts)
-        s2 = math.fsum(x[1] for x in parts)
-        mse = s1 / n
-        # a cell scored +inf has an infinite, not an undefined, standard error
-        se = math.sqrt(max(s2 / n - mse * mse, 0.0) / n) if mse < math.inf else math.inf
-        return mse, se
+        out = []
+        for mi in range(len(mus)):
+            s1 = math.fsum(x[mi][0] for x in parts)
+            s2 = math.fsum(x[mi][1] for x in parts)
+            mse = s1 / n
+            # a cell scored +inf has an infinite, not an undefined, standard error
+            se = math.sqrt(max(s2 / n - mse * mse, 0.0) / n) if mse < math.inf else math.inf
+            out.append((mse, se))
+        return out
 
-    return _max_over_mu(sc, cell)
+    return _max_over_mu(sc, cells)
 
 
 def _reference_sq_error(sc: Scenario, mi: int, mu: float, r: int) -> float:
@@ -346,7 +432,7 @@ def run_replications_reference(sc: Scenario) -> EmpiricalPenalty:
         se = float(sqs.std()) / math.sqrt(len(sqs)) if mse < math.inf else math.inf
         return mse, se
 
-    return _max_over_mu(sc, cell)
+    return _max_over_mu(sc, lambda mus: [cell(mi, mu) for mi, mu in enumerate(mus)])
 
 
 # ---------------------------------------------------------------------------

@@ -213,8 +213,9 @@ def test_c08_corrupt_deploy():
         s1 = s2 = 0.0
         for ci in range((reps + chunk - 1) // chunk):
             b = min(chunk, reps - ci * chunk)
-            d = (_chunk_sq_errors(sc_dep, 0.0, b, spawn_stream(sc_dep.master_seed, 0, 0, ci))
-                 - _chunk_sq_errors(sc_exp, 0.0, b, spawn_stream(sc_dep.master_seed, 0, 0, ci)))
+            sq_dep, = _chunk_sq_errors(sc_dep, (0.0,), b, spawn_stream(sc_dep.master_seed, 0, 0, ci))
+            sq_exp, = _chunk_sq_errors(sc_exp, (0.0,), b, spawn_stream(sc_dep.master_seed, 0, 0, ci))
+            d = sq_dep - sq_exp
             s1 += float(d.sum())
             s2 += float((d * d).sum())
         gap = s1 / reps

@@ -22,7 +22,7 @@ from meanshare.alphasolve import (
     g_ub_at_bracket_lo,
     solve_alpha,
 )
-from meanshare.params import ProblemParams, validate_params
+from meanshare.params import InvalidParam, ProblemParams, validate_params
 
 
 def erfc_oracle(x: float) -> float:
@@ -88,6 +88,15 @@ class TestGOfAlpha:
         p = validate_params(ProblemParams(1.0, 1 / 64, 4, 1))
         with pytest.raises(ValueError):
             g_of_alpha(1.0, p)
+
+    @pytest.mark.parametrize("alpha", [-1.0, 0.0, -0.01, math.nan])
+    def test_nonpositive_alpha_rejected(self, canonical, alpha):
+        # G is defined for alpha > 0; outside it the formula returns a wrong
+        # number (-1.0), divides by zero (0.0) or overflows math.exp (-0.01)
+        with pytest.raises(InvalidParam):
+            g_of_alpha(alpha, canonical)
+        with pytest.raises(InvalidParam):
+            g_of_alpha(np.array([3.5, alpha]), canonical)
 
 
 class TestGBounds:

@@ -192,7 +192,9 @@ class TestReferenceAgreement:
         assert abs(fast.mean_sq_error - ref.mean_sq_error) < tol
 
     # canonical n* = 10; the engine reads every rule but fabrication through
-    # estimators._submitted_sum, which the reference path does not use
+    # estimators._submitted_sum, which the reference path does not use, and
+    # draws the fabricated points as one sum, whose spread term is nonzero
+    # only when more than one point is collected
     @pytest.mark.parametrize("n,submission,mu_grid,family", [
         (5, est.Identity(), (0.0,), "gaussian"),
         (10, est.Subset(5), (0.0,), "gaussian"),
@@ -203,9 +205,11 @@ class TestReferenceAgreement:
         (10, est.ShrinkEll(1.0), (0.0,), "gaussian"),
         (10, est.Subset(5), (0.0,), "scaled_rademacher"),
         (10, est.Subset(5), (0.0,), "uniform_box"),
+        (5, est.FabricateFitGaussian(10), (0.0,), "gaussian"),
+        (5, est.FabricateFitGaussian(10), (0.0,), "uniform_box"),
     ], ids=["n=n*/2", "subset n*/2", "fabricate n* from 1", "scale 0.5", "constant 0",
             "submit nothing from 1", "shrink ell=1", "subset n*/2 rademacher",
-            "subset n*/2 uniform_box"])
+            "subset n*/2 uniform_box", "fabricate n* from 5", "fabricate n* from 5 uniform_box"])
     def test_fast_vs_reference_cross_check_menu(self, canonical, canonical_alpha, n,
                                                  submission, mu_grid, family):
         foc = Strategy(n, submission, est.RecommendedWeighted())
@@ -365,11 +369,12 @@ class TestFocalBlockSums:
             if mechanism == "corrupt-deploy" and isinstance(rule, est.Empty):
                 continue  # corrupt-and-deploy rejects an empty submission
             foc = Strategy(canonical.n_star, rule, sc.focal.estimator)
-            sq = simulation._chunk_sq_errors(replace(sc, focal=foc), 5.0, 64, spawn_stream(3, 0))
+            sq, = simulation._chunk_sq_errors(replace(sc, focal=foc), (5.0,), 64,
+                                              spawn_stream(3, 0))
             assert sq.shape == (64,) and np.all(np.isfinite(sq))
         assert calls == []
         foc = Strategy(1, est.FabricateFitGaussian(10), sc.focal.estimator)
-        simulation._chunk_sq_errors(replace(sc, focal=foc), 5.0, 64, spawn_stream(3, 0))
+        list(simulation._chunk_sq_errors(replace(sc, focal=foc), (5.0,), 64, spawn_stream(3, 0)))
         assert calls == [(64, 1, 1)]
 
     @pytest.mark.parametrize("family,scale", [
@@ -394,11 +399,86 @@ class TestFocalBlockSums:
                        epsilon=0.5, family="uniform_box", scale=math.sqrt(3.0))
         tracemalloc.start()
         try:
-            simulation._chunk_sq_errors(sc, 0.0, sc.chunk_size, spawn_stream(3, 0))
+            list(simulation._chunk_sq_errors(sc, (0.0,), sc.chunk_size, spawn_stream(3, 0)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 32e6
+
+
+class TestSharedDraws:
+    # every mean offset of the grid is scored on one draw per chunk, made at
+    # offset 0; a k-point block sum at offset mu is that draw plus k mu
+    NON_EQUIVARIANT = [
+        (est.Scale(0.5), None),
+        (est.Subset(5), est.PosteriorMean(1.0)),
+    ]
+
+    @pytest.mark.parametrize("family,dim,scale", [
+        ("gaussian", 1, 1.0), ("uniform_box", 3, math.sqrt(3.0)),
+    ], ids=["gaussian", "uniform_box-d3"])
+    @pytest.mark.parametrize("mechanism", simulation.MECHANISMS)
+    def test_each_offset_matches_a_run_at_that_offset_alone(self, mechanism, family, dim, scale):
+        p = params_for(9, dim=dim)
+        alpha = solve_alpha(p).alpha if mechanism == "cross-check" else None
+        eps = 0.5 if mechanism == "corrupt-deploy" else None
+        for rule, estimator in self.NON_EQUIVARIANT:
+            estimator = estimator or recommended_strategy(p, mechanism).estimator
+            sc = _scenario(p, mechanism, Strategy(p.n_star, rule, estimator), alpha=alpha,
+                           epsilon=eps, reps=3_000, chunk_size=1_000, family=family,
+                           scale=scale, mu_grid=simulation.DEFAULT_MU_GRID_SCALE)
+            full = run_replications(sc)
+            assert len(full.per_mu) == 5
+            for cell in full.per_mu:
+                assert run_replications(replace(sc, mu_grid=(cell[0],))).per_mu == (cell,)
+
+    @pytest.mark.parametrize("mechanism,per_chunk", [
+        ("pool", 2), ("size-check", 2), ("corrupt-deploy", 3), ("cross-check", 3),
+    ])
+    def test_sum_draws_do_not_grow_with_the_grid(self, canonical, canonical_alpha, monkeypatch,
+                                                 mechanism, per_chunk):
+        # Subset draws two focal blocks; corrupt-deploy adds the pool sum and
+        # cross-check the prefix sum
+        calls = []
+        sample_sum = DistributionSpec.sample_sum
+
+        def counting(self, *args, **kwargs):
+            calls.append(args[2])
+            return sample_sum(self, *args, **kwargs)
+
+        monkeypatch.setattr(DistributionSpec, "sample_sum", counting)
+        eps = 0.5 if mechanism == "corrupt-deploy" else None
+        foc = Strategy(canonical.n_star, est.Subset(5), est.PosteriorMean(1.0))
+        sc = _scenario(canonical, mechanism, foc, alpha=canonical_alpha, epsilon=eps,
+                       reps=3_000, chunk_size=1_000)
+        for grid in ((0.0,), simulation.DEFAULT_MU_GRID_SCALE):
+            calls.clear()
+            pen = run_replications(replace(sc, mu_grid=grid))
+            assert len(pen.per_mu) == len(grid)
+            assert len(calls) == 3 * per_chunk
+
+    @pytest.mark.parametrize("mechanism", simulation.MECHANISMS)
+    def test_row_blocks_score_like_one_block(self, monkeypatch, mechanism):
+        # 5 000 rounds at d = 3 span two score blocks of 2 730 rounds; a
+        # round's score must not depend on the block it falls in
+        p = params_for(9, dim=3)
+        alpha = solve_alpha(p).alpha if mechanism == "cross-check" else None
+        eps = 0.5 if mechanism == "corrupt-deploy" else None
+        mus = simulation.DEFAULT_MU_GRID_SCALE
+        for foc in (Strategy(p.n_star, est.Scale(0.5), est.PosteriorMean(1.0)),
+                    Strategy(1, est.FabricateFitGaussian(10), est.RecommendedWeighted()),
+                    Strategy(0, est.Identity(), est.OwnDataOnlyMean())):
+            sc = _scenario(p, mechanism, foc, alpha=alpha, epsilon=eps, family="uniform_box",
+                           scale=math.sqrt(3.0))
+            if mechanism == "corrupt-deploy" and foc.n == 0:
+                continue  # corrupt-and-deploy rejects an empty submission
+            blocked = list(simulation._chunk_sq_errors(sc, mus, 5_000, spawn_stream(3, 0)))
+            with monkeypatch.context() as mp:
+                mp.setattr(simulation, "_SCORE_BLOCK_ITEMS", 10**9)
+                whole = list(simulation._chunk_sq_errors(sc, mus, 5_000, spawn_stream(3, 0)))
+            for a, b in zip(blocked, whole, strict=True):
+                assert a.tobytes() == b.tobytes()
+            assert np.all(np.isinf(whole[0])) == (foc.n == 0)
 
 
 class TestEquivariance:
