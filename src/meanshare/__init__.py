@@ -11,7 +11,7 @@ Library layout:
 - :mod:`meanshare.cli` — batch command-line front end.
 """
 
-from .alphasolve import AlphaSolution, g_bounds, g_of_alpha, solve_alpha
+from .alphasolve import AlphaSolution, g_of_alpha, solve_alpha
 from .analytics import (
     baseline_penalties,
     penalty_at_nstar,
@@ -40,7 +40,6 @@ __all__ = [
     "spawn_stream",
     "AlphaSolution",
     "g_of_alpha",
-    "g_bounds",
     "solve_alpha",
     "baseline_penalties",
     "penalty_closed_form",

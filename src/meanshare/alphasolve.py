@@ -2,8 +2,8 @@
 
 G is the transcendental function that fixes the corruption modulator
 alpha for the cross-check mechanism with m >= 5 agents. Writing
-n* = sigma/sqrt(c_eff * m) (the recommended per-agent sample count,
-with c_eff = c/d in d dimensions), G depends only on (alpha, m, n*):
+n* = sigma sqrt(d)/sqrt(c m) for the recommended per-agent sample count
+in d dimensions, G depends only on (alpha, m, n*):
 
     G(a) = (4a^2/n* * (m-4)/(m-2) - 1) * 4a/sqrt(m n*)
            - (4(m+1)a^2/(m n*) - 1) * sqrt(2 pi) * e^{m n*/(8 a^2)}
@@ -12,16 +12,18 @@ with c_eff = c/d in d dimensions), G depends only on (alpha, m, n*):
 The exp * erfc product is evaluated with the scaled kernel
 erfcx(z) = e^{z^2} erfc(z), which is exact here because the exponent
 m n*/(8 a^2) equals z^2; the raw exponential would overflow for large m.
-The kernel is :func:`meanshare.params.erfcx` (a float) and
-:func:`meanshare.params.erfcx_array` (the sign scan's grid): e^{z^2}
-erfc(z) through ``math`` below z = 8, and a 12-term continued fraction
-from 8 on, with relative error below 4e-15. On the bracket z is at most
-sqrt(m/8), its value at alpha = sqrt(n*), so it stays below 8 for m < 512.
+The kernel is :func:`meanshare.params.erfcx`, mapped over the sign
+scan's grid by :func:`meanshare.params.erfcx_array`: e^{z^2} erfc(z)
+through ``math`` below z = 8, and a 12-term continued fraction from 8 on,
+with relative error below 4e-15. On the bracket z is at most sqrt(m/8),
+its value at alpha = sqrt(n*), so it stays below 8 for m < 512.
 
 The root is bracketed in (sqrt(n*), (1 + C_m/m) sqrt(n*)) with C_m = 20
-for m <= 20 and C_m = 5 for m > 20, and located by the ITP method
-(interpolate, truncate, project; Oliveira & Takahashi, ACM TOMS 47(1),
-2020). ITP keeps the bracket and bisection's worst-case step count, and
+for m <= 20 and C_m = 5 for m > 20. At the low end the asymptotic bound
+erfc(x) >= e^{-x^2} (1/x - 1/(2x^3))/sqrt(pi) gives
+G(sqrt(n*)) <= -128/((m-2) m^{5/2}) < 0. The root is located by the ITP
+method (interpolate, truncate, project; Oliveira & Takahashi, ACM TOMS
+47(1), 2020). ITP keeps the bracket and bisection's worst-case step count, and
 converges superlinearly on a smooth simple root.
 """
 
@@ -35,36 +37,19 @@ import numpy as np
 from .params import InvalidParam, ProblemParams, erfcx, erfcx_array
 
 __all__ = [
-    "NonpositiveX",
     "NoSignChange",
-    "MaxIterations",
     "AlphaSolution",
-    "erfc_lb",
-    "erfc_ub",
     "g_of_alpha",
-    "g_bounds",
-    "g_ub_at_bracket_lo",
     "bracket",
     "c_m",
     "solve_alpha",
 ]
 
 
-class NonpositiveX(ValueError):
-    pass
-
-
 class NoSignChange(RuntimeError):
     """No sign change at the bracket endpoints; regime outside the proven interval."""
 
 
-class MaxIterations(RuntimeError):
-    pass
-
-
-# ITP steps before solve_alpha raises MaxIterations: a guard only, since
-# the loop stops after its budget of at most 42 steps
-_MAX_ITER = 200
 # ITP constants: truncation delta = (_ITP_K1 / initial width) * width^2, and
 # _ITP_N0 steps of slack over bisection's count
 _ITP_K1 = 0.2
@@ -72,32 +57,9 @@ _ITP_N0 = 1
 
 
 _SQRT_2PI = math.sqrt(2 * math.pi)
-
-
-def _scaled_erfc_lb(z):
-    # e^{z^2} * erfc_lb(z): the two-term asymptotic series
-    return (1 / z - 1 / (2 * z**3)) / math.sqrt(math.pi)
-
-
-def _scaled_erfc_ub(z):
-    # e^{z^2} * erfc_ub(z): the three-term asymptotic series
-    return (1 / z - 1 / (2 * z**3) + 3 / (4 * z**5)) / math.sqrt(math.pi)
-
-
-def erfc_lb(x):
-    """Two-term asymptotic lower bound on erfc(x), valid for x > 0."""
-    x = np.asarray(x, float)
-    if np.any(x <= 0):
-        raise NonpositiveX("erfc_lb needs x > 0")
-    return np.exp(-x * x) * _scaled_erfc_lb(x)
-
-
-def erfc_ub(x):
-    """Three-term asymptotic upper bound on erfc(x), valid for x > 0."""
-    x = np.asarray(x, float)
-    if np.any(x <= 0):
-        raise NonpositiveX("erfc_ub needs x > 0")
-    return np.exp(-x * x) * _scaled_erfc_ub(x)
+# g_of_alpha's upper limit: below it alpha^2 <= 2**1020, so the erfcx term,
+# whose coefficient is at most 4.8 alpha^2, stays finite
+_ALPHA_MAX = 2.0**510
 
 
 def c_m(m: int) -> float:
@@ -113,62 +75,37 @@ def _check_regime(p: ProblemParams):
         raise ValueError("params must be validated first (n_star missing)")
 
 
-def _g_terms(alpha, m: int, ns: float):
+def g_of_alpha(alpha, p: ProblemParams) -> float:
+    """Evaluate G(alpha). Accepts scalars or arrays of alpha values.
+
+    A float (the root finder's case) stays a float through ``math`` and
+    ``erfcx``, with no array conversion. Raises :class:`InvalidParam` for
+    an alpha outside (0, 2**510), NaN and inf included: G is defined for
+    alpha > 0, and from 2**510 on both of its terms can overflow to inf,
+    whose difference is NaN. Below 2**510 G is finite or, where its alpha^3
+    growth overflows, +inf.
+    """
+    _check_regime(p)
+    if isinstance(alpha, float):
+        if not 0 < alpha < _ALPHA_MAX:
+            raise InvalidParam(f"G is defined here for 0 < alpha < 2**510, got {alpha}")
+    else:
+        alpha = np.asarray(alpha, float)
+        if alpha.size and not (0 < alpha.min() and alpha.max() < _ALPHA_MAX):
+            raise InvalidParam(f"G is defined here for 0 < alpha < 2**510, got {alpha}")
     # plain arithmetic, so a float stays a float and an array an array; the
     # scalar coefficients are folded first so that an array alpha takes few
     # array operations
+    m, ns = p.agents, p.n_star
     mn = m * ns
     rmn = math.sqrt(mn)
     a2 = alpha * alpha
     t1 = (4 * (m - 4) / ((m - 2) * ns) * a2 - 1) * (4 / rmn * alpha)
     coef = 4 * (m + 1) / mn * a2 - 1
     z = rmn / (2 * math.sqrt(2)) / alpha
-    return t1, coef, z
-
-
-def g_of_alpha(alpha, p: ProblemParams) -> float:
-    """Evaluate G(alpha). Accepts scalars or arrays of alpha values.
-
-    A float (the root finder's case) stays a float through ``math`` and
-    ``erfcx``, with no array conversion. Raises :class:`InvalidParam` for
-    an alpha that is not positive, NaN included: G is defined for alpha > 0.
-    """
-    _check_regime(p)
-    if isinstance(alpha, float):
-        if not alpha > 0:
-            raise InvalidParam(f"G is defined for alpha > 0, got {alpha}")
-    else:
-        alpha = np.asarray(alpha, float)
-        if alpha.size and not alpha.min() > 0:
-            raise InvalidParam(f"G is defined for alpha > 0, got {alpha}")
-    t1, coef, z = _g_terms(alpha, p.agents, p.n_star)
     if isinstance(z, np.ndarray):
         return t1 - coef * _SQRT_2PI * erfcx_array(z)
     return float(t1 - coef * _SQRT_2PI * erfcx(z))
-
-
-def g_bounds(alpha, p: ProblemParams):
-    """(lower, upper) bounds on G from the asymptotic erfc expansion.
-
-    The coefficient on the erfc term is positive for alpha >= sqrt(n*),
-    so the erfc upper bound gives the G lower bound and vice versa.
-    """
-    _check_regime(p)
-    t1, coef, z = _g_terms(np.asarray(alpha, float), p.agents, p.n_star)
-    g_lb = t1 - coef * _SQRT_2PI * _scaled_erfc_ub(z)
-    g_ub = t1 - coef * _SQRT_2PI * _scaled_erfc_lb(z)
-    if np.ndim(alpha) == 0:
-        return float(g_lb), float(g_ub)
-    return g_lb, g_ub
-
-
-def g_ub_at_bracket_lo(m: int) -> float:
-    """Closed form of the G upper bound at alpha = sqrt(n*): -128/((m-2) m^{5/2}).
-
-    This is the quantity that proves G(sqrt(n*)) < 0; the exact G value at
-    sqrt(n*) lies strictly below it.
-    """
-    return -128.0 / ((m - 2) * m**2.5)
 
 
 def bracket(p: ProblemParams) -> tuple[float, float]:
@@ -229,8 +166,6 @@ def solve_alpha(p: ProblemParams) -> AlphaSolution:
         n_max = math.ceil(math.log2((b - a) / (2 * tol))) + _ITP_N0
         k1 = _ITP_K1 / (b - a)
         while b - a > 2 * tol and steps < n_max:
-            if steps == _MAX_ITER:
-                raise MaxIterations(f"ITP did not shrink the bracket to 2 tol in {_MAX_ITER} steps")
             mid = 0.5 * (a + b)
             # interpolate: the regula falsi point
             xf = (b * fa - a * fb) / (fa - fb)

@@ -2,8 +2,8 @@
 
 Everything here is deterministic: baseline penalties, the equilibrium
 penalty function p(n) and its closed-form value/derivative at n*, the
-Gaussian integral identities behind those closed forms, price-of-stability
-formulas, Bayes risks, and the bounded-variance high-dimensional bounds.
+Gaussian integral identity behind those closed forms, price-of-stability
+formulas, and the bounded-variance high-dimensional bounds.
 
 Exponential-times-erfc products are always evaluated through the scaled
 kernel erfcx(z) = e^{z^2} erfc(z); the raw product overflows for large
@@ -22,28 +22,24 @@ from __future__ import annotations
 import math
 
 from .mechanisms import k_eps
-from .params import ProblemParams, erfcx
+from .params import InvalidParam, ProblemParams, erfcx
 
 __all__ = [
     "NonpositiveL",
     "baseline_penalties",
     "gauss_int_I",
-    "gauss_int_J",
     "penalty_closed_form",
     "rinf_max_risk",
     "penalty_at_nstar",
-    "penalty_at_nstar_simplified",
     "penalty_derivative_at_nstar",
     "pos_mechany",
     "pos_mechpk",
     "pos_smallm",
-    "bayes_risk_Rl",
     "highdim_penalty_bound",
     "e_of_m",
     "mechpk_exploit_risk",
     "mechpk_recommended_penalty",
     "sizecheck_penalty",
-    "smallm_participating_penalty",
 ]
 
 _SQRT2PI = math.sqrt(2 * math.pi)
@@ -80,15 +76,6 @@ def gauss_int_I(L: float) -> float:
     return math.sqrt(math.pi / (2 * L)) * erfcx(math.sqrt(L / 2))
 
 
-def gauss_int_J(L: float) -> float:
-    """E[1/(L + x^2)^2] for x ~ N(0,1)."""
-    if L <= 0:
-        raise NonpositiveL("L must be positive")
-    return (math.sqrt(math.pi) / (2 * math.sqrt(2) * L**1.5)) * (1 - L) * erfcx(
-        math.sqrt(L / 2)
-    ) + 1 / (2 * L)
-
-
 def _mobius_mean(M: float, b: float, B: float, s2: float) -> float:
     """E[1/(M/(s2 + b x^2) + B)] for x ~ N(0,1), with M, b >= 0 and s2, B > 0.
 
@@ -106,11 +93,14 @@ def rinf_max_risk(n_i: float, p: ProblemParams, alpha: float) -> float:
     recommended estimator when collecting n_i > 0 points against an
     n*-collecting field: d * E_x[ l(n_i, x) ], where
     l(n_i, x) = 1/((m-2) n* / v + (n_i + n*)/sigma^2) and
-    v = sigma^2 + alpha^2 sigma^2 (1/n_i + 1/n*) x^2."""
+    v = sigma^2 + alpha^2 sigma^2 (1/n_i + 1/n*) x^2. Raises
+    :class:`InvalidParam` for an alpha outside [0, inf), NaN included."""
     if p.agents < 5:
         raise ValueError("the corrupted-allocation risk applies to m >= 5")
     if n_i <= 0:
         raise ValueError("n_i must be positive")
+    if not 0 <= alpha < math.inf:
+        raise InvalidParam(f"alpha must be nonnegative and finite, got {alpha}")
     s2, ns = p.sigma**2, p.n_star
     b = alpha**2 * s2 * (1.0 / n_i + 1.0 / ns)
     return p.dim * _mobius_mean((p.agents - 2) * ns, b, (n_i + ns) / s2, s2)
@@ -123,8 +113,8 @@ def penalty_closed_form(n_i: float, p: ProblemParams, alpha: float) -> float:
 
 def _require_positive_alpha(alpha: float) -> None:
     # the closed forms at n* divide by alpha; rinf_max_risk covers alpha = 0
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not 0 < alpha < math.inf:
+        raise InvalidParam(f"alpha must be positive and finite, got {alpha}")
 
 
 def penalty_at_nstar(p: ProblemParams, alpha: float) -> float:
@@ -135,12 +125,6 @@ def penalty_at_nstar(p: ProblemParams, alpha: float) -> float:
     z = 1.0 / (2 * math.sqrt(2) * r)
     risk_1d = r * s2 * (2 * m * _SQRT2PI * r - (m - 2) * math.pi * erfcx(z)) / (4 * _SQRT2PI * alpha**2)
     return p.dim * risk_1d + p.cost * ns
-
-
-def penalty_at_nstar_simplified(p: ProblemParams, alpha: float) -> float:
-    """Algebraically reduced form of p(n*) (no special functions):
-    2 sigma sqrt(c d / m) times :func:`pos_mechany`."""
-    return p.dim * p.sigma * math.sqrt(p.cost_eff / p.agents) * (2 * pos_mechany(p, alpha))
 
 
 def penalty_derivative_at_nstar(p: ProblemParams, alpha: float) -> float:
@@ -158,7 +142,11 @@ def penalty_derivative_at_nstar(p: ProblemParams, alpha: float) -> float:
 
 
 def pos_mechany(p: ProblemParams, alpha: float) -> float:
-    """Price of stability of the cross-check mechanism (m >= 5); < 2."""
+    """Price of stability of the cross-check mechanism (m >= 5); < 2.
+    Raises :class:`InvalidParam` for an alpha outside [0, inf), NaN
+    included."""
+    if not 0 <= alpha < math.inf:
+        raise InvalidParam(f"alpha must be nonnegative and finite, got {alpha}")
     m, ns = p.agents, p.n_star
     a2 = alpha**2 / ns
     return 0.5 * ((10 * a2 - 1) / (4 * a2 * (m + 1) / m - 1) + 1)
@@ -173,21 +161,6 @@ def pos_smallm(p: ProblemParams) -> float:
     """Price of stability of the m <= 4 pooling branch: (m+1)/(2 sqrt(m))."""
     m = p.agents
     return (m + 1) / (2 * math.sqrt(m))
-
-
-def bayes_risk_Rl(ell: float, n_i: int, p: ProblemParams, alpha: float) -> float:
-    """Bayes risk under a centered Gaussian prior with variance ell^2
-    (one-dimensional form), for an agent collecting and submitting n_i
-    points against an n*-collecting field. Increases to the maximum risk
-    as ell grows."""
-    if ell <= 0:
-        raise ValueError("ell must be positive")
-    if n_i <= 0:
-        raise ValueError("n_i must be positive")
-    s2, ns = p.sigma**2, p.n_star
-    sig_tilde_sq = s2 / ns + 1.0 / (n_i / s2 + 1.0 / ell**2)
-    B = (n_i + ns) / s2 + 1.0 / ell**2
-    return _mobius_mean((p.agents - 2) * ns, alpha**2 * sig_tilde_sq, B, s2)
 
 
 def highdim_penalty_bound(p: ProblemParams, alpha: float) -> float:
@@ -240,10 +213,3 @@ def sizecheck_penalty(n: int, p: ProblemParams) -> float:
     if n == 0:
         return math.inf
     return p.dim * s2 / n + p.cost * n
-
-
-def smallm_participating_penalty(p: ProblemParams) -> float:
-    """Recommended-profile penalty for the m <= 4 pooling branch:
-    (1 + 1/m) sigma sqrt(c d)."""
-    m = p.agents
-    return (1 + 1.0 / m) * p.sigma * math.sqrt(p.cost * p.dim)

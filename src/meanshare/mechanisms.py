@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import ProblemParams, double_factorial
+from .params import InvalidParam, ProblemParams, double_factorial
 
 __all__ = [
     "EmptySubmission",
@@ -39,7 +39,6 @@ __all__ = [
     "mech_cross_check_corrupt",
     "k_eps",
     "beta_sq_published",
-    "beta_sq_recommended_form",
 ]
 
 
@@ -109,17 +108,6 @@ def beta_sq_published(total_points: int, p: ProblemParams, k: int) -> float:
     return num / den
 
 
-def beta_sq_recommended_form(own_points: int, p: ProblemParams, k: int) -> float:
-    """Equivalent beta^2 expression in terms of the agent's own submission
-    size when all other agents submit n_star points each. Coincides with
-    :func:`beta_sq_published` in that regime; both are kept and checked
-    against each other."""
-    m, ns = p.agents, p.n_star
-    num = ns ** (k - 2) * (m - 1) ** (k - 1) * (own_points + (m - 1) * ns) ** 2
-    den = k * double_factorial(2 * k - 1) * m ** (k + 1) * p.sigma ** (2 * k - 2)
-    return num / den
-
-
 def mech_corrupt_deploy(submissions: list[np.ndarray], i: int, p: ProblemParams,
                         epsilon: float, stream: np.random.Generator) -> DeployedEstimate:
     """Corrupt every other agent's point with noise of variance
@@ -146,7 +134,8 @@ def mech_cross_check_corrupt(submissions: list[np.ndarray], i: int, p: ProblemPa
     degenerates to pooling (no corruption). Otherwise the allocation holds a
     clean cross-check subset of up to n_star points sampled without
     replacement from the others' pool, and the remainder corrupted with
-    per-dimension variance alpha^2 (mean(Y_i) - mean(D_i))^2.
+    per-dimension variance alpha^2 (mean(Y_i) - mean(D_i))^2; it then
+    needs a positive finite alpha and raises :class:`InvalidParam` without.
 
     ``stream`` is the mechanism's own generator, disjoint from any
     agent-side randomness; it draws the cross-check subset, then the noise.
@@ -156,8 +145,8 @@ def mech_cross_check_corrupt(submissions: list[np.ndarray], i: int, p: ProblemPa
     d = others.shape[1]
     if len(submissions) <= 4:
         return Allocation(clean=others, corrupted=np.empty((0, d)), eta_sq=np.zeros(d))
-    if alpha is None or alpha <= 0:
-        raise ValueError("m >= 5 requires the solved corruption level alpha")
+    if alpha is None or not 0 < alpha < math.inf:
+        raise InvalidParam(f"m >= 5 requires the solved corruption level alpha, got {alpha}")
     s = submissions[i]
     take = min(len(others), p.n_star)
     idx = stream.permutation(len(others))

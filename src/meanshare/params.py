@@ -56,11 +56,6 @@ class ProblemParams:
     dim: int = 1
     n_star: int = field(default=0, init=False, compare=False)
 
-    @property
-    def cost_eff(self) -> float:
-        """Effective per-dimension cost c/d used by the alpha equation."""
-        return self.cost / self.dim
-
 
 def _n_star_real(sigma: float, cost: float, m: int, d: int) -> float:
     if m >= 5:
@@ -232,16 +227,6 @@ _ERFCX_CF_FROM = 8.0
 _INV_SQRT_PI = 1 / math.sqrt(math.pi)
 
 
-def _erfcx_cf(z):
-    # Laplace's continued fraction for erfc, 12 terms:
-    # 1/(sqrt(pi) (z + (1/2)/(z + 1/(z + (3/2)/(z + ...))))); plain
-    # arithmetic, so a float stays a float and an array an array
-    t = z
-    for k in range(12, 0, -1):
-        t = z + 0.5 * k / t
-    return _INV_SQRT_PI / t
-
-
 def erfcx(z: float) -> float:
     """The scaled complementary error function e^{z^2} erfc(z) of a float.
 
@@ -254,22 +239,19 @@ def erfcx(z: float) -> float:
     """
     if z < _ERFCX_CF_FROM:
         return math.exp(z * z) * math.erfc(z)
-    return _erfcx_cf(z)
+    # Laplace's continued fraction for erfc:
+    # 1/(sqrt(pi) (z + (1/2)/(z + 1/(z + (3/2)/(z + ...)))))
+    t = z
+    for k in range(12, 0, -1):
+        t = z + 0.5 * k / t
+    return _INV_SQRT_PI / t
 
 
 def erfcx_array(z: np.ndarray) -> np.ndarray:
-    """:func:`erfcx` of every entry of a float array, to within a few units
-    in the last place of the scalar form: ``np.exp`` times ``math.erfc``
-    mapped over the entries below 8, and the continued fraction on those
-    from 8 on."""
+    """:func:`erfcx` mapped over the entries of a float array, so that each
+    entry equals the scalar form bit for bit."""
     z = np.asarray(z, float)
-    # clipping keeps np.exp finite on the entries the fraction replaces
-    out = np.exp(np.square(np.minimum(z, _ERFCX_CF_FROM)), out=np.empty(z.shape))
-    out *= np.fromiter(map(math.erfc, z.ravel().tolist()), float, z.size).reshape(z.shape)
-    big = z >= _ERFCX_CF_FROM
-    if big.any():
-        out[big] = _erfcx_cf(z[big])
-    return out
+    return np.fromiter(map(erfcx, z.ravel().tolist()), float, z.size).reshape(z.shape)
 
 
 def spawn_stream(master_seed: int, *path: int) -> np.random.Generator:

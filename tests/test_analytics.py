@@ -11,7 +11,8 @@ from scipy.integrate import quad
 from conftest import params_for
 from meanshare import analytics as an
 from meanshare.alphasolve import solve_alpha
-from meanshare.params import ProblemParams, validate_params
+from meanshare.params import InvalidParam, ProblemParams, validate_params
+from paper_forms import bayes_risk_Rl, gauss_int_J
 
 SQRT2PI = math.sqrt(2 * math.pi)
 
@@ -76,10 +77,10 @@ class TestGaussIntegrals:
     @pytest.mark.parametrize("L", [0.1, 1.0, 10.0, 100.0])
     def test_J_vs_quadrature(self, L):
         ref, _ = quad(lambda x: phi(x) / (L + x * x) ** 2, -12, 12, epsabs=1e-13)
-        assert an.gauss_int_J(L) == pytest.approx(ref, abs=1e-8)
+        assert gauss_int_J(L) == pytest.approx(ref, abs=1e-8)
 
     def test_J_at_one_is_half(self):
-        assert an.gauss_int_J(1.0) == pytest.approx(0.5, abs=1e-12)
+        assert gauss_int_J(1.0) == pytest.approx(0.5, abs=1e-12)
 
     def test_large_L_limit(self):
         assert an.gauss_int_I(1e8) * 1e8 == pytest.approx(1.0, rel=1e-6)
@@ -88,7 +89,7 @@ class TestGaussIntegrals:
         with pytest.raises(an.NonpositiveL):
             an.gauss_int_I(0.0)
         with pytest.raises(an.NonpositiveL):
-            an.gauss_int_J(-1.0)
+            gauss_int_J(-1.0)
 
 
 class TestPenalty:
@@ -106,15 +107,20 @@ class TestPenalty:
             an.penalty_closed_form(10, canonical, canonical_alpha), abs=1e-9
         )
 
-    def test_simplified_form(self, canonical, canonical_alpha):
-        assert an.penalty_at_nstar_simplified(canonical, canonical_alpha) == pytest.approx(
-            an.penalty_at_nstar(canonical, canonical_alpha), rel=1e-12
-        )
+    def test_simplified_form(self):
+        # the paper's reduced p(n*), with no special function:
+        # 2 sigma sqrt(c d / m) times the price of stability
+        for d in (1, 3):
+            for m in (5, 6, 9, 50, 500):
+                p = params_for(m, dim=d)
+                a = solve_alpha(p).alpha
+                simplified = 2 * p.sigma * math.sqrt(p.cost * d / m) * an.pos_mechany(p, a)
+                assert simplified == pytest.approx(an.penalty_at_nstar(p, a), rel=1e-12), (m, d)
 
     def test_derivative_zero_at_solution(self, canonical, canonical_alpha):
         assert abs(an.penalty_derivative_at_nstar(canonical, canonical_alpha)) < 1e-9
 
-    @pytest.mark.parametrize("alpha", [0.0, -1.0])
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.inf])
     def test_nonpositive_alpha_rejected_at_nstar(self, canonical, alpha):
         with pytest.raises(ValueError, match="alpha"):
             an.penalty_at_nstar(canonical, alpha)
@@ -128,6 +134,14 @@ class TestPenalty:
 
     def test_zero_alpha_is_pooled_mean(self, canonical):
         assert an.rinf_max_risk(10, canonical, 0.0) == pytest.approx(1.0 / 90)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -1.0])
+    def test_alpha_outside_range_rejected(self, canonical, alpha):
+        # NaN used to give a NaN risk, and inf a NonpositiveL from deep inside
+        with pytest.raises(InvalidParam, match="alpha"):
+            an.rinf_max_risk(10, canonical, alpha)
+        with pytest.raises(InvalidParam, match="alpha"):
+            an.penalty_closed_form(10, canonical, alpha)
 
     def test_risk_monotone_in_n(self, canonical, canonical_alpha):
         risks = [an.rinf_max_risk(n, canonical, canonical_alpha) for n in (1, 5, 10, 20, 40)]
@@ -164,7 +178,7 @@ class TestPenalty:
         with pytest.raises(ValueError, match="n_i"):
             an.penalty_closed_form(n, canonical, canonical_alpha)
         with pytest.raises(ValueError, match="n_i"):
-            an.bayes_risk_Rl(1.0, n, canonical, canonical_alpha)
+            bayes_risk_Rl(1.0, n, canonical, canonical_alpha)
 
     def test_no_overflow_large_m(self):
         p = params_for(10_000)
@@ -194,6 +208,12 @@ class TestPos:
         p = validate_params(ProblemParams(1.0, 1 / 64, 4, 1))
         assert an.pos_smallm(p) == pytest.approx(1.25)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -1.0])
+    def test_alpha_outside_range_rejected(self, canonical, alpha):
+        # NaN and inf used to give a NaN price of stability
+        with pytest.raises(InvalidParam, match="alpha"):
+            an.pos_mechany(canonical, alpha)
+
     @pytest.mark.parametrize("m", [5, 9, 20, 21, 100, 500])
     def test_identity_and_range(self, m):
         p = params_for(m)
@@ -207,18 +227,18 @@ class TestPos:
 class TestBayesRisk:
     def test_increases_to_limit(self, canonical, canonical_alpha):
         rinf = an.rinf_max_risk(10, canonical, canonical_alpha)
-        values = [an.bayes_risk_Rl(ell, 10, canonical, canonical_alpha)
+        values = [bayes_risk_Rl(ell, 10, canonical, canonical_alpha)
                   for ell in (1.0, 10.0, 100.0)]
         assert all(v <= rinf for v in values)
         assert values[0] < values[1] < values[2]
 
     def test_convergence(self, canonical, canonical_alpha):
         rinf = an.rinf_max_risk(10, canonical, canonical_alpha)
-        r1000 = an.bayes_risk_Rl(1000.0, 10, canonical, canonical_alpha)
+        r1000 = bayes_risk_Rl(1000.0, 10, canonical, canonical_alpha)
         assert 0.999 * rinf <= r1000 <= rinf
 
     def test_prior_collapse(self, canonical, canonical_alpha):
-        assert an.bayes_risk_Rl(1e-4, 10, canonical, canonical_alpha) < 1e-7
+        assert bayes_risk_Rl(1e-4, 10, canonical, canonical_alpha) < 1e-7
 
     @pytest.mark.parametrize("d", ORACLE_DIMS)
     @pytest.mark.parametrize("m", ORACLE_MS)
@@ -235,7 +255,7 @@ class TestBayesRisk:
                                       + (n + ns) / s2 + 1.0 / ell**2)
 
                     ref = std_normal_quad(f)
-                    assert an.bayes_risk_Rl(ell, n, p, alpha) == pytest.approx(ref, rel=1e-10), \
+                    assert bayes_risk_Rl(ell, n, p, alpha) == pytest.approx(ref, rel=1e-10), \
                         (ell, alpha, n)
 
 
@@ -300,9 +320,11 @@ class TestSizecheckAndSmallM:
         assert social == pytest.approx(0.2, abs=1e-12)
 
     def test_smallm_participation(self):
+        # the m <= 4 pooling penalty (1 + 1/m) sigma sqrt(c d) beats standing alone
         p = validate_params(ProblemParams(1.0, 1 / 64, 4, 1))
-        assert an.smallm_participating_penalty(p) == pytest.approx(0.15625)
-        assert an.smallm_participating_penalty(p) < 2 * 1.0 * math.sqrt(1 / 64)
+        participating = (1 + 1 / p.agents) * p.sigma * math.sqrt(p.cost * p.dim)
+        assert participating == pytest.approx(0.15625)
+        assert participating < 2 * 1.0 * math.sqrt(1 / 64)
 
 
 class TestHardyLittlewoodShift:

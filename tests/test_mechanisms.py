@@ -6,7 +6,7 @@ import pytest
 from conftest import as_dataset, params_for
 from meanshare import mechanisms as mech
 from meanshare.alphasolve import solve_alpha
-from meanshare.params import ProblemParams, spawn_stream, validate_params
+from meanshare.params import InvalidParam, ProblemParams, double_factorial, spawn_stream, validate_params
 
 
 def _round(mechanism, subs, *args):
@@ -74,15 +74,17 @@ class TestCorruptDeploy:
             assert dep.value[0] == pytest.approx(5.0)
 
     def test_beta_forms_agree(self, canonical):
-        # the published form and the per-agent rewrite coincide whenever the
-        # other agents submit n* points each, for any own size and any k
-        ns = canonical.n_star
+        # the published form and the paper's per-agent rewrite
+        # n*^{k-2} (m-1)^{k-1} (own + (m-1) n*)^2 / (k (2k-1)!! m^{k+1} sigma^{2k-2})
+        # coincide whenever the other agents submit n* points each, for any
+        # own size and any k
+        m, ns, sigma = canonical.agents, canonical.n_star, canonical.sigma
         for k in (1, 2, 5):
             for own in (1, ns, 3 * ns):
-                total = own + (canonical.agents - 1) * ns
-                assert mech.beta_sq_published(total, canonical, k) == pytest.approx(
-                    mech.beta_sq_recommended_form(own, canonical, k), rel=1e-12
-                )
+                total = own + (m - 1) * ns
+                rewrite = (ns ** (k - 2) * (m - 1) ** (k - 1) * (own + (m - 1) * ns) ** 2
+                           / (k * double_factorial(2 * k - 1) * m ** (k + 1) * sigma ** (2 * k - 2)))
+                assert mech.beta_sq_published(total, canonical, k) == pytest.approx(rewrite, rel=1e-12)
 
     def test_empty_rejected(self, canonical):
         subs = [np.empty((0, 1))] + [as_dataset(np.ones(10))] * 8
@@ -154,6 +156,13 @@ class TestCrossCheckCorrupt:
         subs = [as_dataset(np.ones(10))] * 9
         with pytest.raises(ValueError):
             _round(mech.mech_cross_check_corrupt, subs, canonical, None, spawn_stream(10, 100))
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_alpha_outside_range_rejected(self, canonical, alpha):
+        # NaN used to give eta^2 = NaN, and an estimate of NaN downstream
+        subs = [as_dataset(np.arange(10.0) + j) for j in range(9)]
+        with pytest.raises(InvalidParam, match="alpha"):
+            mech.mech_cross_check_corrupt(subs, 0, canonical, alpha, spawn_stream(10, 100))
 
     def test_highdim_elementwise(self):
         p = validate_params(ProblemParams(1.0, 1 / 300, 9, 3))

@@ -67,7 +67,7 @@ class TestValidateParams:
     def test_highdim_n_star(self):
         p = validate_params(ProblemParams(1.0, 1 / 300, 9, 3))
         assert p.n_star == 10
-        assert p.cost_eff == pytest.approx(1 / 900)
+        assert p.cost / p.dim == pytest.approx(1 / 900)
 
 
 class TestDoubleFactorial:
@@ -283,7 +283,7 @@ class TestErfcx:
         vec = erfcx_array(ERFCX_GRID)
         scalar = np.array([erfcx(z) for z in ERFCX_GRID.tolist()])
         assert vec.shape == ERFCX_GRID.shape
-        assert np.all(np.abs(vec - scalar) <= 4 * np.spacing(scalar))
+        assert vec.tolist() == scalar.tolist()
 
     def test_limits(self):
         assert erfcx(0.0) == 1.0

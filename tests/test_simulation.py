@@ -14,7 +14,6 @@ from meanshare.analytics import (
     mechpk_exploit_risk,
     mechpk_recommended_penalty,
     penalty_closed_form,
-    smallm_participating_penalty,
 )
 from meanshare.params import (
     DistributionSpec,
@@ -582,7 +581,7 @@ class TestSweepsAndChecks:
         sc = _scenario(p, "cross-check", foc, alpha=None, reps=100_000)
         res = ir_check(sc)
         assert res["ok"]
-        expect = smallm_participating_penalty(p)
+        expect = (1 + 1 / p.agents) * p.sigma * math.sqrt(p.cost * p.dim)
         assert abs(res["participating"] - expect) < 3 * res["std_error"]
         # cost 1/1600 gives n* = 10: participating (1 + 1/4)/40 = 0.03125
         assert expect == pytest.approx(0.03125, rel=1e-12)
