@@ -24,7 +24,6 @@ from .params import (
     DistributionSpec,
     ProblemParams,
     double_factorial,
-    normal_central_moment,
     spawn_stream,
     validate_params,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "validate_params",
     "DistributionSpec",
     "double_factorial",
-    "normal_central_moment",
     "spawn_stream",
     "AlphaSolution",
     "g_of_alpha",

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 
+from .alphasolve import _ALPHA_MAX
 from .mechanisms import k_eps
 from .params import InvalidParam, ProblemParams, erfcx
 
@@ -94,13 +95,13 @@ def rinf_max_risk(n_i: float, p: ProblemParams, alpha: float) -> float:
     n*-collecting field: d * E_x[ l(n_i, x) ], where
     l(n_i, x) = 1/((m-2) n* / v + (n_i + n*)/sigma^2) and
     v = sigma^2 + alpha^2 sigma^2 (1/n_i + 1/n*) x^2. Raises
-    :class:`InvalidParam` for an alpha outside [0, inf), NaN included."""
+    :class:`InvalidParam` for an alpha outside [0, 2**510), NaN included."""
     if p.agents < 5:
         raise ValueError("the corrupted-allocation risk applies to m >= 5")
     if n_i <= 0:
         raise ValueError("n_i must be positive")
-    if not 0 <= alpha < math.inf:
-        raise InvalidParam(f"alpha must be nonnegative and finite, got {alpha}")
+    if not 0 <= alpha < _ALPHA_MAX:
+        raise InvalidParam(f"alpha must be in [0, 2**510), got {alpha}")
     s2, ns = p.sigma**2, p.n_star
     b = alpha**2 * s2 * (1.0 / n_i + 1.0 / ns)
     return p.dim * _mobius_mean((p.agents - 2) * ns, b, (n_i + ns) / s2, s2)
@@ -113,8 +114,8 @@ def penalty_closed_form(n_i: float, p: ProblemParams, alpha: float) -> float:
 
 def _require_positive_alpha(alpha: float) -> None:
     # the closed forms at n* divide by alpha; rinf_max_risk covers alpha = 0
-    if not 0 < alpha < math.inf:
-        raise InvalidParam(f"alpha must be positive and finite, got {alpha}")
+    if not 0 < alpha < _ALPHA_MAX:
+        raise InvalidParam(f"alpha must be in (0, 2**510), got {alpha}")
 
 
 def penalty_at_nstar(p: ProblemParams, alpha: float) -> float:
@@ -143,10 +144,9 @@ def penalty_derivative_at_nstar(p: ProblemParams, alpha: float) -> float:
 
 def pos_mechany(p: ProblemParams, alpha: float) -> float:
     """Price of stability of the cross-check mechanism (m >= 5); < 2.
-    Raises :class:`InvalidParam` for an alpha outside [0, inf), NaN
-    included."""
-    if not 0 <= alpha < math.inf:
-        raise InvalidParam(f"alpha must be nonnegative and finite, got {alpha}")
+    Raises :class:`InvalidParam` for an alpha outside [0, 2**510), NaN too."""
+    if not 0 <= alpha < _ALPHA_MAX:
+        raise InvalidParam(f"alpha must be in [0, 2**510), got {alpha}")
     m, ns = p.agents, p.n_star
     a2 = alpha**2 / ns
     return 0.5 * ((10 * a2 - 1) / (4 * a2 * (m + 1) / m - 1) + 1)

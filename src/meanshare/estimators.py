@@ -34,7 +34,6 @@ __all__ = [
     "OwnDataOnlyMean",
     "PosteriorMean",
     "estimate",
-    "shrink_factor",
 ]
 
 
@@ -104,7 +103,7 @@ class ShrinkEll:
     ell: float
 
 
-def shrink_factor(n: int, sigma: float, ell: float) -> float:
+def _shrink_factor(n: int, sigma: float, ell: float) -> float:
     return 1.0 / (1.0 + sigma**2 / (n * ell**2))
 
 
@@ -139,7 +138,7 @@ def apply_submission(rule, X: np.ndarray, p: ProblemParams, stream=None) -> np.n
     if isinstance(rule, ShrinkEll):
         if n == 0:
             return X
-        return X * shrink_factor(n, p.sigma, rule.ell)
+        return X * _shrink_factor(n, p.sigma, rule.ell)
     raise TypeError(f"unknown submission rule {rule!r}")
 
 
@@ -170,7 +169,7 @@ def _submitted_sum(rule, n: int, p: ProblemParams, block_sum):
     if isinstance(rule, Empty):
         return sum_x, np.zeros_like(sum_x), 0
     if isinstance(rule, ShrinkEll):
-        return sum_x, (sum_x * shrink_factor(n, p.sigma, rule.ell) if n else sum_x), n
+        return sum_x, (sum_x * _shrink_factor(n, p.sigma, rule.ell) if n else sum_x), n
     raise TypeError(f"no block-sum form for submission rule {rule!r}")
 
 
@@ -257,19 +256,21 @@ def _block_weights(choice, n_x: int, n_clean: int, n_corr: int, eta_sq, sigma: f
 
 
 def estimate(choice, X: np.ndarray, alloc: Allocation, sigma: float) -> np.ndarray:
-    """Point estimate of the mean from own data X and allocation alloc.
+    """Point estimate of the mean, shape (..., d), from own data X and
+    allocation alloc, whose datasets have shape (..., n, d).
 
     No estimator reads the agent's submission, only what it collected. A
     corrupted block with infinite eta^2 gets weight zero and its sum, which
     may then be non-finite, is ignored. Raises :class:`EmptyInput` when no
-    data has positive weight, and :class:`DimensionMismatch` when the
-    nonempty blocks or eta^2 disagree on the dimension.
+    data has positive weight in some round, and :class:`DimensionMismatch`
+    when the nonempty blocks or eta^2 disagree on the dimension.
     """
-    dims = {len(alloc.eta_sq), *(a.shape[1] for a in (X, alloc.clean, alloc.corrupted) if len(a))}
+    blocks = (X, alloc.clean, alloc.corrupted)
+    dims = {alloc.eta_sq.shape[-1], *(a.shape[-1] for a in blocks if a.shape[-2])}
     if len(dims) > 1:
         raise DimensionMismatch("X and allocation dimensions differ")
-    w_x, w_clean, w_corr = _block_weights(choice, len(X), len(alloc.clean),
-                                          len(alloc.corrupted), alloc.eta_sq, sigma)
+    w_x, w_clean, w_corr = _block_weights(choice, *(a.shape[-2] for a in blocks),
+                                          alloc.eta_sq, sigma)
     with np.errstate(invalid="ignore"):
-        corr = np.where(w_corr == 0, 0.0, w_corr * alloc.corrupted.sum(axis=0))
-    return w_x * X.sum(axis=0) + w_clean * alloc.clean.sum(axis=0) + corr
+        corr = np.where(w_corr == 0, 0.0, w_corr * alloc.corrupted.sum(axis=-2))
+    return w_x * X.sum(axis=-2) + w_clean * alloc.clean.sum(axis=-2) + corr

@@ -12,12 +12,14 @@ explicit submissions:
   corrupt the remainder with variance proportional to the squared mean
   discrepancy, and return everything for the agent to estimate with.
 
-Datasets are arrays of shape (n, d). A mechanism that draws takes one
-generator of its own, so an audit that replays that generator
-reconstructs its noise. A round serves the agents in index order from one
-such generator, ``[mech(submissions, i, ...) for i in range(m)]``; each
-call checks its inputs before it draws, so agent i's draws follow those
-of agents 0..i-1.
+Datasets are arrays of shape (..., n, d): a call on (R, n, d) submissions
+plays R rounds at once, with outputs on the same leading axes and each draw
+made for all R rounds, in round order. A mechanism that draws takes one
+generator of its own, so an audit that replays that generator reconstructs
+its noise. A round serves the agents in index order from one such
+generator, ``[mech(submissions, i, ...) for i in range(m)]``; each call
+checks its inputs before it draws, so agent i's draws follow those of
+agents 0..i-1.
 """
 
 from __future__ import annotations
@@ -69,27 +71,28 @@ class DeployedEstimate:
 def mech_pool(submissions: list[np.ndarray], i: int) -> np.ndarray:
     """Agent i receives the union of all other agents' submissions, in
     index order. The round must have at least 2 agents, 0 <= i < m, and
-    submissions of shape (n, d) with one d."""
+    submissions of shape (..., n, d) with one d and one set of round axes."""
     m = len(submissions)
     if m < 2:
         raise ValueError("need at least 2 agents")
     if not 0 <= i < m:
         raise ValueError(f"agent index {i} out of range for {m} agents")
-    for s in submissions:
-        if s.ndim != 2:
-            raise ValueError("submissions must be arrays of shape (n, d)")
-    dims = {s.shape[1] for s in submissions if len(s)}
+    rounds = {s.shape[:-2] for s in submissions}
+    if len(rounds) > 1 or any(s.ndim < 2 for s in submissions):
+        raise ValueError("submissions must be (..., n, d) arrays on one set of round axes")
+    dims = {s.shape[-1] for s in submissions if s.shape[-2]}
     if len(dims) > 1:
         raise ValueError(f"mixed dimensions {dims}")
-    parts = [s for j, s in enumerate(submissions) if j != i and len(s)]
-    return np.concatenate(parts, axis=0) if parts else np.empty((0, dims.pop() if dims else 1))
+    parts = [s for j, s in enumerate(submissions) if j != i and s.shape[-2]]
+    return (np.concatenate(parts, axis=-2) if parts
+            else np.empty((*rounds.pop(), 0, dims.pop() if dims else 1)))
 
 
 def mech_size_check(submissions: list[np.ndarray], i: int, p: ProblemParams) -> np.ndarray:
     """:func:`mech_pool` gated on submission size: an agent submitting fewer
     than n_star points receives nothing."""
     pool = mech_pool(submissions, i)
-    return pool if len(submissions[i]) >= p.n_star else pool[:0]
+    return pool if submissions[i].shape[-2] >= p.n_star else pool[..., :0, :]
 
 
 def k_eps(epsilon: float) -> int:
@@ -115,15 +118,15 @@ def mech_corrupt_deploy(submissions: list[np.ndarray], i: int, p: ProblemParams,
     plain mean of agent i's submission united with the corrupted pool.
     Every submission of the round must be nonempty."""
     others = mech_pool(submissions, i)
-    if any(len(s) == 0 for s in submissions):
+    if any(s.shape[-2] == 0 for s in submissions):
         raise EmptySubmission("corrupt-and-deploy requires nonempty submissions")
     k = k_eps(epsilon)
-    beta_sq = beta_sq_published(sum(len(s) for s in submissions), p, k)
+    beta_sq = beta_sq_published(sum(s.shape[-2] for s in submissions), p, k)
     s = submissions[i]
-    delta = s.mean(axis=0) - others.mean(axis=0)
+    delta = s.mean(axis=-2) - others.mean(axis=-2)
     eta_sq = beta_sq * delta ** (2 * k)
-    corrupted = others + stream.standard_normal(others.shape) * np.sqrt(eta_sq)
-    value = np.concatenate([s, corrupted], axis=0).mean(axis=0)
+    corrupted = others + stream.standard_normal(others.shape) * np.sqrt(eta_sq)[..., None, :]
+    value = np.concatenate([s, corrupted], axis=-2).mean(axis=-2)
     return DeployedEstimate(value=value, corrupted=corrupted, eta_sq=eta_sq)
 
 
@@ -138,30 +141,32 @@ def mech_cross_check_corrupt(submissions: list[np.ndarray], i: int, p: ProblemPa
     needs a positive finite alpha and raises :class:`InvalidParam` without.
 
     ``stream`` is the mechanism's own generator, disjoint from any
-    agent-side randomness; it draws the cross-check subset, then the noise.
-    With m <= 4 it is not read and may be None.
+    agent-side randomness; it draws a uniform permutation of each round's
+    pool, whose head is the cross-check subset, then the noise. With m <= 4
+    it is not read and may be None.
     """
     others = mech_pool(submissions, i)
-    d = others.shape[1]
+    *rounds, n_others, d = others.shape
     if len(submissions) <= 4:
-        return Allocation(clean=others, corrupted=np.empty((0, d)), eta_sq=np.zeros(d))
+        return Allocation(clean=others, corrupted=others[..., :0, :], eta_sq=np.zeros((*rounds, d)))
     if alpha is None or not 0 < alpha < math.inf:
         raise InvalidParam(f"m >= 5 requires the solved corruption level alpha, got {alpha}")
     s = submissions[i]
-    take = min(len(others), p.n_star)
-    idx = stream.permutation(len(others))
-    clean = others[idx[:take]]
-    rest = others[idx[take:]]
+    take = min(n_others, p.n_star)
+    # C-ordered indices keep each round contiguous, summed as a single round is
+    order = stream.permuted(np.tile(np.arange(n_others), (*rounds, 1)), axis=-1)
+    clean = np.take_along_axis(others, order[..., :take, None], axis=-2)
+    rest = np.take_along_axis(others, order[..., take:, None], axis=-2)
 
-    if len(s) == 0 or take == 0:
+    if s.shape[-2] == 0 or take == 0:
         # discrepancy undefined: infinite corruption (weight-zero data)
-        eta_sq = np.full(d, np.inf) if len(s) == 0 else np.zeros(d)
+        eta_sq = np.full((*rounds, d), np.inf if s.shape[-2] == 0 else 0.0)
     else:
-        delta = s.mean(axis=0) - clean.mean(axis=0)
+        delta = s.mean(axis=-2) - clean.mean(axis=-2)
         eta_sq = alpha**2 * delta**2
 
     corrupted = rest
-    if len(rest):
+    if rest.shape[-2]:
         with np.errstate(invalid="ignore"):
-            corrupted = rest + stream.standard_normal(rest.shape) * np.sqrt(eta_sq)
+            corrupted = rest + stream.standard_normal(rest.shape) * np.sqrt(eta_sq)[..., None, :]
     return Allocation(clean=clean, corrupted=corrupted, eta_sq=eta_sq)

@@ -21,7 +21,6 @@ __all__ = [
     "cost_for_n_star",
     "DistributionSpec",
     "double_factorial",
-    "normal_central_moment",
     "erfcx",
     "erfcx_array",
     "spawn_stream",
@@ -210,15 +209,6 @@ def double_factorial(k: int) -> int:
         out *= k
         k -= 2
     return out
-
-
-def normal_central_moment(p: int, sigma: float) -> float:
-    """E[(X - mu)^p] for X ~ N(mu, sigma^2): 0 for odd p, sigma^p (p-1)!! for even p."""
-    if p < 0:
-        raise InvalidParam("moment order must be nonnegative")
-    if p % 2 == 1:
-        return 0.0
-    return sigma**p * double_factorial(p - 1)
 
 
 # below this z, e^{z^2} erfc(z) is taken from math; from it on, by the

@@ -55,13 +55,14 @@ from the heap instead of mapping, and page-faulting, fresh memory, as it
 does for requests above its mmap threshold (128 KiB by default).
 
 The engine shares its estimator kernel (:func:`estimators._block_weights`)
-with the object-level API. The slow reference path plays each round
-through the mechanisms, each of which serves one agent, and
-:func:`estimators.apply_submission` on explicit points and pools. A round
-serves the agents in index order, so the focal agent, the only one scored,
-is agent 0, the first to draw from a mechanism stream, and the reference
-path serves it alone. It draws fabricated points one by one and every
-offset on streams of its own, so it checks the mechanisms, the block-sum
+with the object-level API. The slow reference path plays blocks of rounds
+through the round axis of the mechanisms, each serving one agent, and of
+:func:`estimators.apply_submission` and :func:`estimators.estimate`, on
+explicit points and pools of at most 8 MB a block. A round serves the
+agents in index order, so the focal agent, the only one scored, is agent
+0, the first to draw from a mechanism stream, and the reference path
+serves it alone. It draws every fabricated point, and every offset on
+streams of its own, so it checks the mechanisms, the block-sum
 submission map, the fabricated-sum law, the shift of block sums by k mu,
 the conditioning on block sums and the streams independently; the
 estimator arithmetic is pinned by the hand-computed oracles in the
@@ -77,12 +78,11 @@ master seed:
 
 - engine: chunk ci draws from ``(0, 0, ci)``, for every offset of the
   grid;
-- reference, for the mi-th mean offset of the grid, replication r: the
+- reference, for the mi-th mean offset of the grid, block after block: the
   focal agent's data, its submission and then the others' data, in one
-  (m - 1, n*, d) draw, come from ``(1000, mi, r)``, at that offset. A
-  mechanism that draws gets one stream,
-  ``(2000, mi, r)``: corrupt-deploy, and cross-check with m >= 5. Pool,
-  size-check and cross-check with m <= 4 get none.
+  (m - 1, b, n*, d) draw, come from ``(1000, mi)``. A mechanism that
+  draws gets one stream, ``(2000, mi)``: corrupt-deploy, and cross-check
+  with m >= 5. Pool, size-check and cross-check with m <= 4 get none.
 """
 
 from __future__ import annotations
@@ -389,45 +389,51 @@ def run_replications(sc: Scenario) -> EmpiricalPenalty:
     return _max_over_mu(sc, cells)
 
 
-def _reference_sq_error(sc: Scenario, mi: int, mu: float, r: int) -> float:
-    """Squared error of one object-level mechanism round on explicit pools,
-    or +inf when the focal estimator has no data with positive weight."""
+_REFERENCE_BLOCK_ITEMS = 1 << 20  # float64 items of a reference block's pool: 8 MB
+
+
+def _reference_sq_errors(sc: Scenario, mi: int, mu: float) -> np.ndarray:
+    """Squared errors of the reference rounds at the mi-th mean offset mu,
+    all +inf when the focal estimator has no data with positive weight."""
     p = sc.params
     d, ns, m = p.dim, p.n_star, p.agents
     spec, foc = sc.distribution, sc.focal
-    agent_stream = spawn_stream(sc.master_seed, 1000, mi, r)
-    X = spec.sample(agent_stream, (foc.n, d), mu)
-    Y = est.apply_submission(foc.submission, X, p, agent_stream)
-    subs = [Y, *spec.sample(agent_stream, (m - 1, ns, d), mu)]
-    no_data = np.empty((0, d))
-    # agent 0, the only one scored, draws first from a mechanism stream: play it alone
-    if sc.mechanism == "corrupt-deploy":
-        stream = spawn_stream(sc.master_seed, 2000, mi, r)
-        dep = mech.mech_corrupt_deploy(subs, 0, p, sc.epsilon, stream)
-        alloc = mech.Allocation(no_data, dep.corrupted, dep.eta_sq)
-    elif sc.mechanism == "cross-check":
-        stream = spawn_stream(sc.master_seed, 2000, mi, r) if m >= 5 else None
-        alloc = mech.mech_cross_check_corrupt(subs, 0, p, sc.alpha, stream)
-    elif sc.mechanism == "size-check":
-        alloc = mech.Allocation(mech.mech_size_check(subs, 0, p), no_data, np.zeros(d))
-    else:
-        alloc = mech.Allocation(mech.mech_pool(subs, 0), no_data, np.zeros(d))
-    if sc.mechanism == "corrupt-deploy" and isinstance(foc.estimator, est.PlainMeanAll):
-        v = dep.value
-    else:
-        try:
-            v = est.estimate(foc.estimator, X, alloc, p.sigma)
-        except est.EmptyInput:
-            return math.inf
-    e = v - (spec.mean + mu)
-    return float(e @ e)
+    agent_stream = spawn_stream(sc.master_seed, 1000, mi)
+    draws = sc.mechanism == "corrupt-deploy" or (sc.mechanism == "cross-check" and m >= 5)
+    mech_stream = spawn_stream(sc.master_seed, 2000, mi) if draws else None
+    rows = max(_REFERENCE_BLOCK_ITEMS // ((m - 1) * ns * d), 1)
+    out = []
+    for start in range(0, sc.replications, rows):
+        b = min(rows, sc.replications - start)
+        X = spec.sample(agent_stream, (b, foc.n, d), mu)
+        Y = est.apply_submission(foc.submission, X, p, agent_stream)
+        subs = [Y, *spec.sample(agent_stream, (m - 1, b, ns, d), mu)]
+        no_data = np.empty((b, 0, d))
+        if sc.mechanism == "corrupt-deploy":
+            dep = mech.mech_corrupt_deploy(subs, 0, p, sc.epsilon, mech_stream)
+            alloc = mech.Allocation(no_data, dep.corrupted, dep.eta_sq)
+        elif sc.mechanism == "cross-check":
+            alloc = mech.mech_cross_check_corrupt(subs, 0, p, sc.alpha, mech_stream)
+        elif sc.mechanism == "size-check":
+            alloc = mech.Allocation(mech.mech_size_check(subs, 0, p), no_data, np.zeros(d))
+        else:
+            alloc = mech.Allocation(mech.mech_pool(subs, 0), no_data, np.zeros(d))
+        if sc.mechanism == "corrupt-deploy" and isinstance(foc.estimator, est.PlainMeanAll):
+            v = dep.value
+        else:
+            try:
+                v = est.estimate(foc.estimator, X, alloc, p.sigma)
+            except est.EmptyInput:
+                return np.full(sc.replications, np.inf)
+        out.append(np.square(v - (spec.mean + mu)).sum(axis=-1))
+    return np.concatenate(out)
 
 
 def run_replications_reference(sc: Scenario) -> EmpiricalPenalty:
-    """Slow reference path: one object-level mechanism round per
-    replication. Used to cross-validate the vectorized engine."""
+    """Slow reference path: object-level mechanism rounds on explicit
+    points. Used to cross-validate the vectorized engine."""
     def cell(mi, mu):
-        sqs = np.array([_reference_sq_error(sc, mi, mu, r) for r in range(sc.replications)])
+        sqs = _reference_sq_errors(sc, mi, mu)
         mse = float(sqs.mean())
         se = float(sqs.std()) / math.sqrt(len(sqs)) if mse < math.inf else math.inf
         return mse, se

@@ -1,9 +1,10 @@
 """Closed forms from the paper's lemmas that the package does not compute.
 
 Each is a witness for a step of a proof: the asymptotic erfc bounds behind
-the root bracket of G, the Gaussian integral J, and the Bayes risk whose
-limit gives minimaxity. The tests compare them with the package's own
-paths; nothing in ``meanshare`` imports this module.
+the root bracket of G, the Gaussian integral J, the Gaussian central
+moments, and the Bayes risk whose limit gives minimaxity. The tests compare
+them with the package's own paths; nothing in ``meanshare`` imports this
+module.
 """
 
 import math
@@ -11,7 +12,7 @@ import math
 import numpy as np
 
 from meanshare.analytics import NonpositiveL, _mobius_mean
-from meanshare.params import ProblemParams, erfcx
+from meanshare.params import InvalidParam, ProblemParams, double_factorial, erfcx
 
 
 def _scaled_erfc_lb(z):
@@ -77,3 +78,12 @@ def bayes_risk_Rl(ell: float, n_i: int, p: ProblemParams, alpha: float) -> float
     sig_tilde_sq = s2 / ns + 1.0 / (n_i / s2 + 1.0 / ell**2)
     B = (n_i + ns) / s2 + 1.0 / ell**2
     return _mobius_mean((p.agents - 2) * ns, alpha**2 * sig_tilde_sq, B, s2)
+
+
+def normal_central_moment(p: int, sigma: float) -> float:
+    """E[(X - mu)^p] for X ~ N(mu, sigma^2): 0 for odd p, sigma^p (p-1)!! for even p."""
+    if p < 0:
+        raise InvalidParam("moment order must be nonnegative")
+    if p % 2 == 1:
+        return 0.0
+    return sigma**p * double_factorial(p - 1)

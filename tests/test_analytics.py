@@ -120,11 +120,13 @@ class TestPenalty:
     def test_derivative_zero_at_solution(self, canonical, canonical_alpha):
         assert abs(an.penalty_derivative_at_nstar(canonical, canonical_alpha)) < 1e-9
 
-    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.inf])
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.inf, 1e200])
     def test_nonpositive_alpha_rejected_at_nstar(self, canonical, alpha):
-        with pytest.raises(ValueError, match="alpha"):
+        # 1e200 used to raise a bare OverflowError from alpha**2; the closed
+        # forms share the solver's range (0, 2**510)
+        with pytest.raises(InvalidParam, match="alpha"):
             an.penalty_at_nstar(canonical, alpha)
-        with pytest.raises(ValueError, match="alpha"):
+        with pytest.raises(InvalidParam, match="alpha"):
             an.penalty_derivative_at_nstar(canonical, alpha)
 
     def test_infinite_corruption_limit(self, canonical):
@@ -135,9 +137,10 @@ class TestPenalty:
     def test_zero_alpha_is_pooled_mean(self, canonical):
         assert an.rinf_max_risk(10, canonical, 0.0) == pytest.approx(1.0 / 90)
 
-    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -1.0, 1e200])
     def test_alpha_outside_range_rejected(self, canonical, alpha):
-        # NaN used to give a NaN risk, and inf a NonpositiveL from deep inside
+        # NaN used to give a NaN risk, inf a NonpositiveL from deep inside,
+        # and 1e200 a bare OverflowError from alpha**2
         with pytest.raises(InvalidParam, match="alpha"):
             an.rinf_max_risk(10, canonical, alpha)
         with pytest.raises(InvalidParam, match="alpha"):
@@ -208,9 +211,10 @@ class TestPos:
         p = validate_params(ProblemParams(1.0, 1 / 64, 4, 1))
         assert an.pos_smallm(p) == pytest.approx(1.25)
 
-    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -1.0, 1e200])
     def test_alpha_outside_range_rejected(self, canonical, alpha):
-        # NaN and inf used to give a NaN price of stability
+        # NaN and inf used to give a NaN price of stability, and 1e200 a bare
+        # OverflowError from alpha**2
         with pytest.raises(InvalidParam, match="alpha"):
             an.pos_mechany(canonical, alpha)
 

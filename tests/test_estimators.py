@@ -64,10 +64,9 @@ class TestApplySubmission:
         X = as_dataset([1.0, 2.0, 3.0])
         Y = est.apply_submission(est.ShrinkEll(1e9), X, canonical)
         assert np.allclose(Y, X, rtol=1e-12)
-        factor = est.shrink_factor(3, canonical.sigma, 2.0)
+        # the factor 1 / (1 + sigma^2 / (n ell^2)) at n = 3, ell = 2
         Y2 = est.apply_submission(est.ShrinkEll(2.0), X, canonical)
-        assert np.allclose(Y2, factor * X)
-        assert factor == pytest.approx(1 / (1 + 1 / 12))
+        assert np.allclose(Y2, X / (1 + canonical.sigma**2 / 12), rtol=1e-12)
 
 
 DETERMINISTIC_RULES = [est.Identity(), est.Scale(0.5), est.Shift(3.0), est.SubmitConstant(7.0),

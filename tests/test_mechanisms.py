@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import as_dataset, params_for
+from meanshare import estimators as est
 from meanshare import mechanisms as mech
 from meanshare.alphasolve import solve_alpha
 from meanshare.params import InvalidParam, ProblemParams, double_factorial, spawn_stream, validate_params
@@ -265,3 +266,102 @@ def test_agent_index_out_of_range(canonical, canonical_alpha, mechanism, i):
     with pytest.raises(ValueError, match="agent index"):
         serve()
     assert stream.bit_generator.state == state
+
+
+class _Recorder:
+    """A mechanism stream that keeps every array it draws."""
+
+    def __init__(self, stream):
+        self.stream, self.draws = stream, []
+
+    def permuted(self, x, axis):
+        self.draws.append(self.stream.permuted(x, axis=axis))
+        return self.draws[-1]
+
+    def standard_normal(self, shape):
+        self.draws.append(self.stream.standard_normal(shape))
+        return self.draws[-1]
+
+
+class _Replay:
+    """Hands a single-round call round r's share of each recorded draw, in
+    the order the batched call made them."""
+
+    def __init__(self, draws, r):
+        self.draws = iter([a[r] for a in draws])
+
+    def permuted(self, x, axis):
+        out = next(self.draws)
+        assert out.shape == x.shape and axis == -1
+        return out
+
+    def standard_normal(self, shape):
+        out = next(self.draws)
+        assert out.shape == shape
+        return out
+
+
+class TestRoundAxis:
+    # a call on (R, n, d) submissions plays R rounds at once; each of them
+    # must equal a single-round call on that round's points and its share
+    # of the draws, bit for bit, and so must the estimates read from them
+    ESTIMATORS = [est.RecommendedWeighted(), est.PlainMeanAll(), est.CleanOnlyMean(),
+                  est.FixedWeighted(1.0), est.PosteriorMean(1.0), est.OwnDataOnlyMean()]
+
+    @pytest.mark.parametrize("own", [10, 5, 0], ids=["n*", "n*/2", "empty"])
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("m", [4, 9])
+    @pytest.mark.parametrize("mechanism", ["pool", "size-check", "corrupt-deploy",
+                                           "cross-check"])
+    def test_rounds_match_single_round_calls(self, mechanism, m, d, own):
+        p = params_for(m, dim=d)
+        R = 4
+        rng = spawn_stream(16, m, d, own)
+        X = rng.standard_normal((R, own, d)) + 0.5
+        subs = [X] + [rng.standard_normal((R, p.n_star, d)) for _ in range(m - 1)]
+        alpha = solve_alpha(p).alpha if m >= 5 else None
+
+        def serve(subs, stream):
+            """The mechanism's allocation to agent 0, and its raw output."""
+            if mechanism == "corrupt-deploy":
+                dep = mech.mech_corrupt_deploy(subs, 0, p, 0.5, stream)
+                empty = np.empty((*dep.corrupted.shape[:-2], 0, d))
+                return mech.Allocation(empty, dep.corrupted, dep.eta_sq), dep.value
+            if mechanism == "cross-check":
+                a = mech.mech_cross_check_corrupt(subs, 0, p, alpha, stream)
+                return a, a.clean
+            pool = (mech.mech_pool(subs, 0) if mechanism == "pool"
+                    else mech.mech_size_check(subs, 0, p))
+            return mech.Allocation(pool, np.empty((*pool.shape[:-2], 0, d)),
+                                   np.zeros((*pool.shape[:-2], d))), pool
+
+        rec = _Recorder(spawn_stream(17))
+        if mechanism == "corrupt-deploy" and own == 0:
+            with pytest.raises(mech.EmptySubmission):
+                serve(subs, rec)
+            assert rec.draws == []
+            return
+        alloc, raw = serve(subs, rec)
+        for r in range(R):
+            one, one_raw = serve([s[r] for s in subs], _Replay(rec.draws, r))
+            for a, b in ((alloc.clean, one.clean), (alloc.corrupted, one.corrupted),
+                         (alloc.eta_sq, one.eta_sq), (raw, one_raw)):
+                assert a[r].shape == b.shape and a[r].tobytes() == b.tobytes()
+        for choice in self.ESTIMATORS:
+            try:
+                v = est.estimate(choice, X, alloc, p.sigma)
+            except est.EmptyInput:
+                for r in range(R):
+                    one = serve([s[r] for s in subs], _Replay(rec.draws, r))[0]
+                    with pytest.raises(est.EmptyInput):
+                        est.estimate(choice, X[r], one, p.sigma)
+                continue
+            assert v.shape == (R, d)
+            for r in range(R):
+                one = serve([s[r] for s in subs], _Replay(rec.draws, r))[0]
+                assert v[r].tobytes() == est.estimate(choice, X[r], one, p.sigma).tobytes()
+
+    def test_mixed_round_axes_rejected(self):
+        subs = [np.zeros((3, 10, 1)), np.zeros((3, 10, 1)), np.zeros((4, 10, 1))]
+        with pytest.raises(ValueError, match="round axes"):
+            mech.mech_pool(subs, 0)

@@ -16,12 +16,12 @@ from meanshare.params import (
     double_factorial,
     erfcx,
     erfcx_array,
-    normal_central_moment,
     spawn_stream,
     validate_params,
 )
 
 from conftest import sample_dataset
+from paper_forms import normal_central_moment
 
 
 class TestValidateParams:

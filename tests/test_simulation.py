@@ -162,6 +162,12 @@ class TestClosedFormAgreement:
 
 
 class TestReferenceAgreement:
+    # each test runs both paths at 40 000 rounds and fails when they differ
+    # by 4 combined standard errors; the comments give that gate as a share
+    # of the risk (seed 7), so an engine bias above that share fails the test
+
+    # gate: pool and size-check 2.9 %, corrupt-deploy 5.3 %, cross-check
+    # 3.9 % (Gaussian) and 3.7 % (Rademacher)
     @pytest.mark.parametrize("mechanism,kw", [
         ("pool", {}),
         ("size-check", {}),
@@ -176,24 +182,26 @@ class TestReferenceAgreement:
         foc = recommended_strategy(canonical, mechanism, kw.get("epsilon"))
         fast = run_replications(_scenario(canonical, mechanism, foc, reps=40_000, **kw))
         ref = run_replications_reference(
-            _scenario(canonical, mechanism, foc, reps=4_000, **kw))
+            _scenario(canonical, mechanism, foc, reps=40_000, **kw))
         tol = 4 * math.hypot(fast.std_error, ref.std_error)
         assert abs(fast.mean_sq_error - ref.mean_sq_error) < tol
 
+    # gate: 4.0 % of the risk
     def test_fast_vs_reference_deviation(self, canonical, canonical_alpha):
         foc = Strategy(5, est.Shift(1.0), est.RecommendedWeighted(), "shift")
         fast = run_replications(_scenario(canonical, "cross-check", foc,
                                           alpha=canonical_alpha, reps=40_000))
         ref = run_replications_reference(
             _scenario(canonical, "cross-check", foc, alpha=canonical_alpha,
-                      reps=4_000))
+                      reps=40_000))
         tol = 4 * math.hypot(fast.std_error, ref.std_error)
         assert abs(fast.mean_sq_error - ref.mean_sq_error) < tol
 
     # canonical n* = 10; the engine reads every rule but fabrication through
     # estimators._submitted_sum, which the reference path does not use, and
     # draws the fabricated points as one sum, whose spread term is nonzero
-    # only when more than one point is collected
+    # only when more than one point is collected. gate: 3.8-4.5 % of the
+    # risk in every cell
     @pytest.mark.parametrize("n,submission,mu_grid,family", [
         (5, est.Identity(), (0.0,), "gaussian"),
         (10, est.Subset(5), (0.0,), "gaussian"),
@@ -216,12 +224,13 @@ class TestReferenceAgreement:
         kw = dict(alpha=canonical_alpha, mu_grid=mu_grid, family=family, scale=scale)
         fast = run_replications(_scenario(canonical, "cross-check", foc, reps=40_000, **kw))
         ref = run_replications_reference(
-            _scenario(canonical, "cross-check", foc, reps=4_000, **kw))
+            _scenario(canonical, "cross-check", foc, reps=40_000, **kw))
         assert len(fast.per_mu) == len(ref.per_mu) == len(mu_grid)
         for (mu, fast_mse, fast_se), (_, ref_mse, ref_se) in zip(fast.per_mu, ref.per_mu):
             tol = 4 * math.hypot(fast_se, ref_se)
             assert abs(fast_mse - ref_mse) < tol, mu
 
+    # gate: size-check 2.9 %, corrupt-deploy 4.7 % of the risk
     @pytest.mark.parametrize("mechanism,kw", [
         ("size-check", {}),
         ("corrupt-deploy", {"epsilon": 0.5}),
@@ -230,10 +239,11 @@ class TestReferenceAgreement:
         foc = Strategy(canonical.n_star, est.Shift(1.0),
                        recommended_strategy(canonical, mechanism).estimator, "shift 1")
         fast = run_replications(_scenario(canonical, mechanism, foc, reps=40_000, **kw))
-        ref = run_replications_reference(_scenario(canonical, mechanism, foc, reps=4_000, **kw))
+        ref = run_replications_reference(_scenario(canonical, mechanism, foc, reps=40_000, **kw))
         tol = 4 * math.hypot(fast.std_error, ref.std_error)
         assert abs(fast.mean_sq_error - ref.mean_sq_error) < tol
 
+    # gate: 2.2 % of the risk
     def test_fast_vs_reference_uniform_box_fixed_weighted(self):
         p = validate_params(ProblemParams(1.0, 1.0 / 300.0, 9, 3))
         from meanshare.alphasolve import solve_alpha
@@ -242,20 +252,22 @@ class TestReferenceAgreement:
                        est.FixedWeighted(2 * alpha**2 * p.sigma**2 / p.n_star), "fixed")
         kw = dict(alpha=alpha, family="uniform_box", scale=math.sqrt(3.0))
         fast = run_replications(_scenario(p, "cross-check", foc, reps=40_000, **kw))
-        ref = run_replications_reference(_scenario(p, "cross-check", foc, reps=4_000, **kw))
+        ref = run_replications_reference(_scenario(p, "cross-check", foc, reps=40_000, **kw))
         tol = 4 * math.hypot(fast.std_error, ref.std_error)
         assert abs(fast.mean_sq_error - ref.mean_sq_error) < tol
 
-    @pytest.mark.parametrize("mechanism,per_round,agents", [
+    @pytest.mark.parametrize("mechanism,per_cell,agents", [
         ("pool", 1, 9), ("size-check", 1, 9), ("corrupt-deploy", 2, 9), ("cross-check", 2, 9),
         ("cross-check", 1, 4),
     ], ids=["pool-1", "size-check-1", "corrupt-deploy-2", "cross-check-2", "cross-check-m4-1"])
     def test_reference_spawns_streams_only_where_drawn(self, canonical_alpha, monkeypatch,
-                                                       mechanism, per_round, agents):
-        # one stream for the agents' data, plus one mechanism stream where the
-        # mechanism draws: corrupt-deploy, and cross-check with m >= 5
+                                                       mechanism, per_cell, agents):
+        # per mean offset, one stream for the agents' data, plus one mechanism
+        # stream where the mechanism draws: corrupt-deploy, and cross-check
+        # with m >= 5; at 2 rounds per block, 7 rounds span 4 blocks
         p = params_for(agents)
         calls = []
+        monkeypatch.setattr(simulation, "_REFERENCE_BLOCK_ITEMS", 2 * (agents - 1) * p.n_star)
 
         def counting(*args):
             calls.append(args)
@@ -263,35 +275,82 @@ class TestReferenceAgreement:
 
         monkeypatch.setattr(simulation, "spawn_stream", counting)
         eps = 0.5 if mechanism == "corrupt-deploy" else None
-        sc = _scenario(p, mechanism, recommended_strategy(p, mechanism),
-                       alpha=canonical_alpha, epsilon=eps, reps=7, mu_grid=(0.0, 5.0))
-        run_replications_reference(sc)
-        assert len(calls) == 7 * per_round
-        pen = run_replications_reference(replace(sc, focal=Strategy(
-            p.n_star, est.Scale(0.5), sc.focal.estimator)))
-        assert len(pen.per_mu) == 2
-        assert len(calls) == 3 * 7 * per_round
+        for reps in (1, 7):
+            calls.clear()
+            sc = _scenario(p, mechanism, recommended_strategy(p, mechanism),
+                           alpha=canonical_alpha, epsilon=eps, reps=reps, mu_grid=(0.0, 5.0))
+            run_replications_reference(sc)
+            assert len(calls) == per_cell
+            pen = run_replications_reference(replace(sc, focal=Strategy(
+                p.n_star, est.Scale(0.5), sc.focal.estimator)))
+            assert len(pen.per_mu) == 2
+            assert len(calls) == 3 * per_cell
 
 
-def _list_reference_sq_error(sc, mi, mu, r):
-    """One reference round played in full: every agent is served in index
-    order from the round's mechanism stream and agent 0's allocation is
-    scored, and the others' data are drawn in m - 1 calls."""
+class TestReferenceBlocks:
+    # the reference path plays each mean offset's rounds a block at a time
+    @pytest.mark.parametrize("mechanism,agents", [
+        ("pool", 9), ("size-check", 9), ("cross-check", 9), ("cross-check", 4),
+    ], ids=["pool", "size-check", "cross-check", "cross-check-m4"])
+    def test_cell_without_weighted_data_scores_inf(self, monkeypatch, mechanism, agents):
+        # the own-data mean of an agent that collects nothing raises
+        # EmptyInput in the first block; every round of the cell scores +inf,
+        # and so do its mean and standard error
+        p = params_for(agents)
+        alpha = solve_alpha(p).alpha if mechanism == "cross-check" and agents >= 5 else None
+        monkeypatch.setattr(simulation, "_REFERENCE_BLOCK_ITEMS", 2 * (agents - 1) * p.n_star)
+        foc = Strategy(0, est.Identity(), est.OwnDataOnlyMean(), "no own data")
+        sc = _scenario(p, mechanism, foc, alpha=alpha, reps=7)
+        sq = simulation._reference_sq_errors(sc, 0, 0.0)
+        assert sq.shape == (7,) and np.all(sq == math.inf)
+        pen = run_replications_reference(sc)
+        assert pen.per_mu == ((0.0, math.inf, math.inf),)
+        assert pen.total == math.inf
+
+    @pytest.mark.parametrize("n,submission", [(1, est.Empty()), (0, est.Identity())],
+                             ids=["submit nothing", "n=0"])
+    def test_corrupt_deploy_rejects_empty_submission(self, canonical, n, submission):
+        # corrupt-and-deploy needs every submission nonempty, on both paths
+        foc = Strategy(n, submission, est.PlainMeanAll())
+        sc = _scenario(canonical, "corrupt-deploy", foc, epsilon=0.5, reps=7)
+        for run in (run_replications, run_replications_reference):
+            with pytest.raises(mech.EmptySubmission):
+                run(sc)
+
+    def test_pool_memory_is_bounded(self):
+        # at m = 100 a round's pool holds 990 points: 5 000 rounds of them
+        # take 40 MB per array if drawn at once, and a block of 1 059 rounds
+        # 8.4 MB
+        p = params_for(100)
+        sc = _scenario(p, "pool", recommended_strategy(p, "pool"), reps=5_000)
+        tracemalloc.start()
+        try:
+            run_replications_reference(sc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+
+
+def _list_reference_sq_errors(sc, mi, mu):
+    """The reference rounds of one mean offset, played in full as one block:
+    every agent is served in index order from the offset's mechanism stream
+    and agent 0's allocation is scored, and the others' data are drawn in
+    m - 1 calls."""
     p = sc.params
-    d, ns, m = p.dim, p.n_star, p.agents
+    d, ns, m, b = p.dim, p.n_star, p.agents, sc.replications
     spec, foc = sc.distribution, sc.focal
-    agent_stream = spawn_stream(sc.master_seed, 1000, mi, r)
-    X = spec.sample(agent_stream, (foc.n, d), mu)
+    agent_stream = spawn_stream(sc.master_seed, 1000, mi)
+    stream = spawn_stream(sc.master_seed, 2000, mi)
+    X = spec.sample(agent_stream, (b, foc.n, d), mu)
     Y = est.apply_submission(foc.submission, X, p, agent_stream)
-    subs = [Y] + [spec.sample(agent_stream, (ns, d), mu) for _ in range(m - 1)]
-    no_data = np.empty((0, d))
+    subs = [Y] + [spec.sample(agent_stream, (b, ns, d), mu) for _ in range(m - 1)]
+    no_data = np.empty((b, 0, d))
     if sc.mechanism == "corrupt-deploy":
-        stream = spawn_stream(sc.master_seed, 2000, mi, r)
         dep = [mech.mech_corrupt_deploy(subs, i, p, sc.epsilon, stream) for i in range(m)][0]
         alloc = mech.Allocation(no_data, dep.corrupted, dep.eta_sq)
     elif sc.mechanism == "cross-check":
-        stream = spawn_stream(sc.master_seed, 2000, mi, r) if m >= 5 else None
-        alloc = [mech.mech_cross_check_corrupt(subs, i, p, sc.alpha, stream)
+        alloc = [mech.mech_cross_check_corrupt(subs, i, p, sc.alpha, stream if m >= 5 else None)
                  for i in range(m)][0]
     else:
         pools = [mech.mech_pool(subs, i) if sc.mechanism == "pool"
@@ -300,18 +359,15 @@ def _list_reference_sq_error(sc, mi, mu, r):
     if sc.mechanism == "corrupt-deploy" and isinstance(foc.estimator, est.PlainMeanAll):
         v = dep.value
     else:
-        try:
-            v = est.estimate(foc.estimator, X, alloc, p.sigma)
-        except est.EmptyInput:
-            return math.inf
-    e = v - (spec.mean + mu)
-    return float(e @ e)
+        v = est.estimate(foc.estimator, X, alloc, p.sigma)
+    return np.square(v - (spec.mean + mu)).sum(axis=-1)
 
 
 class TestReferenceRoundPin:
     # the reference path serves agent 0 alone and draws the others' data in
-    # one call; every round must stay bit for bit what a full round, with
-    # every agent served and one draw per other agent, gives
+    # one call per block of rounds; every round of a block must stay bit for
+    # bit what a full round, with every agent served and one draw per other
+    # agent, gives
     DEVIATIONS = {
         "pool": Strategy(0, est.Identity(), est.PlainMeanAll(), "free rider"),
         "size-check": Strategy(10, est.Subset(5), est.PlainMeanAll(), "subset 5"),
@@ -334,10 +390,9 @@ class TestReferenceRoundPin:
             sc = _scenario(p, mechanism, foc, alpha=alpha, epsilon=eps, reps=3, seed=19,
                            family=family, scale=scale)
             for mi, mu in ((0, 0.0), (1, 5.0)):
-                for r in range(3):
-                    got = simulation._reference_sq_error(sc, mi, mu, r)
-                    assert got.hex() == _list_reference_sq_error(sc, mi, mu, r).hex()
-                    finite += math.isfinite(got)
+                got = simulation._reference_sq_errors(sc, mi, mu)
+                assert got.tobytes() == _list_reference_sq_errors(sc, mi, mu).tobytes()
+                finite += np.isfinite(got).sum()
         assert finite == 12
 
 
