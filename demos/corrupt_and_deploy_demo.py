@@ -21,7 +21,7 @@ from meanshare.analytics import (
     pos_mechpk,
 )
 from meanshare.mechanisms import k_eps
-from meanshare.params import DistributionSpec, ProblemParams, validate_params
+from meanshare.params import DistributionSpec, ProblemParams
 from meanshare.simulation import Scenario, Strategy, recommended_strategy, run_replications
 
 REPLICATIONS = 400_000
@@ -29,7 +29,7 @@ SEED = 20260826
 
 
 def main():
-    p = validate_params(ProblemParams(sigma=1.0, cost=1.0 / 900.0, agents=9, dim=1))
+    p = ProblemParams(sigma=1.0, cost=1.0 / 900.0, agents=9, dim=1)
     spec = DistributionSpec("gaussian", np.zeros(1), p.sigma, p.sigma**2)
 
     print(f"{'eps':>5} {'k':>2} {'PoS':>6} {'penalty (MC)':>13} "

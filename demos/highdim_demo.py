@@ -18,7 +18,7 @@ import numpy as np
 from meanshare import estimators as est
 from meanshare.alphasolve import solve_alpha
 from meanshare.analytics import e_of_m, highdim_penalty_bound
-from meanshare.params import DistributionSpec, ProblemParams, validate_params
+from meanshare.params import DistributionSpec, ProblemParams
 from meanshare.simulation import Scenario, Strategy, highdim_nic_check
 
 REPLICATIONS = 100_000
@@ -26,7 +26,7 @@ SEED = 20260826
 
 
 def main():
-    p = validate_params(ProblemParams(sigma=1.0, cost=1.0 / 300.0, agents=9, dim=3))
+    p = ProblemParams(sigma=1.0, cost=1.0 / 300.0, agents=9, dim=3)
     sol = solve_alpha(p)
     print(f"d={p.dim}, m={p.agents}, cost=1/300  ->  n* = {p.n_star}, "
           f"alpha = {sol.alpha:.6f}")

@@ -10,7 +10,7 @@ strategy by more than 3 combined standard errors.
 import numpy as np
 
 from meanshare.alphasolve import solve_alpha
-from meanshare.params import DistributionSpec, ProblemParams, validate_params
+from meanshare.params import DistributionSpec, ProblemParams
 from meanshare.simulation import Scenario, nash_deviation_sweep, recommended_strategy
 
 REPLICATIONS = 100_000
@@ -18,7 +18,7 @@ SEED = 20260826
 
 
 def main():
-    p = validate_params(ProblemParams(sigma=1.0, cost=1.0 / 900.0, agents=9, dim=1))
+    p = ProblemParams(sigma=1.0, cost=1.0 / 900.0, agents=9, dim=1)
     alpha = solve_alpha(p).alpha
     spec = DistributionSpec("gaussian", np.zeros(1), p.sigma, p.sigma**2)
     sc = Scenario(params=p, mechanism="cross-check",

@@ -19,11 +19,11 @@ from meanshare.analytics import (
     penalty_derivative_at_nstar,
     pos_mechany,
 )
-from meanshare.params import ProblemParams, validate_params
+from meanshare.params import ProblemParams
 
 
 def main():
-    p = validate_params(ProblemParams(sigma=1.0, cost=1.0 / 900.0, agents=9, dim=1))
+    p = ProblemParams(sigma=1.0, cost=1.0 / 900.0, agents=9, dim=1)
     alpha = solve_alpha(p).alpha
     ns = p.n_star
     print(f"sigma={p.sigma}, cost=1/900, m={p.agents}  ->  n* = {ns}, "

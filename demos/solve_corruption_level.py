@@ -10,13 +10,13 @@ alpha / sqrt(n*) stays inside its proven bracket.
 import math
 
 from meanshare.alphasolve import c_m, g_of_alpha, solve_alpha
-from meanshare.params import ProblemParams, validate_params
+from meanshare.params import ProblemParams
 
 
 def params_with_nstar(m: int, n_star: int = 10, sigma: float = 1.0) -> ProblemParams:
     """Pick the per-sample cost so the recommended count is exactly n_star."""
     cost = sigma**2 / (n_star**2 * m)
-    return validate_params(ProblemParams(sigma, cost, m, 1))
+    return ProblemParams(sigma, cost, m, 1)
 
 
 def main():

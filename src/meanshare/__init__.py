@@ -25,14 +25,12 @@ from .params import (
     ProblemParams,
     double_factorial,
     spawn_stream,
-    validate_params,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ProblemParams",
-    "validate_params",
     "DistributionSpec",
     "double_factorial",
     "spawn_stream",

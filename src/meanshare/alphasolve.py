@@ -71,8 +71,6 @@ def _check_regime(p: ProblemParams):
     if p.agents <= 4:
         raise ValueError("no corruption level is defined for m <= 4 (pooling regime); "
                          "it needs 5 or more agents")
-    if p.n_star <= 0:
-        raise ValueError("params must be validated first (n_star missing)")
 
 
 def g_of_alpha(alpha, p: ProblemParams) -> float:

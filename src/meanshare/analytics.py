@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 _SQRT2PI = math.sqrt(2 * math.pi)
+_SQRT_PI = math.sqrt(math.pi)
 
 
 class NonpositiveL(ValueError):
@@ -130,16 +131,28 @@ def penalty_at_nstar(p: ProblemParams, alpha: float) -> float:
 
 def penalty_derivative_at_nstar(p: ProblemParams, alpha: float) -> float:
     """Closed form of p'(n*); zero when alpha solves the corruption-level
-    equation (first-order condition of the recommended sample count)."""
+    equation (first-order condition of the recommended sample count).
+
+    In u = alpha/sqrt(m n*) and z = 1/(2 sqrt(2) u), where no term grows
+    with alpha, it is c - d sigma^2/(m n*)^2 ((m + 2) - (m - 2) x)/4 with
+    x = H (1 - 4 (m + 1) u^2) and H = 2 z^2 (1 - sqrt(pi) z erfcx(z)).
+    From z = 8 on, where H's two terms cancel, H = 1/(tau_1 tau_2) from
+    erfcx's continued fraction scaled by z: tau_13 = 1 and
+    tau_k = 1 + 4 k u^2/tau_{k+1}. Against mpmath the error is below 5e-13
+    of c + |p'(n*) - c| for alpha in (0, 2**510), largest just below z = 8.
+    """
     _require_positive_alpha(alpha)
-    m, ns, s2 = p.agents, p.n_star, p.sigma**2
-    rt = math.sqrt(m * ns)
-    z = rt / (2 * math.sqrt(2) * alpha)
-    pref = -s2 / (64 * (alpha**2 / (m - 2)) * (alpha / rt) * m * ns)
-    inner = (4 * alpha / rt) * (4 * alpha**2 * m / ((m - 2) * ns) - 1) - erfcx(z) * (
-        4 * alpha**2 * (m + 1) / (m * ns) - 1
-    ) * _SQRT2PI
-    return p.dim * pref * inner + p.cost
+    m, ns = p.agents, p.n_star
+    u2 = alpha * alpha / (m * ns)
+    if u2 > 1 / 512:  # z < 8
+        z = 1.0 / math.sqrt(8 * u2)
+        x = (1.0 - _SQRT_PI * z * erfcx(z)) * (1.0 / (4 * u2) - (m + 1))
+    else:
+        tau = 1.0
+        for k in range(12, 1, -1):
+            tau = 1.0 + 4 * k * u2 / tau
+        x = (1.0 - 4 * (m + 1) * u2) / ((1.0 + 4 * u2 / tau) * tau)
+    return p.cost - p.dim * p.sigma**2 / (m * ns) ** 2 * ((m + 2) - (m - 2) * x) / 4
 
 
 def pos_mechany(p: ProblemParams, alpha: float) -> float:

@@ -29,14 +29,14 @@ import numpy as np
 
 from . import estimators as est
 from . import simulation as sim
-from .alphasolve import NoSignChange, c_m, g_of_alpha, solve_alpha
+from .alphasolve import NoSignChange, bracket, g_of_alpha, solve_alpha
 from .analytics import (
     e_of_m,
     penalty_at_nstar,
     pos_mechany,
     pos_smallm,
 )
-from .params import DistributionSpec, ProblemParams, cost_for_n_star, validate_params
+from .params import DistributionSpec, ProblemParams, cost_for_n_star
 
 EXIT_OK = 0
 EXIT_FLAGS = 1
@@ -106,7 +106,7 @@ def _params_from(args, m: int | None = None) -> ProblemParams:
     agents = m if m is not None else args.agents
     cost = args.cost if args.cost is not None else cost_for_n_star(
         args.sigma, 10 if args.nstar is None else args.nstar, agents, args.dim)
-    return validate_params(ProblemParams(args.sigma, cost, agents, args.dim))
+    return ProblemParams(args.sigma, cost, agents, args.dim)
 
 
 def _add_common(p: _Parser):
@@ -149,7 +149,7 @@ def cmd_figures(args) -> int:
     for m in range(lo, hi + 1):
         p = _params_from(args, m=m)
         if args.which == "g-check":
-            val = g_of_alpha((1 + c_m(m) / m) * math.sqrt(p.n_star), p)
+            val = g_of_alpha(bracket(p)[1], p)
             rows.append({"m": m, "g_at_bracket_hi": val})
             ok &= val > 0
         else:

@@ -44,75 +44,62 @@ class ProblemParams:
     """Market parameters: per-dimension noise std, per-sample cost,
     number of agents, and dimension.
 
-    ``n_star`` is the recommended per-agent sample count. It is derived
-    from the other fields by :func:`validate_params`, is not a constructor
-    argument, and is 0 until validation attaches it.
+    ``n_star``, the recommended per-agent sample count, is not a constructor
+    argument: it is derived whenever one is made, by ``dataclasses.replace``
+    too. Making one raises :class:`InvalidParam` for an out-of-range or
+    non-integral field, and :class:`NonIntegerNStar` when n* is more than
+    1e-9 away from an integer >= 1 (choose the cost so that it is exact).
     """
 
     sigma: float
     cost: float
     agents: int
     dim: int = 1
-    n_star: int = field(default=0, init=False, compare=False)
+    n_star: int = field(init=False, compare=False)
 
-
-def _n_star_real(sigma: float, cost: float, m: int, d: int) -> float:
-    if m >= 5:
-        return sigma * math.sqrt(d) / math.sqrt(cost * m)
-    return sigma * math.sqrt(d) / (m * math.sqrt(cost))
+    def __post_init__(self):
+        # sigma and dim before cost: cost_for_n_star derives the cost from them
+        if not 0 < self.sigma < math.inf:
+            raise InvalidParam(f"sigma must be positive and finite, got {self.sigma}")
+        for name, low in (("agents", 2), ("dim", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise InvalidParam(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise InvalidParam(f"{name} must be >= {low}, got {value}")
+            object.__setattr__(self, name, int(value))
+        if not 0 < self.cost < math.inf:
+            raise InvalidParam(f"cost must be positive and finite, got {self.cost}")
+        m = self.agents
+        den = math.sqrt(self.cost * m) if m >= 5 else m * math.sqrt(self.cost)
+        ns = self.sigma * math.sqrt(self.dim) / den
+        if not ns < math.inf or abs(ns - round(ns)) > 1e-9:
+            raise NonIntegerNStar(
+                f"recommended sample count {ns!r} is not an integer; adjust the cost"
+            )
+        rounded = round(ns)
+        if rounded < 1:
+            raise NonIntegerNStar(f"recommended sample count rounds to {rounded} < 1")
+        object.__setattr__(self, "n_star", rounded)
 
 
 def cost_for_n_star(sigma: float, n_star: int, agents: int, dim: int = 1) -> float:
     """The per-sample cost at which the recommended count is exactly
     ``n_star``: the inverse of the n* formula. Raises :class:`InvalidParam`
-    for a sigma that is not positive and finite, fewer than 2 agents,
-    dim < 1, n_star < 1, or a cost outside (0, inf) in floating point."""
-    if not 0 < sigma < math.inf:
-        raise InvalidParam(f"sigma must be positive and finite, got {sigma}")
+    for fewer than 2 agents, n_star < 1, and where :class:`ProblemParams`
+    rejects that cost, for example outside (0, inf) in floating point."""
     if agents < 2:
         raise InvalidParam(f"need at least 2 agents, got {agents}")
-    if dim < 1:
-        raise InvalidParam(f"dim must be >= 1, got {dim}")
     if n_star < 1:
         raise InvalidParam(f"n_star must be >= 1, got {n_star}")
     den = n_star**2 * agents if agents >= 5 else (n_star * agents) ** 2
-    try:
-        cost = sigma**2 * dim / den
-    except OverflowError:  # sigma**2 beyond the float range
-        cost = math.inf
-    if not 0 < cost < math.inf:
-        raise InvalidParam(f"the cost that gives n_star={n_star} at sigma={sigma} is {cost}, "
-                           "outside the floating-point range")
-    return cost
+    return ProblemParams(sigma, sigma * sigma * dim / den, agents, dim).cost
 
 
 def validate_params(p: ProblemParams) -> ProblemParams:
-    """Check ranges and attach the integer recommended sample count.
-
-    Idempotent. Raises :class:`NonIntegerNStar` when the derived count is
-    more than 1e-9 away from an integer (choose the cost so that it is
-    exact), and :class:`InvalidParam` for out-of-range fields.
-    """
-    if not 0 < p.sigma < math.inf:
-        raise InvalidParam(f"sigma must be positive and finite, got {p.sigma}")
-    if not 0 < p.cost < math.inf:
-        raise InvalidParam(f"cost must be positive and finite, got {p.cost}")
-    if p.agents < 2:
-        raise InvalidParam(f"need at least 2 agents, got {p.agents}")
-    if p.dim < 1:
-        raise InvalidParam(f"dim must be >= 1, got {p.dim}")
-
-    ns = _n_star_real(p.sigma, p.cost, p.agents, p.dim)
-    rounded = round(ns)
-    if abs(ns - rounded) > 1e-9:
-        raise NonIntegerNStar(
-            f"recommended sample count {ns!r} is not an integer; adjust the cost"
-        )
-    if rounded < 1:
-        raise NonIntegerNStar(f"recommended sample count rounds to {rounded} < 1")
-    out = ProblemParams(p.sigma, p.cost, p.agents, p.dim)
-    object.__setattr__(out, "n_star", int(rounded))
-    return out
+    """Return ``p``: a :class:`ProblemParams` is checked when it is made.
+    Kept for callers written before that."""
+    return p
 
 
 @dataclass(frozen=True)
@@ -165,19 +152,18 @@ class DistributionSpec:
         pts += self.mean + shift
         return pts
 
-    def sample_sum(self, stream: np.random.Generator, b: int, k: int,
-                   shift: float = 0.0) -> np.ndarray:
+    def sample_sum(self, stream: np.random.Generator, b: int, k: int) -> np.ndarray:
         """Sums, of shape (b, dim), of b i.i.d. blocks of k points located at
-        ``mean + shift``.
+        ``mean``.
 
-        Gaussian and Rademacher sums are drawn exactly, as N(k loc, k scale^2)
-        and scale (2 Binomial(k, 1/2) - k) + k loc, in O(b dim) draws whatever
+        Gaussian and Rademacher sums are drawn exactly, as N(k mean, k scale^2)
+        and scale (2 Binomial(k, 1/2) - k) + k mean, in O(b dim) draws whatever
         k is. With k = 0 the sums are zero and nothing is drawn.
 
         Uniform sums have no cheap exact sampler, so they are sums of k
         standard uniforms U(0, 1), mapped once at the end by
-        ``2 scale S + k (loc - scale)``: the law of a sum of k points of
-        U(loc - scale, loc + scale). The k ``(b, dim)`` planes of uniforms are
+        ``2 scale S + k (mean - scale)``: the law of a sum of k points of
+        U(mean - scale, mean + scale). The k ``(b, dim)`` planes of uniforms are
         drawn in turn into one scratch array and added into the result, so a
         call holds two ``(b, dim)`` arrays whatever k is, and the sums equal
         those of one ``(k, b, dim)`` draw summed over its first axis.
@@ -185,16 +171,15 @@ class DistributionSpec:
         shape = (b, self.dim)
         if k == 0:
             return np.zeros(shape)
-        loc = self.mean + shift
         if self.family == "gaussian":
-            return math.sqrt(k) * self.scale * stream.standard_normal(shape) + k * loc
+            return math.sqrt(k) * self.scale * stream.standard_normal(shape) + k * self.mean
         if self.family == "scaled_rademacher":
-            return self.scale * (2.0 * stream.binomial(k, 0.5, size=shape) - k) + k * loc
+            return self.scale * (2.0 * stream.binomial(k, 0.5, size=shape) - k) + k * self.mean
         out, tmp = stream.random(shape), np.empty(shape)
         for _ in range(k - 1):
             out += stream.random(out=tmp)
         out *= 2.0 * self.scale
-        out += k * (loc - self.scale)
+        out += k * (self.mean - self.scale)
         return out
 
 

@@ -159,8 +159,7 @@ class Scenario:
             raise InvalidParam("corrupt-deploy needs a finite epsilon > 0")
         if self.mechanism != "corrupt-deploy" and self.epsilon is not None:
             raise InvalidParam(f"epsilon is read by corrupt-deploy only, not by {self.mechanism}")
-        for name, value, low in (("params.n_star", p.n_star, 1),
-                                 ("replications", self.replications, 1),
+        for name, value, low in (("replications", self.replications, 1),
                                  ("chunk_size", self.chunk_size, 1), ("workers", self.workers, 1),
                                  ("len(mu_grid)", len(self.mu_grid), 1),
                                  ("focal.n", self.focal.n, 0)):

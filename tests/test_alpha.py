@@ -141,9 +141,9 @@ class TestSolveAlpha:
         assert g_of_alpha(hi, p) > 0
         assert c_m(m) == (20.0 if m <= 20 else 5.0)
 
-    def test_unvalidated_params_rejected(self):
-        with pytest.raises(ValueError):
-            solve_alpha(ProblemParams(1.0, 1 / 900, 9, 1))
+    def test_params_from_constructor_solve(self, canonical):
+        # n* is derived when the params are made: no validation step first
+        assert solve_alpha(ProblemParams(1.0, 1 / 900, 9, 1)) == solve_alpha(canonical)
 
     def test_no_warnings_canonical(self, canonical):
         assert solve_alpha(canonical).warnings == ()

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -39,6 +40,22 @@ def oracle_ns(p):
 
 def oracle_alphas(p):
     return (0.0, solve_alpha(p).alpha, 3 * math.sqrt(p.n_star))
+
+
+def derivative_at_nstar_mpmath(p, alpha):
+    """The paper's p'(n*) in mpmath, at a precision that covers the
+    cancellation of its leading terms, about 2 log10(z) + log10(m) digits
+    with z = sqrt(m n*)/(2 sqrt(2) alpha)."""
+    m, ns = p.agents, p.n_star
+    z = math.sqrt(m * ns) / (2 * math.sqrt(2) * alpha)
+    with mpmath.workdps(40 + int(2 * max(0.0, math.log10(z)) + math.log10(m))):
+        a, rt = mpmath.mpf(alpha), mpmath.sqrt(m * ns)
+        z = rt / (2 * mpmath.sqrt(2) * a)
+        pref = -mpmath.mpf(p.sigma) ** 2 / (64 * (a**2 / (m - 2)) * (a / rt) * m * ns)
+        inner = ((4 * a / rt) * (4 * a**2 * m / ((m - 2) * ns) - 1)
+                 - mpmath.exp(z * z) * mpmath.erfc(z) * (4 * a**2 * (m + 1) / (m * ns) - 1)
+                 * mpmath.sqrt(2 * mpmath.pi))
+        return float(p.dim * pref * inner + mpmath.mpf(p.cost))
 
 
 def test_import_does_not_load_scipy_integrate():
@@ -119,6 +136,26 @@ class TestPenalty:
 
     def test_derivative_zero_at_solution(self, canonical, canonical_alpha):
         assert abs(an.penalty_derivative_at_nstar(canonical, canonical_alpha)) < 1e-9
+
+    @pytest.mark.parametrize("m,n_star,d", [(5, 1, 1), (9, 10, 1), (100, 7, 3), (500, 10, 2)])
+    def test_derivative_over_whole_alpha_range(self, m, n_star, d):
+        # the form in alpha used to return exactly c from 1e-100 to 1e-8 and
+        # from 3e102 to 9.3e102, be 3 % off at 1e-7, give 9e183 at 1e-101,
+        # ZeroDivisionError below about 1e-104 and NaN from 9.4e102 up
+        # (m = 9, n* = 10)
+        p = params_for(m, n_star, dim=d)
+        limit = p.cost - d * p.sigma**2 / (m * n_star) ** 2
+        alphas = [2.0**k for k in range(-1074, 510, 8)] + [1e-8, 1e-7, 1e-6, 5e102, 2.0**510 * (1 - 2**-52)]
+        for alpha in alphas:
+            got = an.penalty_derivative_at_nstar(p, alpha)
+            assert math.isfinite(got), alpha
+            # mpmath's erfc gives out far past z = 1e12, where the small-alpha
+            # limit is exact to rounding
+            small = math.sqrt(m * n_star) / (2 * math.sqrt(2) * alpha) > 1e12
+            want = limit if small else derivative_at_nstar_mpmath(p, alpha)
+            assert abs(got - want) <= 5e-13 * (p.cost + abs(want - p.cost)), (alpha, got, want)
+        assert an.penalty_derivative_at_nstar(p, 2.0**509) == pytest.approx(
+            p.cost - d * p.sigma**2 / (4 * n_star**2), rel=1e-15)
 
     @pytest.mark.parametrize("alpha", [0.0, -1.0, math.inf, 1e200])
     def test_nonpositive_alpha_rejected_at_nstar(self, canonical, alpha):

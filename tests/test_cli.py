@@ -1,9 +1,11 @@
 import argparse
+import ast
 import csv
 import io
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -149,7 +151,8 @@ class TestFigures:
                                "--m-range", "5:7", "--out", str(out_file))
         assert code == 0
         assert out == ""
-        rows = list(csv.DictReader(out_file.open()))
+        with out_file.open() as f:
+            rows = list(csv.DictReader(f))
         assert [r["m"] for r in rows] == ["5", "6", "7"]
 
     def test_rejects_small_m_range(self, capsys):
@@ -390,6 +393,22 @@ class TestExperimentFlags:
         assert {argv[1] for argv in commands if argv[0] == "experiment"} == set(EXPERIMENT_FLAGS)
         for argv in commands:
             cli.build_parser().parse_args(argv)
+
+    def test_readme_library_tour_values(self):
+        # each expression line of the tour shows its value, rounded, in its comment
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Library tour", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+        lines, env, shown = block.splitlines(), {}, []
+        for node in ast.parse(block).body:
+            if not isinstance(node, ast.Expr):
+                exec(compile(ast.Module([node], type_ignores=[]), "README.md", "exec"), env)
+                continue
+            value = eval(compile(ast.Expression(node.value), "README.md", "eval"), env)
+            number = re.search(r"\d+(?:\.(\d+))?", lines[node.lineno - 1].split("#", 1)[1])
+            assert round(value, len(number.group(1) or "")) == float(number.group(0)), \
+                lines[node.lineno - 1]
+            shown.append(number.group(0))
+        assert shown == ["10", "5.4264", "0.03726", "0.06667", "1.677"]
 
 
 def test_import_loads_no_scipy():

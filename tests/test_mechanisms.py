@@ -45,6 +45,14 @@ class TestSizeCheck:
         out = _round(mech.mech_size_check, subs, canonical)
         assert all(len(a) == 8 * 10 for a in out)
 
+    def test_params_from_constructor(self, canonical):
+        # n* is derived when the params are made, so params that skip
+        # validate_params gate on n* = 10 too
+        subs = [as_dataset(np.arange(3.0))] + [as_dataset(np.ones(10))] * 8
+        for p in (ProblemParams(1.0, 1.0 / 900.0, 9, 1), canonical):
+            assert len(mech.mech_size_check(subs, 0, p)) == 0
+            assert len(mech.mech_size_check(subs[1:] + subs[:1], 0, p)) == 7 * 10 + 3
+
     def test_permutation_covariance(self, canonical):
         rng = spawn_stream(0, 7)
         subs = [as_dataset(rng.standard_normal(10)) for _ in range(9)]
@@ -123,6 +131,16 @@ class TestCrossCheckCorrupt:
         for a in out:
             assert len(a.clean) == 10
             assert len(a.corrupted) == 70
+
+    def test_params_from_constructor(self, canonical):
+        # params that skip validate_params hold out n* = 10 clean points too
+        rng = spawn_stream(5, 0)
+        subs = [as_dataset(rng.standard_normal(10)) for _ in range(9)]
+        a, b = (mech.mech_cross_check_corrupt(subs, 0, p, 5.4, spawn_stream(5, 100))
+                for p in (ProblemParams(1.0, 1.0 / 900.0, 9, 1), canonical))
+        assert len(a.clean) == 10 and len(a.corrupted) == 70 and a.eta_sq[0] > 0
+        for x, y in ((a.clean, b.clean), (a.corrupted, b.corrupted), (a.eta_sq, b.eta_sq)):
+            assert np.array_equal(x, y)
 
     def test_partition_recovers_pool(self, canonical):
         rng = spawn_stream(6, 0)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -37,22 +38,34 @@ class TestValidateParams:
         with pytest.raises(NonIntegerNStar):
             validate_params(ProblemParams(1.0, 0.001, 9, 1))
 
+    def test_infinite_n_star_rejected(self):
+        # sigma sqrt(d) overflows to inf, which round() turns into a bare OverflowError
+        with pytest.raises(NonIntegerNStar):
+            ProblemParams(1e308, 1e-300, 9, 4)
+
     def test_zero_n_star_rejected(self):
         with pytest.raises(NonIntegerNStar):
             validate_params(ProblemParams(1.0, 4.0, 4, 1))
 
     @pytest.mark.parametrize("bad", [
-        ProblemParams(0.0, 1 / 900, 9),
-        ProblemParams(-1.0, 1 / 900, 9),
-        ProblemParams(1.0, 0.0, 9),
-        ProblemParams(1.0, 1 / 900, 1),
-        ProblemParams(1.0, 1 / 900, 9, 0),
-        ProblemParams(math.inf, 1 / 900, 9),
-        ProblemParams(1.0, math.inf, 9),
+        (0.0, 1 / 900, 9),
+        (-1.0, 1 / 900, 9),
+        (1.0, 0.0, 9),
+        (1.0, 1 / 900, 1),
+        (1.0, 1 / 900, 9, 0),
+        (math.inf, 1 / 900, 9),
+        (1.0, math.inf, 9),
+        # agent counts and dimensions must be integers
+        (1.0, 1 / 300, 9.0, 3),
+        (1.0, 1 / 300, 9.5, 3),
+        (1.0, 1 / 300, "9", 3),
+        (1.0, 1 / 300, 9, 3.0),
+        (1.0, 1 / 900, 9, np.float64(1.0)),
     ])
     def test_invalid(self, bad):
+        # each field is checked when the object is made
         with pytest.raises(InvalidParam):
-            validate_params(bad)
+            ProblemParams(*bad)
 
     def test_n_star_not_settable(self):
         # n* is derived from (sigma, c, m, d); a forged value would change alpha
@@ -68,6 +81,24 @@ class TestValidateParams:
         p = validate_params(ProblemParams(1.0, 1 / 300, 9, 3))
         assert p.n_star == 10
         assert p.cost / p.dim == pytest.approx(1 / 900)
+
+    def test_n_star_derived_by_constructor(self):
+        assert ProblemParams(1.0, 1 / 900, 9).n_star == 10
+
+    def test_validate_returns_its_argument(self):
+        p = ProblemParams(1.0, 1 / 900, 9)
+        assert validate_params(p) is p
+
+    def test_replace_derives_n_star_again(self):
+        p = ProblemParams(1.0, 1 / 900, 9)
+        assert replace(p, cost=3 / 900, dim=3).n_star == 10
+        with pytest.raises(NonIntegerNStar):
+            replace(p, dim=3)  # n* = 10 sqrt(3)
+
+    def test_numpy_integers_accepted(self):
+        p = ProblemParams(1.0, 1 / 300, np.int64(9), np.int32(3))
+        assert p == ProblemParams(1.0, 1 / 300, 9, 3) and p.n_star == 10
+        assert type(p.agents) is int and type(p.dim) is int
 
 
 class TestDoubleFactorial:
@@ -178,32 +209,32 @@ class TestSampleSums:
 
     @pytest.mark.parametrize("family,scale", FAMILIES)
     def test_moments(self, family, scale):
-        spec = DistributionSpec(family, np.array([0.5, -1.0]), scale, 0.49)
         b, shift = 200_000, 1.5
+        spec = DistributionSpec(family, np.array([0.5, -1.0]) + shift, scale, 0.49)
         stream = spawn_stream(3, 0)
         for k in (1, 7, 40):
-            s = spec.sample_sum(stream, b, k, shift)
+            s = spec.sample_sum(stream, b, k)
             assert s.shape == (b, 2)
             mean_se = s.std(axis=0) / math.sqrt(b)
-            assert np.all(np.abs(s.mean(axis=0) - k * (spec.mean + shift)) < 5 * mean_se)
+            assert np.all(np.abs(s.mean(axis=0) - k * spec.mean) < 5 * mean_se)
             dev_sq = (s - s.mean(axis=0)) ** 2
             var_se = dev_sq.std(axis=0) / math.sqrt(b)
             assert np.all(np.abs(s.var(axis=0) - k * spec.per_dim_variance) < 5 * var_se)
 
     @pytest.mark.parametrize("k", [1, 2, 9, 990])
     def test_rademacher_lattice(self, k):
-        spec = DistributionSpec("scaled_rademacher", np.array([0.25]), 0.5, 1.0)
-        s = spec.sample_sum(spawn_stream(4, k), 5_000, k, 2.0)
+        spec = DistributionSpec("scaled_rademacher", np.array([0.25 + 2.0]), 0.5, 1.0)
+        s = spec.sample_sum(spawn_stream(4, k), 5_000, k)
         steps = (s - k * 2.25) / 0.5 + k  # twice the number of +1 points
         assert steps.min() >= 0 and steps.max() <= 2 * k
         assert np.all(steps % 2 == 0)
 
     @pytest.mark.parametrize("family,scale", FAMILIES)
     def test_zero_size_blocks_draw_nothing(self, family, scale):
-        spec = DistributionSpec(family, np.ones(3), scale, 0.49)
+        spec = DistributionSpec(family, np.ones(3) + 3.0, scale, 0.49)
         stream = spawn_stream(5, 0)
         before = stream.bit_generator.state
-        z = spec.sample_sum(stream, 8, 0, 3.0)
+        z = spec.sample_sum(stream, 8, 0)
         assert np.array_equal(z, np.zeros((8, 3)))
         assert stream.bit_generator.state == before
 
@@ -213,10 +244,10 @@ class TestSampleSums:
         # one generator and added in order, so the sums equal those of one
         # (k, b, dim) draw summed over its first axis and put through the
         # same affine map, bit for bit
-        spec = DistributionSpec("uniform_box", np.array([0.5, -1.0, 2.0]), 1.5, 0.75)
-        loc = spec.mean + 1.5
+        spec = DistributionSpec("uniform_box", np.array([0.5, -1.0, 2.0]) + 1.5, 1.5, 0.75)
+        loc = spec.mean
         for b, k in ((1, 7), (333, 40), (4_000, 200), (500, 1)):
-            got = spec.sample_sum(spawn_stream(seed, b), b, k, 1.5)
+            got = spec.sample_sum(spawn_stream(seed, b), b, k)
             want = spawn_stream(seed, b).random((k, b, 3)).sum(axis=0)
             want *= 2.0 * spec.scale
             want += k * (loc - spec.scale)
@@ -224,17 +255,17 @@ class TestSampleSums:
 
     @pytest.mark.parametrize("k", [1, 2, 40])
     def test_uniform_sums_within_support(self, k):
-        spec = DistributionSpec("uniform_box", np.array([0.5, -1.0]), 1.5, 0.75)
-        loc, s = spec.mean + 2.0, spec.scale
-        sums = spec.sample_sum(spawn_stream(8, k), 100_000, k, 2.0)
+        spec = DistributionSpec("uniform_box", np.array([0.5, -1.0]) + 2.0, 1.5, 0.75)
+        loc, s = spec.mean, spec.scale
+        sums = spec.sample_sum(spawn_stream(8, k), 100_000, k)
         assert np.all(sums >= k * (loc - s)) and np.all(sums <= k * (loc + s))
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_uniform_sums_irwin_hall_kurtosis(self, k):
         # a sum of k uniforms is Irwin-Hall, with excess kurtosis -6/(5k); a
         # Gaussian stand-in with the right mean and variance has 0
-        spec = DistributionSpec("uniform_box", np.array([0.5, -1.0]), 1.5, 0.75)
-        z = spec.sample_sum(spawn_stream(9, k), 200_000, k, 2.0)
+        spec = DistributionSpec("uniform_box", np.array([0.5, -1.0]) + 2.0, 1.5, 0.75)
+        z = spec.sample_sum(spawn_stream(9, k), 200_000, k)
         z = (z - z.mean(axis=0)) / z.std(axis=0)
         kurt = (z**4).mean(axis=0)
         # delta-method standard error of m4 / m2^2 for a symmetric law

@@ -767,8 +767,6 @@ class TestScenario:
         {"workers": 0},
         {"mu_grid": ()},
         {"focal": Strategy(-1, est.Identity(), est.PlainMeanAll())},
-        # not passed through validate_params: n* is 0, so nothing is collected
-        {"params": ProblemParams(1.0, 1.0 / 900.0, 9, 1)},
         {"mu_grid": (math.nan, 5.0)},
         {"mu_grid": (0.0, math.inf)},
         {"mechanism": "corrupt-deploy", "epsilon": math.inf},
@@ -779,7 +777,7 @@ class TestScenario:
     ], ids=["unknown mechanism", "dim mismatch", "variance above sigma^2",
             "no alpha", "zero alpha", "no epsilon", "zero epsilon", "zero chunk",
             "negative chunk", "no workers", "empty mu grid", "negative focal n",
-            "unvalidated params", "nan in mu grid", "inf in mu grid", "inf epsilon",
+            "nan in mu grid", "inf in mu grid", "inf epsilon",
             "epsilon under cross-check", "epsilon under pool", "epsilon under size-check"])
     def test_bad_input_rejected(self, canonical, canonical_alpha, change):
         sc = _scenario(canonical, "cross-check", recommended_strategy(canonical),
