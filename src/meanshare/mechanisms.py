@@ -126,6 +126,7 @@ def mech_corrupt_deploy(submissions: list[np.ndarray], i: int, p: ProblemParams,
     delta = s.mean(axis=-2) - others.mean(axis=-2)
     eta_sq = beta_sq * delta ** (2 * k)
     corrupted = others + stream.standard_normal(others.shape) * np.sqrt(eta_sq)[..., None, :]
+    del others  # pool-sized: freed before the deployed mean's concatenation
     value = np.concatenate([s, corrupted], axis=-2).mean(axis=-2)
     return DeployedEstimate(value=value, corrupted=corrupted, eta_sq=eta_sq)
 
@@ -157,6 +158,7 @@ def mech_cross_check_corrupt(submissions: list[np.ndarray], i: int, p: ProblemPa
     order = stream.permuted(np.tile(np.arange(n_others), (*rounds, 1)), axis=-1)
     clean = np.take_along_axis(others, order[..., :take, None], axis=-2)
     rest = np.take_along_axis(others, order[..., take:, None], axis=-2)
+    del others, order  # pool-sized: freed before the noise is drawn
 
     if s.shape[-2] == 0 or take == 0:
         # discrepancy undefined: infinite corruption (weight-zero data)

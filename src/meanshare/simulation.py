@@ -22,7 +22,14 @@ family, and it cannot raise the variance of a round's score.
 - Cross-check with m >= 5: eta^2 reads the focal submission and the
   cross-check prefix, so the prefix sum is drawn
   (:meth:`DistributionSpec.sample_sum`) and the corrupted remainder and
-  its noise are integrated out.
+  its noise are integrated out. An estimator whose weights do not read
+  eta^2 (fixed weights, the plain, clean-only and own-data means) reads
+  the prefix sum linearly, and eta^2 only through the remainder's
+  variance, which is linear in it. For such a row the prefix is
+  integrated out too: it enters at its mean take loc with variance
+  take v, and eta^2 at its conditional mean
+  alpha^2 ((ybar - loc)^2 + v / take). This needs the data's first two
+  moments only.
 - Pool, size-check and cross-check with m <= 4: the others' pool enters
   with a fixed weight and is integrated out; nothing of it is drawn.
 - Corrupt-and-deploy: eta^2 reads the pool sum, so the pool sum and the
@@ -43,7 +50,7 @@ sums, the cross-check prefix and the corrupt-deploy pool included, are
 sums of k (b, d) planes of standard uniforms, added one plane at a time
 and mapped once onto the box.
 
-A chunk is played in two phases. The draw phase (:func:`_draw_chunk`)
+A chunk is played in two phases (:func:`_chunk_sq_errors`). The draw phase
 draws everything random once, at mean offset 0. The score phase
 (:func:`_score_rows`) scores each offset of the mu grid on those draws: a
 k-point block sum at offset mu is the offset-0 sum plus k mu, exactly, so
@@ -54,11 +61,24 @@ temporaries is at most 64 KiB: it stays in L2 cache, and glibc serves it
 from the heap instead of mapping, and page-faulting, fresh memory, as it
 does for requests above its mmap threshold (128 KiB by default).
 
+A chunk can score several focal profiles against the same others. A
+deviation sweep's menu rows are scored that way
+(:func:`nash_deviation_sweep`): the focal points are drawn once, as sums of
+the increments between the union of the rows' block boundaries (points 1,
+5, 10 and 20 for the default menu at n* = 10), and each row's block sum is
+the sum of its run of increments; each fabrication row draws its own
+points; and the mechanism's draw is made once, if some row reads it. A
+menu runs in chunks of one score block, so none of its arrays exceeds
+64 KiB whatever the replication count. A single run
+(:func:`run_replications`, and row 0 of a sweep) is the one-row case, in
+chunks of ``Scenario.chunk_size`` rounds.
+
 The engine shares its estimator kernel (:func:`estimators._block_weights`)
 with the object-level API. The slow reference path plays blocks of rounds
 through the round axis of the mechanisms, each serving one agent, and of
 :func:`estimators.apply_submission` and :func:`estimators.estimate`, on
-explicit points and pools of at most 8 MB a block. A round serves the
+explicit points. A block's pool takes at most 8 MB, and a block holds at
+most four pool-sized arrays at once. A round serves the
 agents in index order, so the focal agent, the only one scored, is agent
 0, the first to draw from a mechanism stream, and the reference path
 serves it alone. It draws every fabricated point, and every offset on
@@ -76,8 +96,10 @@ any worker count.
 Stream layout, as :func:`params.spawn_stream` paths under the scenario's
 master seed:
 
-- engine: chunk ci draws from ``(0, 0, ci)``, for every offset of the
-  grid;
+- engine, single run: chunk ci draws from ``(0, 0, ci)``, for every
+  offset of the grid;
+- engine, a sweep's menu rows: chunk ci draws from ``(0, 1, ci)``, for
+  every row and offset, independently of row 0;
 - reference, for the mi-th mean offset of the grid, block after block: the
   focal agent's data, its submission and then the others' data, in one
   (m - 1, b, n*, d) draw, come from ``(1000, mi)``. A mechanism that
@@ -130,6 +152,11 @@ class Strategy:
 
 @dataclass(frozen=True)
 class Scenario:
+    """One MC experiment: the focal profile against the others' recommended
+    profile, under ``mechanism``. A single run processes its replications in
+    chunks of ``chunk_size`` rounds on ``workers`` threads; a deviation
+    sweep's menu rows run in chunks of one score block instead."""
+
     params: ProblemParams
     mechanism: str  # one of MECHANISMS
     focal: Strategy
@@ -209,58 +236,116 @@ def is_translation_equivariant(strategy: Strategy) -> bool:
 _SCORE_BLOCK_ITEMS = 8192
 
 
-def _draw_chunk(sc: Scenario, b: int, stream):
-    """Draw phase of one chunk of b rounds: everything random its rounds
-    read, drawn once at mean offset 0.
+# estimators whose weights do not read eta^2 (:func:`estimators._block_weights`)
+_CONSTANT_WEIGHTS = (est.FixedWeighted, est.PlainMeanAll, est.CleanOnlyMean, est.OwnDataOnlyMean)
 
-    Returns ``(array, k)`` pairs of (b, d) arrays: the sums of the focal
-    agent's k-point blocks, in the order :func:`estimators._submitted_sum`
-    reads them (for fabrication, the collected sum and the fabricated sum),
-    then the sum the mechanism draws, if any, and corrupt-deploy's standard
-    normal noise, with k = 0. At offset mu an array reads its value here
-    plus k mu."""
-    p, spec, foc = sc.params, sc.distribution, sc.focal
-    d, ns, m = p.dim, p.n_star, p.agents
-    blocks = []
+
+def _reads_prefix(sc: Scenario, foc: Strategy) -> bool:
+    """Whether the rounds of ``foc`` read the cross-check prefix sum: under
+    cross-check with m >= 5, through eta^2 in the estimator's weights."""
+    return sc.mechanism == "cross-check" and sc.params.agents >= 5 and \
+        not isinstance(foc.estimator, _CONSTANT_WEIGHTS)
+
+
+def _focal_spans(sc: Scenario, foc: Strategy):
+    """``(spans, n_y)``: the ranges ``(lo, hi)`` of the focal agent's
+    collected points whose sums :func:`estimators._submitted_sum` reads, in
+    its order, and the submitted count. Fabrication reads its points, not
+    their sums, and has no spans (None). Raises what a round of ``foc``
+    raises before it is scored."""
     if isinstance(foc.submission, est.FabricateFitGaussian):
-        # the fitted sd reads the collected points; the n_fake fabricated
-        # points enter only through their sum n_fake xbar + sqrt(n_fake) sd z
         if foc.n == 0:
             raise est.EmptyInput("cannot fit a Gaussian to an empty sample")
-        X = spec.sample(stream, (b, foc.n, d))
-        n_y = foc.submission.n_fake
-        sum_x = X.sum(axis=1)
-        fab = stream.standard_normal((b, d))
-        fab *= X.std(axis=1)
-        fab *= math.sqrt(n_y)
-        fab += (n_y / foc.n) * sum_x
-        blocks += [(sum_x, foc.n), (fab, n_y)]
+        spans, n_y = None, foc.submission.n_fake
     else:
-        def draw(k):
-            blocks.append((spec.sample_sum(stream, b, k), k))
-            return np.empty((0, d))  # the sums are kept in blocks; only n_y is read here
+        spans = []
 
-        n_y = est._submitted_sum(foc.submission, foc.n, p, draw)[2]
+        def block(k):
+            lo = spans[-1][1] if spans else 0
+            spans.append((lo, lo + k))
+            return np.empty((0, sc.params.dim))  # only the spans and n_y are read here
+
+        n_y = est._submitted_sum(foc.submission, foc.n, sc.params, block)[2]
+    if sc.mechanism == "corrupt-deploy" and n_y == 0:
+        raise mech.EmptySubmission("corrupt-and-deploy requires a nonempty submission")
+    return spans, n_y
+
+
+def _fabricated_sums(spec: DistributionSpec, stream, b: int, n: int, n_fake: int):
+    """The (b, d) sums of n collected points and of the n_fake points fitted
+    to them: the fitted sd reads the collected points, and the fabricated
+    points enter only through their sum n_fake xbar + sqrt(n_fake) sd z."""
+    X = spec.sample(stream, (b, n, spec.dim))
+    sum_x = X.sum(axis=1)
+    fab = stream.standard_normal((b, spec.dim))
+    fab *= X.std(axis=1)
+    fab *= math.sqrt(n_fake)
+    fab += (n_fake / n) * sum_x
+    return [(sum_x, n), (fab, n_fake)]
+
+
+def _chunk_sq_errors(sc: Scenario, rows, b: int, stream):
+    """Squared estimation errors of one chunk of b rounds, for the
+    ``(focal, mus)`` pairs of ``rows``: yields one (b,) array per row and
+    mean offset, in order. A cell in which the focal estimator has no data
+    with positive weight scores +inf.
+
+    Draw phase, once for every row, at offset 0: the focal agent's points as
+    block sums at the union of the rows' block boundaries (so a row reads the
+    sum of a run of those increments, and every row reads the same points);
+    then each fabrication row's own points; then the mechanism's draw, if
+    some row reads it. Score phase (:func:`_score_rows`): each cell on those
+    draws, a score block at a time; at offset mu a k-point block sum reads
+    its drawn value plus k mu."""
+    p, spec = sc.params, sc.distribution
+    d, ns, m = p.dim, p.n_star, p.agents
+    plans = [_focal_spans(sc, foc) for foc, _ in rows]
+    edges = sorted({0, *(hi for spans, _ in plans if spans for _, hi in spans)})
+    increments = [spec.sample_sum(stream, b, hi - lo) for lo, hi in zip(edges, edges[1:])]
+    cache = {}
+
+    def block_sum(lo, hi):
+        if (lo, hi) not in cache:
+            parts = increments[edges.index(lo):edges.index(hi)]
+            cache[lo, hi] = sum(parts[1:], parts[0]) if parts else np.zeros((b, d))
+        return cache[lo, hi], hi - lo
+
+    focal = [_fabricated_sums(spec, stream, b, foc.n, n_y) if spans is None
+             else [block_sum(lo, hi) for lo, hi in spans]
+             for (foc, _), (spans, n_y) in zip(rows, plans)]
     k_pool = (m - 1) * ns
+    drawn = []
     if sc.mechanism == "corrupt-deploy":
         # eta^2 reads the pool sum, so the pool and its noise are drawn
-        if n_y == 0:
-            raise mech.EmptySubmission("corrupt-and-deploy requires a nonempty submission")
-        blocks.append((spec.sample_sum(stream, b, k_pool), k_pool))
-        blocks.append((stream.standard_normal((b, d)), 0))
-    elif sc.mechanism == "cross-check" and m >= 5:
+        drawn = [(spec.sample_sum(stream, b, k_pool), k_pool), (stream.standard_normal((b, d)), 0)]
+    elif any(_reads_prefix(sc, foc) for foc, _ in rows):
         # eta^2 reads the cross-check prefix, so only the prefix is drawn;
         # the corrupted remainder and its noise are independent of it
         take = min(k_pool, ns)
-        blocks.append((spec.sample_sum(stream, b, take), take))
-    return blocks
+        drawn = [(spec.sample_sum(stream, b, take), take)]
+    per_block = max(_SCORE_BLOCK_ITEMS // d, 1)
+    for (foc, mus), blocks in zip(rows, focal):
+        if sc.mechanism == "corrupt-deploy" or _reads_prefix(sc, foc):
+            blocks = blocks + drawn
+        for mu in mus:
+            sq = np.empty(b)
+            for r in range(0, b, per_block):
+                at = slice(r, r + per_block)
+                try:
+                    sq[at] = _score_rows(sc, foc, [s[at] + k * mu if k * mu else s[at]
+                                                   for s, k in blocks], mu)
+                except est.EmptyInput:
+                    sq.fill(np.inf)
+                    break
+            yield sq
 
 
-def _score_rows(sc: Scenario, sums, mu_offset: float) -> np.ndarray:
-    """Score phase of a block of rounds: their squared estimation errors
-    ||est - mu||^2 at ``mu_offset``, each averaged over the blocks of the
-    others' pool it does not draw. ``sums`` holds the rounds' block sums
-    at that offset, in the order of :func:`_draw_chunk`'s blocks.
+def _score_rows(sc: Scenario, foc: Strategy, sums, mu_offset: float) -> np.ndarray:
+    """Score phase of a block of rounds of ``foc``: their squared estimation
+    errors ||est - mu||^2 at ``mu_offset``, each averaged over the blocks of
+    the others' pool it does not draw. ``sums`` holds the rounds' block sums
+    at that offset, in the order in which :func:`_chunk_sq_errors` lists a
+    row's blocks.
 
     A block of k points that is not drawn enters the estimate through its
     mean k loc, and its conditional variance k (v + eta^2) per dimension,
@@ -270,7 +355,6 @@ def _score_rows(sc: Scenario, sums, mu_offset: float) -> np.ndarray:
     p = sc.params
     ns, m = p.n_star, p.agents
     spec = sc.distribution
-    foc = sc.focal
     loc = spec.mean + mu_offset
     v = spec.per_dim_variance
     sums = iter(sums)
@@ -299,145 +383,173 @@ def _score_rows(sc: Scenario, sums, mu_offset: float) -> np.ndarray:
             # the estimate the mechanism deploys: mean of Y_i and the corrupted pool
             own = (sum_y, n_y)
     elif sc.mechanism == "cross-check" and m >= 5:
-        sum_d = next(sums)
         take = min(k_pool, ns)
         n_rest = k_pool - take
-        if n_y == 0:
-            eta_sq = np.full(sum_d.shape, np.inf)
+        reads = _reads_prefix(sc, foc)
+        if reads:
+            sum_d = next(sums)
+            clean = (sum_d, take, 0.0)
         else:
+            # weights that do not read eta^2 read the prefix linearly, and
+            # eta^2 only through the remainder's variance, linearly: so the
+            # prefix is integrated out too, entering at its mean with its
+            # variance, and eta^2 at its conditional mean
+            clean = (take * loc, take, take * v)
+        if n_y == 0:
+            eta_sq = np.full(sum_y.shape, np.inf)
+        elif reads:
             eta_sq = (sc.alpha**2) * (sum_y / n_y - sum_d / take) ** 2
-        clean = (sum_d, take, 0.0)
+        else:
+            eta_sq = (sc.alpha**2) * ((sum_y / n_y - loc) ** 2 + v / take)
         corrupted = (n_rest * loc, n_rest, n_rest * (v + eta_sq))
 
     w_x, w_clean, w_corr = est._block_weights(foc.estimator, own[1], clean[1],
                                               corrupted[1], eta_sq, p.sigma)
-    err = w_x * own[0] + w_clean * clean[0] + w_corr * corrupted[0] - loc
-    with np.errstate(invalid="ignore"):
+    err = w_x * own[0]
+    err += w_clean * clean[0]
+    err += w_corr * corrupted[0]
+    err -= loc
+    sq = np.einsum("bd,bd->b", err, err)
+    var = 0.0
+    for w, blk_var in ((w_clean, clean[2]), (w_corr, corrupted[2])):
         # a zero weight drops its block's variance, even an infinite one
-        var = sum(np.where(w == 0, 0.0, w * w * blk[2])
-                  for w, blk in ((w_clean, clean), (w_corr, corrupted)))
-    return np.einsum("bd,bd->b", err, err) + np.broadcast_to(var, err.shape).sum(axis=1)
+        if not isinstance(blk_var, np.ndarray) and blk_var == 0:
+            continue
+        if isinstance(w, np.ndarray):
+            with np.errstate(invalid="ignore"):
+                var = var + np.where(w == 0, 0.0, w * w * blk_var)
+        elif w != 0:
+            var = var + w * w * blk_var
+    if isinstance(var, np.ndarray) or var:
+        sq += np.broadcast_to(var, err.shape).sum(axis=1)
+    return sq
 
 
-def _chunk_sq_errors(sc: Scenario, mus, b: int, stream):
-    """Squared estimation errors of one chunk of b rounds at each mean
-    offset of ``mus``: yields one (b,) array per offset, in order.
-
-    The chunk is drawn once, at offset 0 (:func:`_draw_chunk`), and every
-    offset is scored on those draws by adding k mu to each k-point block
-    sum, a few thousand rounds at a time. A chunk in which the focal
-    estimator has no data with positive weight scores +inf."""
-    blocks = _draw_chunk(sc, b, stream)
-    rows = max(_SCORE_BLOCK_ITEMS // sc.params.dim, 1)
-    for mu in mus:
-        sq = np.empty(b)
-        for r in range(0, b, rows):
-            at = slice(r, r + rows)
-            sums = [s[at] + k * mu if k * mu else s[at] for s, k in blocks]
-            try:
-                sq[at] = _score_rows(sc, sums, mu)
-            except est.EmptyInput:
-                sq.fill(np.inf)
-                break
-        yield sq
+def _offsets(sc: Scenario, foc: Strategy) -> tuple[float, ...]:
+    """The mean offsets at which ``foc`` is scored: offset 0 alone for a
+    translation-equivariant profile, else the whole grid."""
+    return (0.0,) if is_translation_equivariant(foc) else tuple(sc.mu_grid)
 
 
-def _max_over_mu(sc: Scenario, cells) -> EmpiricalPenalty:
-    """Score the mean offsets with ``cells(mus)``, which returns one
-    ``(mse, se)`` per offset of ``mus``: its mean squared error and the
-    standard error of that mean. Return the penalty at the worst offset. A
-    translation-equivariant profile is scored at offset 0 only."""
-    mus = (0.0,) if is_translation_equivariant(sc.focal) else tuple(sc.mu_grid)
-    per_mu = tuple((mu, *cell) for mu, cell in zip(mus, cells(mus)))
+def _penalty(sc: Scenario, foc: Strategy, per_mu) -> EmpiricalPenalty:
+    """The penalty of ``foc`` from its ``(mu, mse, se)`` cells: the mean
+    squared error and standard error at the worst offset, plus the cost."""
     _, mse, se = max(per_mu, key=lambda t: t[1])
-    cost = sc.params.cost * sc.focal.n
+    cost = sc.params.cost * foc.n
     return EmpiricalPenalty(mean_sq_error=mse, std_error=se, cost=cost,
-                            total=mse + cost, per_mu=per_mu)
+                            total=mse + cost, per_mu=tuple(per_mu))
+
+
+def _penalties(sc: Scenario, focals, path: int, chunk_size: int) -> list[EmpiricalPenalty]:
+    """Empirical penalty of each profile of ``focals`` against the others of
+    ``sc``, all scored on the same draws: chunk ci of chunk_size rounds draws
+    from stream ``(0, path, ci)``, and the chunks' sums are reduced in index
+    order, whatever the worker count."""
+    if not focals:
+        return []
+    n = sc.replications
+    rows = [(foc, _offsets(sc, foc)) for foc in focals]
+    chunks = [(ci, min(chunk_size, n - ci * chunk_size))
+              for ci in range((n + chunk_size - 1) // chunk_size)]
+
+    def work(item):
+        ci, b = item
+        stream = spawn_stream(sc.master_seed, 0, path, ci)
+        return [(float(sq.sum()), float(np.square(sq, out=sq).sum()))
+                for sq in _chunk_sq_errors(sc, rows, b, stream)]
+
+    if sc.workers > 1:
+        with ThreadPoolExecutor(max_workers=sc.workers) as ex:
+            parts = list(ex.map(work, chunks))
+    else:
+        parts = [work(item) for item in chunks]
+    cells = iter(range(len(parts[0])))
+    out = []
+    for foc, mus in rows:
+        per_mu = []
+        for mu, i in zip(mus, cells):
+            s1 = math.fsum(x[i][0] for x in parts)
+            s2 = math.fsum(x[i][1] for x in parts)
+            mse = s1 / n
+            # a cell scored +inf has an infinite, not an undefined, standard error
+            se = math.sqrt(max(s2 / n - mse * mse, 0.0) / n) if mse < math.inf else math.inf
+            per_mu.append((mu, mse, se))
+        out.append(_penalty(sc, foc, per_mu))
+    return out
 
 
 def run_replications(sc: Scenario) -> EmpiricalPenalty:
     """Empirical penalty of the focal agent: max-over-mu mean squared error
     plus the data-collection cost, with the standard error of the
-    max-achieving cell."""
-    n = sc.replications
-    chunks = [(ci, min(sc.chunk_size, n - ci * sc.chunk_size))
-              for ci in range((n + sc.chunk_size - 1) // sc.chunk_size)]
-
-    def cells(mus):
-        def work(item):
-            ci, b = item
-            stream = spawn_stream(sc.master_seed, 0, 0, ci)
-            return [(float(sq.sum()), float(np.square(sq, out=sq).sum()))
-                    for sq in _chunk_sq_errors(sc, mus, b, stream)]
-
-        if sc.workers > 1:
-            with ThreadPoolExecutor(max_workers=sc.workers) as ex:
-                parts = list(ex.map(work, chunks))
-        else:
-            parts = [work(item) for item in chunks]
-        out = []
-        for mi in range(len(mus)):
-            s1 = math.fsum(x[mi][0] for x in parts)
-            s2 = math.fsum(x[mi][1] for x in parts)
-            mse = s1 / n
-            # a cell scored +inf has an infinite, not an undefined, standard error
-            se = math.sqrt(max(s2 / n - mse * mse, 0.0) / n) if mse < math.inf else math.inf
-            out.append((mse, se))
-        return out
-
-    return _max_over_mu(sc, cells)
+    max-achieving cell. Chunks of ``sc.chunk_size`` rounds."""
+    return _penalties(sc, [sc.focal], 0, sc.chunk_size)[0]
 
 
-_REFERENCE_BLOCK_ITEMS = 1 << 20  # float64 items of a reference block's pool: 8 MB
+# float64 items of a reference block's pool: 8 MB. A block holds at most
+# four pool-sized arrays at once (cross-check: the others' draw, the pool,
+# the permutation and the gathered remainder), and each block's arrays are
+# freed before the next block draws
+_REFERENCE_BLOCK_ITEMS = 1 << 20
+
+
+def _reference_block(sc: Scenario, b: int, mu: float, agent_stream, mech_stream):
+    """Squared errors of b reference rounds at mean offset mu, or None when
+    the focal estimator has no data with positive weight."""
+    p = sc.params
+    d, ns, m = p.dim, p.n_star, p.agents
+    spec, foc = sc.distribution, sc.focal
+    X = spec.sample(agent_stream, (b, foc.n, d), mu)
+    Y = est.apply_submission(foc.submission, X, p, agent_stream)
+    subs = [Y, *spec.sample(agent_stream, (m - 1, b, ns, d), mu)]
+    no_data = np.empty((b, 0, d))
+    if sc.mechanism == "corrupt-deploy":
+        dep = mech.mech_corrupt_deploy(subs, 0, p, sc.epsilon, mech_stream)
+        alloc = mech.Allocation(no_data, dep.corrupted, dep.eta_sq)
+    elif sc.mechanism == "cross-check":
+        alloc = mech.mech_cross_check_corrupt(subs, 0, p, sc.alpha, mech_stream)
+    elif sc.mechanism == "size-check":
+        alloc = mech.Allocation(mech.mech_size_check(subs, 0, p), no_data, np.zeros(d))
+    else:
+        alloc = mech.Allocation(mech.mech_pool(subs, 0), no_data, np.zeros(d))
+    if sc.mechanism == "corrupt-deploy" and isinstance(foc.estimator, est.PlainMeanAll):
+        v = dep.value
+    else:
+        try:
+            v = est.estimate(foc.estimator, X, alloc, p.sigma)
+        except est.EmptyInput:
+            return None
+    return np.square(v - (spec.mean + mu)).sum(axis=-1)
 
 
 def _reference_sq_errors(sc: Scenario, mi: int, mu: float) -> np.ndarray:
     """Squared errors of the reference rounds at the mi-th mean offset mu,
     all +inf when the focal estimator has no data with positive weight."""
     p = sc.params
-    d, ns, m = p.dim, p.n_star, p.agents
-    spec, foc = sc.distribution, sc.focal
+    m = p.agents
     agent_stream = spawn_stream(sc.master_seed, 1000, mi)
     draws = sc.mechanism == "corrupt-deploy" or (sc.mechanism == "cross-check" and m >= 5)
     mech_stream = spawn_stream(sc.master_seed, 2000, mi) if draws else None
-    rows = max(_REFERENCE_BLOCK_ITEMS // ((m - 1) * ns * d), 1)
+    rows = max(_REFERENCE_BLOCK_ITEMS // ((m - 1) * p.n_star * p.dim), 1)
     out = []
     for start in range(0, sc.replications, rows):
-        b = min(rows, sc.replications - start)
-        X = spec.sample(agent_stream, (b, foc.n, d), mu)
-        Y = est.apply_submission(foc.submission, X, p, agent_stream)
-        subs = [Y, *spec.sample(agent_stream, (m - 1, b, ns, d), mu)]
-        no_data = np.empty((b, 0, d))
-        if sc.mechanism == "corrupt-deploy":
-            dep = mech.mech_corrupt_deploy(subs, 0, p, sc.epsilon, mech_stream)
-            alloc = mech.Allocation(no_data, dep.corrupted, dep.eta_sq)
-        elif sc.mechanism == "cross-check":
-            alloc = mech.mech_cross_check_corrupt(subs, 0, p, sc.alpha, mech_stream)
-        elif sc.mechanism == "size-check":
-            alloc = mech.Allocation(mech.mech_size_check(subs, 0, p), no_data, np.zeros(d))
-        else:
-            alloc = mech.Allocation(mech.mech_pool(subs, 0), no_data, np.zeros(d))
-        if sc.mechanism == "corrupt-deploy" and isinstance(foc.estimator, est.PlainMeanAll):
-            v = dep.value
-        else:
-            try:
-                v = est.estimate(foc.estimator, X, alloc, p.sigma)
-            except est.EmptyInput:
-                return np.full(sc.replications, np.inf)
-        out.append(np.square(v - (spec.mean + mu)).sum(axis=-1))
+        sq = _reference_block(sc, min(rows, sc.replications - start), mu, agent_stream,
+                              mech_stream)
+        if sq is None:
+            return np.full(sc.replications, np.inf)
+        out.append(sq)
     return np.concatenate(out)
 
 
 def run_replications_reference(sc: Scenario) -> EmpiricalPenalty:
     """Slow reference path: object-level mechanism rounds on explicit
     points. Used to cross-validate the vectorized engine."""
-    def cell(mi, mu):
+    per_mu = []
+    for mi, mu in enumerate(_offsets(sc, sc.focal)):
         sqs = _reference_sq_errors(sc, mi, mu)
         mse = float(sqs.mean())
         se = float(sqs.std()) / math.sqrt(len(sqs)) if mse < math.inf else math.inf
-        return mse, se
-
-    return _max_over_mu(sc, lambda mus: [cell(mi, mu) for mi, mu in enumerate(mus)])
+        per_mu.append((mu, mse, se))
+    return _penalty(sc, sc.focal, per_mu)
 
 
 # ---------------------------------------------------------------------------
@@ -483,10 +595,18 @@ def nash_deviation_sweep(sc: Scenario, menu: list[Strategy] | None = None) -> li
     """Score ``sc.focal`` and every menu entry against the same others (fixed
     at the recommended profile), and flag any entry that beats the focal
     profile by more than 3 combined standard errors. Row 0 is the focal
-    profile itself. The default menu is :func:`default_menu` with the focal
-    estimator. Menu entries equal to ``sc.focal`` apart from the label are
-    dropped: they would repeat row 0 on the same streams."""
+    profile itself, scored by :func:`run_replications` in chunks of
+    ``sc.chunk_size`` rounds. The default menu is :func:`default_menu` with
+    the focal estimator. Menu entries equal to ``sc.focal`` apart from the
+    label are dropped: they would repeat row 0.
+
+    The menu rows are scored together, on one draw per chunk of one score
+    block (``8192 // d`` rounds), from streams ``(0, 1, ci)``: they share the
+    focal agent's points and the mechanism's draw (common random numbers),
+    and are independent of row 0, so the combined standard error is exact.
+    ``sc.chunk_size`` does not apply to them."""
     p = sc.params
+    base = run_replications(sc)
     if menu is None:
         menu = default_menu(p, sc.focal.estimator)
         if sc.mechanism == "corrupt-deploy":
@@ -494,7 +614,6 @@ def nash_deviation_sweep(sc: Scenario, menu: list[Strategy] | None = None) -> li
             # entries that submit nothing have no penalty
             menu = [s for s in menu if _submits_data(s)]
     menu = [s for s in menu if replace(s, label=sc.focal.label) != sc.focal]
-    base = run_replications(sc)
 
     def closed(s: Strategy):
         if sc.mechanism == "cross-check" and p.agents >= 5 and \
@@ -506,8 +625,7 @@ def nash_deviation_sweep(sc: Scenario, menu: list[Strategy] | None = None) -> li
         return None
 
     rows = [SweepRow(sc.focal, base, closed(sc.focal), False)]
-    for s in menu:
-        pen = run_replications(replace(sc, focal=s))
+    for s, pen in zip(menu, _penalties(sc, menu, 1, max(_SCORE_BLOCK_ITEMS // p.dim, 1))):
         gap = base.total - pen.total
         tol = 3.0 * math.hypot(base.std_error, pen.std_error)
         rows.append(SweepRow(s, pen, closed(s), gap > tol))

@@ -207,13 +207,13 @@ def test_c08_corrupt_deploy():
         sc_dep = _gaussian_scenario(p, "corrupt-deploy",
                                     recommended_strategy(p, "corrupt-deploy", eps),
                                     epsilon=eps, reps=1_000_000)
-        sc_exp = replace(sc_dep, focal=exploit_strategy)
         reps, chunk = sc_dep.replications, sc_dep.chunk_size
         s1 = s2 = 0.0
         for ci in range((reps + chunk - 1) // chunk):
             b = min(chunk, reps - ci * chunk)
-            sq_dep, = _chunk_sq_errors(sc_dep, (0.0,), b, spawn_stream(sc_dep.master_seed, 0, 0, ci))
-            sq_exp, = _chunk_sq_errors(sc_exp, (0.0,), b, spawn_stream(sc_dep.master_seed, 0, 0, ci))
+            rows = [(sc_dep.focal, (0.0,)), (exploit_strategy, (0.0,))]
+            sq_dep, sq_exp = _chunk_sq_errors(sc_dep, rows, b,
+                                              spawn_stream(sc_dep.master_seed, 0, 0, ci))
             d = sq_dep - sq_exp
             s1 += float(d.sum())
             s2 += float((d * d).sum())

@@ -256,6 +256,48 @@ class TestReferenceAgreement:
         tol = 4 * math.hypot(fast.std_error, ref.std_error)
         assert abs(fast.mean_sq_error - ref.mean_sq_error) < tol
 
+    # cross-check rows whose weights do not read eta^2 integrate the prefix
+    # out: it enters at its mean, and eta^2 at its conditional mean
+    @pytest.mark.parametrize("estimator,submission,mu_grid,family", [
+        (est.PlainMeanAll(), est.Identity(), (0.0,), "gaussian"),
+        (est.CleanOnlyMean(), est.Identity(), (0.0,), "gaussian"),
+        (est.PlainMeanAll(), est.Identity(), (0.0,), "scaled_rademacher"),
+        (est.CleanOnlyMean(), est.Identity(), (0.0,), "scaled_rademacher"),
+        (est.PlainMeanAll(), est.Scale(0.5), (0.0, 5.0), "gaussian"),
+        (est.CleanOnlyMean(), est.Scale(0.5), (0.0, 5.0), "scaled_rademacher"),
+    ], ids=["plain", "clean only", "plain rademacher", "clean only rademacher",
+            "plain scale 0.5", "clean only scale 0.5 rademacher"])
+    def test_fast_vs_reference_constant_weights(self, canonical, canonical_alpha, estimator,
+                                                submission, mu_grid, family):
+        foc = Strategy(canonical.n_star, submission, estimator)
+        kw = dict(alpha=canonical_alpha, mu_grid=mu_grid, family=family, reps=40_000)
+        fast = run_replications(_scenario(canonical, "cross-check", foc, **kw))
+        ref = run_replications_reference(_scenario(canonical, "cross-check", foc, **kw))
+        assert len(fast.per_mu) == len(ref.per_mu) == len(mu_grid)
+        for (mu, fast_mse, fast_se), (_, ref_mse, ref_se) in zip(fast.per_mu, ref.per_mu):
+            assert abs(fast_mse - ref_mse) < 4 * math.hypot(fast_se, ref_se), mu
+
+    # a sweep's menu rows read block sums built from the increments at the
+    # union of the rows' block boundaries: "n=20" sums four of them and
+    # "subset 5" reads two runs of them
+    @pytest.mark.parametrize("family,dim,fixed", [
+        ("uniform_box", 3, True), ("scaled_rademacher", 1, False),
+    ], ids=["uniform_box-d3-fixed", "scaled_rademacher-recommended"])
+    def test_fast_vs_reference_menu_rows(self, family, dim, fixed):
+        p = params_for(9, dim=dim)
+        alpha = solve_alpha(p).alpha
+        estimator = (est.FixedWeighted(2 * alpha**2 * p.sigma**2 / p.n_star) if fixed
+                     else est.RecommendedWeighted())
+        scale = math.sqrt(3.0) if family == "uniform_box" else 1.0
+        sc = _scenario(p, "cross-check", Strategy(p.n_star, est.Identity(), estimator),
+                       alpha=alpha, reps=40_000, family=family, scale=scale)
+        rows = {r.strategy.label: r for r in nash_deviation_sweep(sc)}
+        for label in ("subset 5", "n=20"):
+            fast = rows[label].penalty
+            ref = run_replications_reference(replace(sc, focal=rows[label].strategy))
+            assert abs(fast.mean_sq_error - ref.mean_sq_error) < \
+                4 * math.hypot(fast.std_error, ref.std_error), label
+
     @pytest.mark.parametrize("mechanism,per_cell,agents", [
         ("pool", 1, 9), ("size-check", 1, 9), ("corrupt-deploy", 2, 9), ("cross-check", 2, 9),
         ("cross-check", 1, 4),
@@ -330,6 +372,27 @@ class TestReferenceBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 40e6
+
+    @pytest.mark.parametrize("mechanism", simulation.MECHANISMS)
+    def test_block_holds_at_most_four_pools(self, mechanism):
+        # at m = 100 a block of 1 059 rounds has a pool of 8.4 MB; it holds at
+        # most four pool-sized arrays at once (cross-check: the others' draw,
+        # the pool, the permutation and the remainder), and frees them before
+        # the next block draws
+        p = params_for(100)
+        alpha = solve_alpha(p).alpha if mechanism == "cross-check" else None
+        eps = 0.5 if mechanism == "corrupt-deploy" else None
+        sc = _scenario(p, mechanism, recommended_strategy(p, mechanism), alpha=alpha,
+                       epsilon=eps, reps=5_000)
+        rows = simulation._REFERENCE_BLOCK_ITEMS // (99 * p.n_star)
+        pool_bytes = rows * 99 * p.n_star * 8
+        tracemalloc.start()
+        try:
+            run_replications_reference(sc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.1 * pool_bytes
 
 
 def _list_reference_sq_errors(sc, mi, mu):
@@ -423,12 +486,11 @@ class TestFocalBlockSums:
             if mechanism == "corrupt-deploy" and isinstance(rule, est.Empty):
                 continue  # corrupt-and-deploy rejects an empty submission
             foc = Strategy(canonical.n_star, rule, sc.focal.estimator)
-            sq, = simulation._chunk_sq_errors(replace(sc, focal=foc), (5.0,), 64,
-                                              spawn_stream(3, 0))
+            sq, = simulation._chunk_sq_errors(sc, [(foc, (5.0,))], 64, spawn_stream(3, 0))
             assert sq.shape == (64,) and np.all(np.isfinite(sq))
         assert calls == []
         foc = Strategy(1, est.FabricateFitGaussian(10), sc.focal.estimator)
-        list(simulation._chunk_sq_errors(replace(sc, focal=foc), (5.0,), 64, spawn_stream(3, 0)))
+        list(simulation._chunk_sq_errors(sc, [(foc, (5.0,))], 64, spawn_stream(3, 0)))
         assert calls == [(64, 1, 1)]
 
     @pytest.mark.parametrize("family,scale", [
@@ -453,7 +515,8 @@ class TestFocalBlockSums:
                        epsilon=0.5, family="uniform_box", scale=math.sqrt(3.0))
         tracemalloc.start()
         try:
-            list(simulation._chunk_sq_errors(sc, (0.0,), sc.chunk_size, spawn_stream(3, 0)))
+            list(simulation._chunk_sq_errors(sc, [(sc.focal, (0.0,))], sc.chunk_size,
+                                             spawn_stream(3, 0)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -526,10 +589,11 @@ class TestSharedDraws:
                            scale=math.sqrt(3.0))
             if mechanism == "corrupt-deploy" and foc.n == 0:
                 continue  # corrupt-and-deploy rejects an empty submission
-            blocked = list(simulation._chunk_sq_errors(sc, mus, 5_000, spawn_stream(3, 0)))
+            blocked = list(simulation._chunk_sq_errors(sc, [(foc, mus)], 5_000, spawn_stream(3, 0)))
             with monkeypatch.context() as mp:
                 mp.setattr(simulation, "_SCORE_BLOCK_ITEMS", 10**9)
-                whole = list(simulation._chunk_sq_errors(sc, mus, 5_000, spawn_stream(3, 0)))
+                whole = list(simulation._chunk_sq_errors(sc, [(foc, mus)], 5_000,
+                                                         spawn_stream(3, 0)))
             for a, b in zip(blocked, whole, strict=True):
                 assert a.tobytes() == b.tobytes()
             assert np.all(np.isinf(whole[0])) == (foc.n == 0)
@@ -744,6 +808,122 @@ class TestSweepsAndChecks:
         other = replace(foc, n=canonical.n_star + 1, label="n+1")
         rows = nash_deviation_sweep(sc, [copy, other])
         assert [r.strategy.label for r in rows] == ["recommended", "n+1"]
+
+
+def _sweep_case(case):
+    """A sweep scenario in which both the menu, in chunks of one score block,
+    and row 0, in chunks of ``chunk_size``, cross chunk boundaries."""
+    if case == "uniform_box-d3-fixed":
+        p = params_for(9, dim=3)
+        alpha = solve_alpha(p).alpha
+        foc = Strategy(p.n_star, est.Identity(),
+                       est.FixedWeighted(2 * alpha**2 * p.sigma**2 / p.n_star), "recommended")
+        return _scenario(p, "cross-check", foc, alpha=alpha, reps=6_000, chunk_size=2_500,
+                         family="uniform_box", scale=math.sqrt(3.0),
+                         mu_grid=simulation.DEFAULT_MU_GRID_SCALE)
+    p = params_for(9)
+    mechanism = {"cross-check-gaussian": "cross-check", "corrupt-deploy": "corrupt-deploy",
+                 "size-check-unrestricted": "size-check"}[case]
+    alpha = solve_alpha(p).alpha if mechanism == "cross-check" else None
+    eps = 0.5 if mechanism == "corrupt-deploy" else None
+    return _scenario(p, mechanism, recommended_strategy(p, mechanism), alpha=alpha, epsilon=eps,
+                     reps=20_000, chunk_size=7_000, mu_grid=simulation.DEFAULT_MU_GRID_SCALE)
+
+
+class TestMenuRows:
+    # a sweep scores its menu rows together, on one draw per chunk of one
+    # score block from streams (0, 1, ci); row 0 is a standalone run
+    CASES = ["cross-check-gaussian", "uniform_box-d3-fixed", "corrupt-deploy",
+             "size-check-unrestricted"]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_sweep_byte_identical_for_any_worker_count(self, case):
+        sc = _sweep_case(case)
+        rows = [repr(nash_deviation_sweep(replace(sc, workers=w))) for w in (1, 2, 4)]
+        assert rows[0] == rows[1] == rows[2]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_row_zero_is_a_standalone_run(self, case):
+        sc = _sweep_case(case)
+        rows = nash_deviation_sweep(sc)
+        assert len(rows) > 1 and repr(rows[0].penalty) == repr(run_replications(sc))
+
+    def test_restricted_and_unrestricted_size_check_share_row_zero(self):
+        sc = _sweep_case("size-check-unrestricted")
+        restricted = [Strategy(n, est.Identity(), est.CleanOnlyMean(), f"n={n}") for n in (5, 20)]
+        a, b = nash_deviation_sweep(sc, restricted), nash_deviation_sweep(sc)
+        assert repr(a[0]) == repr(b[0])
+        assert len(a) == 3 and len(b) == 11
+
+    def test_menu_draws_once_per_chunk(self, canonical, canonical_alpha, monkeypatch):
+        # the default menu at n* = 10 reads blocks that end at 1, 5, 10 and
+        # 20 points, so a menu chunk draws four focal increments and one
+        # cross-check prefix, and fabrication's one point, for 11 rows; row
+        # 0 draws its 10 points and the prefix in each of its chunks
+        calls = []
+        sample, sample_sum = DistributionSpec.sample, DistributionSpec.sample_sum
+
+        def counting_sum(self, stream, b, k):
+            calls.append((b, k))
+            return sample_sum(self, stream, b, k)
+
+        def counting(self, stream, shape, *args):
+            calls.append(shape)
+            return sample(self, stream, shape, *args)
+
+        monkeypatch.setattr(DistributionSpec, "sample_sum", counting_sum)
+        monkeypatch.setattr(DistributionSpec, "sample", counting)
+        sc = _scenario(canonical, "cross-check", recommended_strategy(canonical),
+                       alpha=canonical_alpha, reps=10_000, chunk_size=6_000)
+        rows = nash_deviation_sweep(sc)
+        assert len(rows) == 12
+        menu = [[(b, 1), (b, 4), (b, 5), (b, 10), (b, 1, 1), (b, 10)] for b in (8_192, 1_808)]
+        assert calls == [(6_000, 10), (6_000, 10), (4_000, 10), (4_000, 10), *menu[0], *menu[1]]
+
+    @pytest.mark.parametrize("estimator", [est.PlainMeanAll(), est.CleanOnlyMean(),
+                                           est.FixedWeighted(1.0), est.OwnDataOnlyMean()],
+                             ids=repr)
+    def test_constant_weights_do_not_draw_the_prefix(self, canonical, canonical_alpha,
+                                                     monkeypatch, estimator):
+        # their weights do not read eta^2, so the prefix is integrated out:
+        # a chunk draws the focal points alone
+        calls = []
+        sample_sum = DistributionSpec.sample_sum
+
+        def counting(self, stream, b, k):
+            calls.append(k)
+            return sample_sum(self, stream, b, k)
+
+        monkeypatch.setattr(DistributionSpec, "sample_sum", counting)
+        foc = Strategy(canonical.n_star, est.Identity(), estimator)
+        pen = run_replications(_scenario(canonical, "cross-check", foc, alpha=canonical_alpha,
+                                         reps=3_000, chunk_size=1_000))
+        assert calls == [canonical.n_star] * 3 and math.isfinite(pen.total)
+        calls.clear()
+        weighted = replace(foc, estimator=est.RecommendedWeighted())
+        run_replications(_scenario(canonical, "cross-check", weighted, alpha=canonical_alpha,
+                                   reps=3_000, chunk_size=1_000))
+        assert calls == [canonical.n_star] * 6
+
+    def test_sweep_peak_is_its_row_zero_peak(self):
+        # menu arrays are at most one score block (64 KiB), so a sweep's
+        # traced peak is that of its row 0 run, up to the sweep's own few
+        # objects; when each menu row drew its own chunk, the peak doubled
+        p = params_for(9, dim=3)
+        alpha = solve_alpha(p).alpha
+        foc = Strategy(p.n_star, est.Identity(), est.RecommendedWeighted(), "recommended")
+        sc = _scenario(p, "cross-check", foc, alpha=alpha, reps=65_536, family="uniform_box",
+                       scale=math.sqrt(3.0), mu_grid=simulation.DEFAULT_MU_GRID_SCALE)
+        run_replications(sc)  # untraced: first-call allocations stay out
+        peaks = []
+        for run in (run_replications, nash_deviation_sweep):
+            tracemalloc.start()
+            try:
+                run(sc)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 64 * 1024
 
 
 class TestScenario:
