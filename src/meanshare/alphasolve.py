@@ -3,32 +3,37 @@
 G is the transcendental function that fixes the corruption modulator
 alpha for the cross-check mechanism with m >= 5 agents. Writing
 n* = sigma sqrt(d)/sqrt(c m) for the recommended per-agent sample count
-in d dimensions, G depends only on (alpha, m, n*):
+in d dimensions and A = alpha/sqrt(n*), G depends only on (A, m):
 
-    G(a) = (4a^2/n* * (m-4)/(m-2) - 1) * 4a/sqrt(m n*)
-           - (4(m+1)a^2/(m n*) - 1) * sqrt(2 pi) * e^{m n*/(8 a^2)}
-             * erfc(sqrt(m n*)/(2 sqrt(2) a))
+    G(A, m) = (4A^2 (m-4)/(m-2) - 1) * 4A/sqrt(m)
+              - (4(m+1)A^2/m - 1) * sqrt(2 pi) * e^{m/(8 A^2)}
+                * erfc(sqrt(m)/(2 sqrt(2) A))
 
 The exp * erfc product is evaluated with the scaled kernel
 erfcx(z) = e^{z^2} erfc(z), which is exact here because the exponent
-m n*/(8 a^2) equals z^2; the raw exponential would overflow for large m.
+m/(8 A^2) equals z^2; the raw exponential would overflow for large m.
 The kernel is :func:`meanshare.params.erfcx`, mapped over the sign
 scan's grid by :func:`meanshare.params.erfcx_array`: e^{z^2} erfc(z)
 through ``math`` below z = 8, and a 12-term continued fraction from 8 on,
 with relative error below 4e-15. On the bracket z is at most sqrt(m/8),
-its value at alpha = sqrt(n*), so it stays below 8 for m < 512.
+its value at A = 1, so it stays below 8 for m < 512.
 
-The root is bracketed in (sqrt(n*), (1 + C_m/m) sqrt(n*)) with C_m = 20
-for m <= 20 and C_m = 5 for m > 20. At the low end the asymptotic bound
+The root is bracketed in A in (1, 1 + C_m/m) with C_m = 20 for m <= 20
+and C_m = 5 for m > 20, that is alpha in (sqrt(n*), (1 + C_m/m) sqrt(n*)).
+At the low end the asymptotic bound
 erfc(x) >= e^{-x^2} (1/x - 1/(2x^3))/sqrt(pi) gives
-G(sqrt(n*)) <= -128/((m-2) m^{5/2}) < 0. The root is located by the ITP
+G(1, m) <= -128/((m-2) m^{5/2}) < 0. The root is located in A by the ITP
 method (interpolate, truncate, project; Oliveira & Takahashi, ACM TOMS
 47(1), 2020). ITP keeps the bracket and bisection's worst-case step count, and
-converges superlinearly on a smooth simple root.
+converges superlinearly on a smooth simple root. Since the root in A is a
+constant of m, it is solved once per m in each process and memoized;
+``_solve_a.cache_clear()`` forgets it, which anyone who replaces ``_g``
+(say, with a mutant) must call first.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -73,8 +78,21 @@ def _check_regime(p: ProblemParams):
                          "it needs 5 or more agents")
 
 
+def _g(a, m: int):
+    """G(A, m), the package's one formula for G; a float stays a float and an array an array."""
+    # plain arithmetic, with the scalar coefficients folded first so that an
+    # array A takes few array operations
+    a2 = a * a
+    t1 = (4 * (m - 4) / (m - 2) * a2 - 1) * (4 / math.sqrt(m) * a)
+    coef = 4 * (m + 1) / m * a2 - 1
+    z = math.sqrt(m) / (2 * math.sqrt(2)) / a
+    if isinstance(z, np.ndarray):
+        return t1 - coef * _SQRT_2PI * erfcx_array(z)
+    return float(t1 - coef * _SQRT_2PI * erfcx(z))
+
+
 def g_of_alpha(alpha, p: ProblemParams) -> float:
-    """Evaluate G(alpha). Accepts scalars or arrays of alpha values.
+    """Evaluate G(alpha) as G(alpha/sqrt(n*), m). Accepts scalars or arrays of alpha values.
 
     A float (the root finder's case) stays a float through ``math`` and
     ``erfcx``, with no array conversion. Raises :class:`InvalidParam` for
@@ -91,19 +109,7 @@ def g_of_alpha(alpha, p: ProblemParams) -> float:
         alpha = np.asarray(alpha, float)
         if alpha.size and not (0 < alpha.min() and alpha.max() < _ALPHA_MAX):
             raise InvalidParam(f"G is defined here for 0 < alpha < 2**510, got {alpha}")
-    # plain arithmetic, so a float stays a float and an array an array; the
-    # scalar coefficients are folded first so that an array alpha takes few
-    # array operations
-    m, ns = p.agents, p.n_star
-    mn = m * ns
-    rmn = math.sqrt(mn)
-    a2 = alpha * alpha
-    t1 = (4 * (m - 4) / ((m - 2) * ns) * a2 - 1) * (4 / rmn * alpha)
-    coef = 4 * (m + 1) / mn * a2 - 1
-    z = rmn / (2 * math.sqrt(2)) / alpha
-    if isinstance(z, np.ndarray):
-        return t1 - coef * _SQRT_2PI * erfcx_array(z)
-    return float(t1 - coef * _SQRT_2PI * erfcx(z))
+    return _g(alpha / math.sqrt(p.n_star), p.agents)
 
 
 def bracket(p: ProblemParams) -> tuple[float, float]:
@@ -117,7 +123,10 @@ def bracket(p: ProblemParams) -> tuple[float, float]:
 class AlphaSolution:
     """The located root. ``iterations`` counts the evaluations of G the
     root finder made inside the bracket (the two endpoint evaluations, the
-    residual and the sign scan are not counted)."""
+    residual and the sign scan are not counted). ``a_m``, ``iterations``
+    and ``warnings`` are those of the solve in A for this m, shared by
+    every sigma, d and n*; ``residual`` is G at this ``alpha`` and these
+    params."""
 
     alpha: float
     a_m: float
@@ -128,27 +137,14 @@ class AlphaSolution:
     warnings: tuple[str, ...] = field(default=())
 
 
-def solve_alpha(p: ProblemParams) -> AlphaSolution:
-    """Locate the root of G on the proven bracket with ITP steps.
+# 512 holds every m of a 5..500 scan: a smaller LRU would miss on every call of a sequential scan
+@functools.lru_cache(maxsize=512)
+def _solve_a(m: int) -> tuple[float, int, tuple[str, ...]]:
+    """The root A of G(., m) on (1, 1 + C_m/m), its ITP step count and the sign scan's warnings."""
+    lo, hi = 1.0, 1 + c_m(m) / m
+    tol = 1e-12
 
-    Each step evaluates G once and keeps a bracket with a sign change, to a
-    tolerance tol = 1e-12 * sqrt(n*). ITP stops once the bracket is at most
-    2 tol wide or after n_max = ceil(log2((hi - lo) / (2 tol))) + 1 steps,
-    one more than bisection, whichever comes first; on a smooth simple root
-    it takes far fewer. The root is the midpoint of the final bracket. In
-    exact arithmetic n_max steps shrink the bracket to 2 tol; in floating
-    point the rounded midpoints can leave it wider by less than one unit in
-    the last place of the root, so the root lies within tol of a sign
-    change up to that rounding. A 64-point grid scan over the bracket
-    reports (as a warning, not an error) any extra sign changes, since
-    uniqueness of the root is not guaranteed.
-    """
-    _check_regime(p)
-    lo, hi = bracket(p)
-    tol = 1e-12 * lo
-
-    g_lo = g_of_alpha(lo, p)
-    g_hi = g_of_alpha(hi, p)
+    g_lo, g_hi = _g(lo, m), _g(hi, m)
     steps = 0
     if g_lo == 0.0:
         root = lo
@@ -156,7 +152,7 @@ def solve_alpha(p: ProblemParams) -> AlphaSolution:
         root = hi
     elif g_lo * g_hi > 0:
         raise NoSignChange(
-            f"G has the same sign at both bracket endpoints (G({lo})={g_lo}, G({hi})={g_hi})"
+            f"G has the same sign at both bracket ends in A (G({lo})={g_lo}, G({hi})={g_hi})"
         )
     else:
         a, b, fa, fb = lo, hi, g_lo, g_hi
@@ -174,7 +170,7 @@ def solve_alpha(p: ProblemParams) -> AlphaSolution:
             # project: stay within r of the midpoint, which keeps the budget
             r = max(math.ldexp(tol, n_max - steps) - 0.5 * (b - a), 0.0)
             x = xt if abs(xt - mid) <= r else mid - side * r
-            fx = g_of_alpha(x, p)
+            fx = _g(x, m)
             steps += 1
             if fx == 0.0:
                 a = b = x
@@ -188,17 +184,35 @@ def solve_alpha(p: ProblemParams) -> AlphaSolution:
     # np.linspace(lo, hi, 64), built without its Python-level overhead
     grid = np.arange(64) * ((hi - lo) / 63) + lo
     grid[-1] = hi
-    signs = np.sign(g_of_alpha(grid, p))
+    signs = np.sign(_g(grid, m))
     n_changes = np.count_nonzero(signs[:-1] * signs[1:] < 0)
     if n_changes > 1:
         warnings.append(f"{n_changes} sign changes detected on the bracket; returning the ITP root")
+    return root, steps, tuple(warnings)
 
-    return AlphaSolution(
-        alpha=float(root),
-        a_m=float(root / lo),
-        bracket_lo=lo,
-        bracket_hi=hi,
-        residual=g_of_alpha(float(root), p),
-        iterations=steps,
-        warnings=tuple(warnings),
-    )
+
+def solve_alpha(p: ProblemParams) -> AlphaSolution:
+    """Locate the root of G on the proven bracket with ITP steps.
+
+    The root is found in A = alpha/sqrt(n*), where G depends on m alone,
+    and returned as alpha = A sqrt(n*); it is solved once per m in each
+    process and memoized. Each step evaluates G once and keeps a bracket
+    with a sign change, to a tolerance tol = 1e-12 in A, which is
+    1e-12 * sqrt(n*) in alpha. ITP stops once the bracket is at most
+    2 tol wide or after n_max = ceil(log2((hi - lo) / (2 tol))) + 1 steps,
+    one more than bisection, whichever comes first; on a smooth simple root
+    it takes far fewer. The root is the midpoint of the final bracket. In
+    exact arithmetic n_max steps shrink the bracket to 2 tol; in floating
+    point the rounded midpoints can leave it wider by less than one unit in
+    the last place of the root, so the root lies within tol of a sign
+    change up to that rounding. A 64-point grid scan over the bracket
+    reports (as a warning, not an error) any extra sign changes, since
+    uniqueness of the root is not guaranteed. ``iterations`` and ``warnings``
+    are those of the solve for this m; code that replaces ``_g`` must call
+    ``_solve_a.cache_clear()``, or earlier roots are returned.
+    """
+    lo, hi = bracket(p)
+    a_m, steps, warnings = _solve_a(p.agents)
+    alpha = a_m * lo
+    return AlphaSolution(alpha=alpha, a_m=a_m, bracket_lo=lo, bracket_hi=hi,
+                         residual=g_of_alpha(alpha, p), iterations=steps, warnings=warnings)

@@ -194,7 +194,8 @@ class TestITP:
     def test_iterations_within_itp_bound(self):
         # m = 6 spends the whole budget: G dips mid-bracket and ITP falls
         # back to bisection, whose rounded midpoints can leave the bracket a
-        # fraction of an ulp wider than 2 tol at n* = 1 and 37
+        # fraction of an ulp wider than 2 tol; the solve runs in A, so this
+        # holds at every n*
         for n_star in (1, 10, 37):
             counts = []
             for m in range(5, 501):
@@ -223,3 +224,73 @@ class TestITP:
             val = g_of_alpha(a, p)
             assert type(val) is float
             assert val == pytest.approx(g, rel=1e-14, abs=0)
+
+
+class TestRootMemo:
+    """The root in A = alpha/sqrt(n*) is a constant of m, solved once per m."""
+
+    # (sigma, d, n*) triples that share each m
+    CASES = [(1.0, 1, 1), (0.5, 3, 10), (2.0, 2, 37), (3.0, 5, 4)]
+
+    @pytest.fixture(autouse=True)
+    def cold_cache(self):
+        alphasolve._solve_a.cache_clear()
+        yield
+        alphasolve._solve_a.cache_clear()
+
+    @pytest.fixture
+    def g_calls(self, monkeypatch):
+        calls = []
+        g = alphasolve._g
+
+        def counted(a, m):
+            calls.append(m)
+            return g(a, m)
+
+        monkeypatch.setattr(alphasolve, "_g", counted)
+        return calls
+
+    @pytest.mark.parametrize("m", [5, 6, 9, 21, 500])
+    def test_solve_depends_on_m_only(self, m):
+        sols = []
+        for sigma, d, n_star in self.CASES:
+            sol = solve_alpha(params_for(m, n_star=n_star, sigma=sigma, dim=d))
+            assert abs(sol.alpha - alpha_oracle(m, n_star)) <= 1e-12 * math.sqrt(n_star), (m, n_star)
+            sols.append(sol)
+        for sol in sols[1:]:
+            assert (sol.a_m, sol.iterations, sol.warnings) == (sols[0].a_m, sols[0].iterations,
+                                                               sols[0].warnings)
+
+    def test_second_solve_at_m_evaluates_g_for_its_residual_only(self, g_calls):
+        (s1, d1, n1), (s2, d2, n2) = self.CASES[:2]
+        first = solve_alpha(params_for(9, n_star=n1, sigma=s1, dim=d1))
+        # two bracket ends, the ITP steps, the sign scan and the residual
+        assert len(g_calls) == first.iterations + 4
+        g_calls.clear()
+        solve_alpha(params_for(9, n_star=n2, sigma=s2, dim=d2))
+        assert len(g_calls) == 1
+        info = alphasolve._solve_a.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    @pytest.mark.parametrize("m", [5, 6, 9, 100])
+    def test_cold_and_warm_solves_equal(self, m):
+        p = params_for(m, n_star=37, sigma=2.0, dim=3)
+        cold = solve_alpha(p)
+        warm = solve_alpha(p)
+        alphasolve._solve_a.cache_clear()
+        assert cold == warm == solve_alpha(p)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_small_m_rejected_and_not_cached(self, m):
+        with pytest.raises(ValueError):
+            solve_alpha(params_for(m))
+        info = alphasolve._solve_a.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (0, 0, 0)
+
+    def test_scan_fits_the_cache(self):
+        # a 5..500 scan at d = 1 and then d = 3 solves each m once
+        for d in (1, 3):
+            for m in range(5, 501):
+                solve_alpha(params_for(m, dim=d))
+        info = alphasolve._solve_a.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (496, 496, 496)
