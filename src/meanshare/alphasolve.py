@@ -12,11 +12,11 @@ in d dimensions and A = alpha/sqrt(n*), G depends only on (A, m):
 The exp * erfc product is evaluated with the scaled kernel
 erfcx(z) = e^{z^2} erfc(z), which is exact here because the exponent
 m/(8 A^2) equals z^2; the raw exponential would overflow for large m.
-The kernel is :func:`meanshare.params.erfcx`, mapped over the sign
-scan's grid by :func:`meanshare.params.erfcx_array`: e^{z^2} erfc(z)
-through ``math`` below z = 8, and a 12-term continued fraction from 8 on,
-with relative error below 4e-15. On the bracket z is at most sqrt(m/8),
-its value at A = 1, so it stays below 8 for m < 512.
+The kernel is :func:`meanshare.params.erfcx`: e^{z^2} erfc(z) through
+``math`` below z = 8, and a 12-term continued fraction from 8 on, with
+relative error below 4e-15. On the bracket z is at most sqrt(m/8), its
+value at A = 1, so it stays below 8 for m < 512. G is evaluated one
+float at a time, the sign scan's 64 points included.
 
 The root is bracketed in A in (1, 1 + C_m/m) with C_m = 20 for m <= 20
 and C_m = 5 for m > 20, that is alpha in (sqrt(n*), (1 + C_m/m) sqrt(n*)).
@@ -35,11 +35,12 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .params import InvalidParam, ProblemParams, erfcx, erfcx_array
+from .params import InvalidParam, ProblemParams, erfcx
 
 __all__ = [
     "NoSignChange",
@@ -78,37 +79,29 @@ def _check_regime(p: ProblemParams):
                          "it needs 5 or more agents")
 
 
-def _g(a, m: int):
-    """G(A, m), the package's one formula for G; a float stays a float and an array an array."""
-    # plain arithmetic, with the scalar coefficients folded first so that an
-    # array A takes few array operations
+def _g(a: float, m: int) -> float:
+    """G(A, m) of a float A, the package's one formula for G."""
     a2 = a * a
     t1 = (4 * (m - 4) / (m - 2) * a2 - 1) * (4 / math.sqrt(m) * a)
     coef = 4 * (m + 1) / m * a2 - 1
-    z = math.sqrt(m) / (2 * math.sqrt(2)) / a
-    if isinstance(z, np.ndarray):
-        return t1 - coef * _SQRT_2PI * erfcx_array(z)
-    return float(t1 - coef * _SQRT_2PI * erfcx(z))
+    return t1 - coef * _SQRT_2PI * erfcx(math.sqrt(m) / (2 * math.sqrt(2)) / a)
 
 
-def g_of_alpha(alpha, p: ProblemParams) -> float:
-    """Evaluate G(alpha) as G(alpha/sqrt(n*), m). Accepts scalars or arrays of alpha values.
+def g_of_alpha(alpha: float, p: ProblemParams) -> float:
+    """Evaluate G(alpha) of a real scalar alpha as G(alpha/sqrt(n*), m).
 
-    A float (the root finder's case) stays a float through ``math`` and
-    ``erfcx``, with no array conversion. Raises :class:`InvalidParam` for
-    an alpha outside (0, 2**510), NaN and inf included: G is defined for
-    alpha > 0, and from 2**510 on both of its terms can overflow to inf,
-    whose difference is NaN. Below 2**510 G is finite or, where its alpha^3
-    growth overflows, +inf.
+    Raises :class:`TypeError` for anything but a real scalar (an array
+    included), and :class:`InvalidParam` for an alpha outside (0, 2**510),
+    NaN and inf included: G is defined for alpha > 0, and from 2**510 on
+    both of its terms can overflow to inf, whose difference is NaN. Below
+    2**510 G is finite or, where its alpha^3 growth overflows, +inf.
     """
     _check_regime(p)
-    if isinstance(alpha, float):
-        if not 0 < alpha < _ALPHA_MAX:
-            raise InvalidParam(f"G is defined here for 0 < alpha < 2**510, got {alpha}")
-    else:
-        alpha = np.asarray(alpha, float)
-        if alpha.size and not (0 < alpha.min() and alpha.max() < _ALPHA_MAX):
-            raise InvalidParam(f"G is defined here for 0 < alpha < 2**510, got {alpha}")
+    if not isinstance(alpha, numbers.Real):
+        raise TypeError(f"alpha must be a real scalar, got {type(alpha).__name__}")
+    alpha = float(alpha)
+    if not 0 < alpha < _ALPHA_MAX:
+        raise InvalidParam(f"G is defined here for 0 < alpha < 2**510, got {alpha}")
     return _g(alpha / math.sqrt(p.n_star), p.agents)
 
 
@@ -181,10 +174,7 @@ def _solve_a(m: int) -> tuple[float, int, tuple[str, ...]]:
         root = 0.5 * (a + b)
 
     warnings = []
-    # np.linspace(lo, hi, 64), built without its Python-level overhead
-    grid = np.arange(64) * ((hi - lo) / 63) + lo
-    grid[-1] = hi
-    signs = np.sign(_g(grid, m))
+    signs = np.sign([_g(a, m) for a in np.linspace(lo, hi, 64).tolist()])
     n_changes = np.count_nonzero(signs[:-1] * signs[1:] < 0)
     if n_changes > 1:
         warnings.append(f"{n_changes} sign changes detected on the bracket; returning the ITP root")

@@ -31,7 +31,6 @@ __all__ = [
     "RecommendedWeighted",
     "FixedWeighted",
     "CleanOnlyMean",
-    "OwnDataOnlyMean",
     "PosteriorMean",
     "estimate",
 ]
@@ -204,11 +203,6 @@ class CleanOnlyMean:
 
 
 @dataclass(frozen=True)
-class OwnDataOnlyMean:
-    pass
-
-
-@dataclass(frozen=True)
 class PosteriorMean:
     """Posterior mean under a centered Gaussian prior with variance ell^2."""
 
@@ -249,10 +243,6 @@ def _block_weights(choice, n_x: int, n_clean: int, n_corr: int, eta_sq, sigma: f
         if n_all_clean == 0:
             raise EmptyInput("nothing to average")
         return 1.0 / n_all_clean, 1.0 / n_all_clean, 0.0
-    if isinstance(choice, OwnDataOnlyMean):
-        if n_x == 0:
-            raise EmptyInput("no own data")
-        return 1.0 / n_x, 0.0, 0.0
     raise TypeError(f"unknown estimator {choice!r}")
 
 

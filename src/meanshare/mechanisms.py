@@ -24,6 +24,7 @@ agents 0..i-1.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -96,19 +97,31 @@ def mech_size_check(submissions: list[np.ndarray], i: int, p: ProblemParams) -> 
 
 
 def k_eps(epsilon: float) -> int:
-    """Power exponent ceil(1/(2 epsilon)) for the corrupt-and-deploy mechanism."""
-    if not 0 < epsilon < math.inf:
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    """Power exponent ceil(1/(2 epsilon)) for the corrupt-and-deploy mechanism;
+    epsilon and 1/(2 epsilon) must be positive and finite."""
+    if not (0 < epsilon < math.inf and 1.0 / (2.0 * epsilon) < math.inf):
+        raise InvalidParam(f"epsilon and 1/(2 epsilon) must be positive and finite, got {epsilon}")
     return math.ceil(1.0 / (2.0 * epsilon))
 
 
 def beta_sq_published(total_points: int, p: ProblemParams, k: int) -> float:
     """Corruption scale beta^2 as published by the mechanism, from the
-    total submitted point count across all agents."""
+    total submitted point count across all agents. Raises
+    :class:`InvalidParam` where it is not a positive float: from k = 150 on,
+    where k (2k-1)!! alone leaves the float range (decided before it is
+    built), and where a power in it does (at m = 100 from k = 103 on)."""
     m = p.agents
-    num = float(total_points) ** 2 * (m - 1) ** (k - 1)
-    den = k * double_factorial(2 * k - 1) * p.sigma**k * p.cost ** ((k - 2) / 2) * m ** (1.5 * k)
-    return num / den
+    beta_sq = math.nan
+    if k < 150:
+        with contextlib.suppress(OverflowError, ZeroDivisionError):
+            num = float(total_points) ** 2 * (m - 1) ** (k - 1)
+            den = (k * double_factorial(2 * k - 1) * p.sigma**k * p.cost ** ((k - 2) / 2)
+                   * m ** (1.5 * k))
+            beta_sq = num / den
+    if not 0 < beta_sq < math.inf:
+        raise InvalidParam(f"epsilon too small: beta^2 at k = ceil(1/(2 epsilon)) = {k} is not "
+                           "a positive float for these params")
+    return beta_sq
 
 
 def mech_corrupt_deploy(submissions: list[np.ndarray], i: int, p: ProblemParams,

@@ -22,7 +22,6 @@ __all__ = [
     "DistributionSpec",
     "double_factorial",
     "erfcx",
-    "erfcx_array",
     "spawn_stream",
 ]
 
@@ -135,11 +134,7 @@ class DistributionSpec:
 
     @property
     def per_dim_variance(self) -> float:
-        if self.family == "gaussian":
-            return self.scale**2
-        if self.family == "uniform_box":
-            return self.scale**2 / 3.0
-        return self.scale**2
+        return self.scale**2 / 3.0 if self.family == "uniform_box" else self.scale**2
 
     def sample(self, stream: np.random.Generator, shape, shift: float = 0.0) -> np.ndarray:
         """i.i.d. points of ``shape`` (last axis ``dim``) located at ``mean + shift``."""
@@ -220,13 +215,6 @@ def erfcx(z: float) -> float:
     for k in range(12, 0, -1):
         t = z + 0.5 * k / t
     return _INV_SQRT_PI / t
-
-
-def erfcx_array(z: np.ndarray) -> np.ndarray:
-    """:func:`erfcx` mapped over the entries of a float array, so that each
-    entry equals the scalar form bit for bit."""
-    z = np.asarray(z, float)
-    return np.fromiter(map(erfcx, z.ravel().tolist()), float, z.size).reshape(z.shape)
 
 
 def spawn_stream(master_seed: int, *path: int) -> np.random.Generator:

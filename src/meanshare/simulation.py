@@ -23,8 +23,8 @@ family, and it cannot raise the variance of a round's score.
   cross-check prefix, so the prefix sum is drawn
   (:meth:`DistributionSpec.sample_sum`) and the corrupted remainder and
   its noise are integrated out. An estimator whose weights do not read
-  eta^2 (fixed weights, the plain, clean-only and own-data means) reads
-  the prefix sum linearly, and eta^2 only through the remainder's
+  eta^2 (fixed weights, the plain and clean-only means) reads the
+  prefix sum linearly, and eta^2 only through the remainder's
   variance, which is linear in it. For such a row the prefix is
   integrated out too: it enters at its mean take loc with variance
   take v, and eta^2 at its conditional mean
@@ -63,13 +63,13 @@ does for requests above its mmap threshold (128 KiB by default).
 
 A chunk can score several focal profiles against the same others. A
 deviation sweep's menu rows are scored that way
-(:func:`nash_deviation_sweep`): the focal points are drawn once, as sums of
-the increments between the union of the rows' block boundaries (points 1,
-5, 10 and 20 for the default menu at n* = 10), and each row's block sum is
-the sum of its run of increments; each fabrication row draws its own
-points; and the mechanism's draw is made once, if some row reads it. A
-menu runs in chunks of one score block, so none of its arrays exceeds
-64 KiB whatever the replication count. A single run
+(:func:`nash_deviation_sweep`), each on its plan (:func:`_plan`). The
+focal points are drawn once, as sums of the increments between the union
+of the rows' block boundaries (points 1, 5, 10 and 20 for the default menu
+at n* = 10), and each row's block sum is the sum of its run of increments;
+each fabrication row draws its own points; and the mechanism's draw is
+made once, if some row reads it. A menu runs in chunks of one score block, so none of its arrays
+exceeds 64 KiB whatever the replication count. A single run
 (:func:`run_replications`, and row 0 of a sweep) is the one-row case, in
 chunks of ``Scenario.chunk_size`` rounds.
 
@@ -109,6 +109,7 @@ master seed:
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -181,10 +182,13 @@ class Scenario:
         if self.mechanism == "cross-check" and p.agents >= 5 and \
                 (self.alpha is None or not self.alpha > 0):
             raise InvalidParam("cross-check with 5 or more agents needs alpha > 0")
-        if self.mechanism == "corrupt-deploy" and \
-                (self.epsilon is None or not 0 < self.epsilon < math.inf):
-            raise InvalidParam("corrupt-deploy needs a finite epsilon > 0")
-        if self.mechanism != "corrupt-deploy" and self.epsilon is not None:
+        if self.mechanism == "corrupt-deploy":
+            if self.epsilon is None:
+                raise InvalidParam("corrupt-deploy needs a finite epsilon > 0")
+            # beta^2 at the recommended profile's point count: an epsilon too
+            # small for these params fails here, not mid-run
+            mech.beta_sq_published(p.agents * p.n_star, p, mech.k_eps(self.epsilon))
+        elif self.epsilon is not None:
             raise InvalidParam(f"epsilon is read by corrupt-deploy only, not by {self.mechanism}")
         for name, value, low in (("replications", self.replications, 1),
                                  ("chunk_size", self.chunk_size, 1), ("workers", self.workers, 1),
@@ -237,22 +241,16 @@ _SCORE_BLOCK_ITEMS = 8192
 
 
 # estimators whose weights do not read eta^2 (:func:`estimators._block_weights`)
-_CONSTANT_WEIGHTS = (est.FixedWeighted, est.PlainMeanAll, est.CleanOnlyMean, est.OwnDataOnlyMean)
+_CONSTANT_WEIGHTS = (est.FixedWeighted, est.PlainMeanAll, est.CleanOnlyMean)
 
 
-def _reads_prefix(sc: Scenario, foc: Strategy) -> bool:
-    """Whether the rounds of ``foc`` read the cross-check prefix sum: under
-    cross-check with m >= 5, through eta^2 in the estimator's weights."""
-    return sc.mechanism == "cross-check" and sc.params.agents >= 5 and \
-        not isinstance(foc.estimator, _CONSTANT_WEIGHTS)
-
-
-def _focal_spans(sc: Scenario, foc: Strategy):
-    """``(spans, n_y)``: the ranges ``(lo, hi)`` of the focal agent's
-    collected points whose sums :func:`estimators._submitted_sum` reads, in
-    its order, and the submitted count. Fabrication reads its points, not
-    their sums, and has no spans (None). Raises what a round of ``foc``
-    raises before it is scored."""
+def _plan(sc: Scenario, foc: Strategy):
+    """``(spans, n_y, reads)`` of a row: the ranges ``(lo, hi)`` of collected
+    points whose sums :func:`estimators._submitted_sum` reads, in its order
+    (None for fabrication, which reads the points); the submitted count; and
+    whether the rounds read the mechanism's draw (corrupt-deploy always, and
+    cross-check with m >= 5 through eta^2 in the estimator's weights).
+    Raises what a round of ``foc`` raises before it is scored."""
     if isinstance(foc.submission, est.FabricateFitGaussian):
         if foc.n == 0:
             raise est.EmptyInput("cannot fit a Gaussian to an empty sample")
@@ -263,25 +261,15 @@ def _focal_spans(sc: Scenario, foc: Strategy):
         def block(k):
             lo = spans[-1][1] if spans else 0
             spans.append((lo, lo + k))
-            return np.empty((0, sc.params.dim))  # only the spans and n_y are read here
+            return 0.0  # only the spans and n_y are read here
 
         n_y = est._submitted_sum(foc.submission, foc.n, sc.params, block)[2]
     if sc.mechanism == "corrupt-deploy" and n_y == 0:
         raise mech.EmptySubmission("corrupt-and-deploy requires a nonempty submission")
-    return spans, n_y
-
-
-def _fabricated_sums(spec: DistributionSpec, stream, b: int, n: int, n_fake: int):
-    """The (b, d) sums of n collected points and of the n_fake points fitted
-    to them: the fitted sd reads the collected points, and the fabricated
-    points enter only through their sum n_fake xbar + sqrt(n_fake) sd z."""
-    X = spec.sample(stream, (b, n, spec.dim))
-    sum_x = X.sum(axis=1)
-    fab = stream.standard_normal((b, spec.dim))
-    fab *= X.std(axis=1)
-    fab *= math.sqrt(n_fake)
-    fab += (n_fake / n) * sum_x
-    return [(sum_x, n), (fab, n_fake)]
+    reads = sc.mechanism == "corrupt-deploy" or (
+        sc.mechanism == "cross-check" and sc.params.agents >= 5
+        and not isinstance(foc.estimator, _CONSTANT_WEIGHTS))
+    return spans, n_y, reads
 
 
 def _chunk_sq_errors(sc: Scenario, rows, b: int, stream):
@@ -291,61 +279,71 @@ def _chunk_sq_errors(sc: Scenario, rows, b: int, stream):
     with positive weight scores +inf.
 
     Draw phase, once for every row, at offset 0: the focal agent's points as
-    block sums at the union of the rows' block boundaries (so a row reads the
-    sum of a run of those increments, and every row reads the same points);
-    then each fabrication row's own points; then the mechanism's draw, if
-    some row reads it. Score phase (:func:`_score_rows`): each cell on those
+    block sums at the union of the rows' block boundaries, then each
+    fabrication row's own points, then the mechanism's draw if some row's
+    plan reads it. Score phase (:func:`_score_rows`): each cell on those
     draws, a score block at a time; at offset mu a k-point block sum reads
     its drawn value plus k mu."""
     p, spec = sc.params, sc.distribution
     d, ns, m = p.dim, p.n_star, p.agents
-    plans = [_focal_spans(sc, foc) for foc, _ in rows]
-    edges = sorted({0, *(hi for spans, _ in plans if spans for _, hi in spans)})
+    plans = [_plan(sc, foc) for foc, _ in rows]
+    edges = sorted({0, *(hi for spans, _, _ in plans if spans for _, hi in spans)})
     increments = [spec.sample_sum(stream, b, hi - lo) for lo, hi in zip(edges, edges[1:])]
-    cache = {}
 
+    @functools.cache
     def block_sum(lo, hi):
-        if (lo, hi) not in cache:
-            parts = increments[edges.index(lo):edges.index(hi)]
-            cache[lo, hi] = sum(parts[1:], parts[0]) if parts else np.zeros((b, d))
-        return cache[lo, hi], hi - lo
+        parts = increments[edges.index(lo):edges.index(hi)]
+        return sum(parts[1:], parts[0]) if parts else np.zeros((b, d))
 
-    focal = [_fabricated_sums(spec, stream, b, foc.n, n_y) if spans is None
-             else [block_sum(lo, hi) for lo, hi in spans]
-             for (foc, _), (spans, n_y) in zip(rows, plans)]
+    focal = []
+    for (foc, _), (spans, n_y, _) in zip(rows, plans):
+        if spans is not None:
+            focal.append([(block_sum(lo, hi), hi - lo) for lo, hi in spans])
+            continue
+        # fabrication: the fitted sd reads the collected points, and the n_y
+        # fabricated points enter only through their sum n_y xbar + sqrt(n_y) sd z
+        X = spec.sample(stream, (b, foc.n, d))
+        sum_x = X.sum(axis=1)
+        fab = stream.standard_normal((b, d))
+        fab *= X.std(axis=1)
+        fab *= math.sqrt(n_y)
+        fab += (n_y / foc.n) * sum_x
+        focal.append([(sum_x, foc.n), (fab, n_y)])
     k_pool = (m - 1) * ns
     drawn = []
     if sc.mechanism == "corrupt-deploy":
         # eta^2 reads the pool sum, so the pool and its noise are drawn
         drawn = [(spec.sample_sum(stream, b, k_pool), k_pool), (stream.standard_normal((b, d)), 0)]
-    elif any(_reads_prefix(sc, foc) for foc, _ in rows):
+    elif any(reads for _, _, reads in plans):
         # eta^2 reads the cross-check prefix, so only the prefix is drawn;
         # the corrupted remainder and its noise are independent of it
         take = min(k_pool, ns)
         drawn = [(spec.sample_sum(stream, b, take), take)]
     per_block = max(_SCORE_BLOCK_ITEMS // d, 1)
-    for (foc, mus), blocks in zip(rows, focal):
-        if sc.mechanism == "corrupt-deploy" or _reads_prefix(sc, foc):
-            blocks = blocks + drawn
+    for (foc, mus), (_, n_y, reads), blocks in zip(rows, plans, focal):
         for mu in mus:
             sq = np.empty(b)
             for r in range(0, b, per_block):
                 at = slice(r, r + per_block)
+                focal_at, drawn_at = ([s[at] + k * mu if k * mu else s[at] for s, k in sums]
+                                      for sums in (blocks, drawn if reads else []))
                 try:
-                    sq[at] = _score_rows(sc, foc, [s[at] + k * mu if k * mu else s[at]
-                                                   for s, k in blocks], mu)
+                    sq[at] = _score_rows(sc, foc, focal_at, drawn_at, n_y, mu)
                 except est.EmptyInput:
                     sq.fill(np.inf)
                     break
             yield sq
 
 
-def _score_rows(sc: Scenario, foc: Strategy, sums, mu_offset: float) -> np.ndarray:
+def _score_rows(sc: Scenario, foc: Strategy, focal, drawn, n_y: int,
+                mu_offset: float) -> np.ndarray:
     """Score phase of a block of rounds of ``foc``: their squared estimation
     errors ||est - mu||^2 at ``mu_offset``, each averaged over the blocks of
-    the others' pool it does not draw. ``sums`` holds the rounds' block sums
-    at that offset, in the order in which :func:`_chunk_sq_errors` lists a
-    row's blocks.
+    the others' pool it does not draw. ``focal`` holds the rounds' focal
+    block sums at that offset in the order of the row's plan (fabrication:
+    the collected and the fabricated sums), ``drawn`` the mechanism's draw
+    the row reads (corrupt-deploy: pool sum and noise; cross-check: prefix
+    sum; else nothing), and ``n_y`` is the plan's submitted count.
 
     A block of k points that is not drawn enters the estimate through its
     mean k loc, and its conditional variance k (v + eta^2) per dimension,
@@ -357,11 +355,11 @@ def _score_rows(sc: Scenario, foc: Strategy, sums, mu_offset: float) -> np.ndarr
     spec = sc.distribution
     loc = spec.mean + mu_offset
     v = spec.per_dim_variance
-    sums = iter(sums)
     if isinstance(foc.submission, est.FabricateFitGaussian):
-        sum_x, sum_y, n_y = next(sums), next(sums), foc.submission.n_fake
+        sum_x, sum_y = focal
     else:
-        sum_x, sum_y, n_y = est._submitted_sum(foc.submission, foc.n, p, lambda k: next(sums))
+        blocks = iter(focal)
+        sum_x, sum_y, _ = est._submitted_sum(foc.submission, foc.n, p, lambda k: next(blocks))
 
     # the focal allocation, as (sum, count, conditional variance per
     # dimension) of its clean and corrupted blocks; pool, size-check and
@@ -372,7 +370,7 @@ def _score_rows(sc: Scenario, foc: Strategy, sums, mu_offset: float) -> np.ndarr
     if sc.mechanism == "size-check" and n_y < ns:
         clean = (0.0, 0, 0.0)
     elif sc.mechanism == "corrupt-deploy":
-        sum_p, z = next(sums), next(sums)
+        sum_p, z = drawn
         k = mech.k_eps(sc.epsilon)
         beta_sq = mech.beta_sq_published(n_y + k_pool, p, k)
         delta = sum_y / n_y - sum_p / k_pool
@@ -385,9 +383,8 @@ def _score_rows(sc: Scenario, foc: Strategy, sums, mu_offset: float) -> np.ndarr
     elif sc.mechanism == "cross-check" and m >= 5:
         take = min(k_pool, ns)
         n_rest = k_pool - take
-        reads = _reads_prefix(sc, foc)
-        if reads:
-            sum_d = next(sums)
+        if drawn:
+            (sum_d,) = drawn
             clean = (sum_d, take, 0.0)
         else:
             # weights that do not read eta^2 read the prefix linearly, and
@@ -397,7 +394,7 @@ def _score_rows(sc: Scenario, foc: Strategy, sums, mu_offset: float) -> np.ndarr
             clean = (take * loc, take, take * v)
         if n_y == 0:
             eta_sq = np.full(sum_y.shape, np.inf)
-        elif reads:
+        elif drawn:
             eta_sq = (sc.alpha**2) * (sum_y / n_y - sum_d / take) ** 2
         else:
             eta_sq = (sc.alpha**2) * ((sum_y / n_y - loc) ** 2 + v / take)

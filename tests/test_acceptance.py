@@ -28,7 +28,7 @@ from meanshare.analytics import (
     rinf_max_risk,
     sizecheck_penalty,
 )
-from meanshare.params import DistributionSpec, ProblemParams, spawn_stream, validate_params
+from meanshare.params import DistributionSpec, ProblemParams, spawn_stream
 from meanshare.simulation import (
     Scenario,
     Strategy,
@@ -130,14 +130,14 @@ def test_c05_ir():
         p = params_for(m)
         alpha = solve_alpha(p).alpha
         assert penalty_at_nstar(p, alpha) < 2 * p.sigma * math.sqrt(p.cost)
-    canon = validate_params(ProblemParams(1.0, 1.0 / 900.0, 9, 1))
+    canon = ProblemParams(1.0, 1.0 / 900.0, 9, 1)
     assert penalty_at_nstar(canon, solve_alpha(canon).alpha) < 0.066667
 
 
 @reported("criterion 06 (recommended count is a best response)")
 def test_c06_nic():
     t0 = time.monotonic()
-    p = validate_params(ProblemParams(1.0, 1.0 / 900.0, 9, 1))
+    p = ProblemParams(1.0, 1.0 / 900.0, 9, 1)
     alpha = solve_alpha(p).alpha
     ns = p.n_star
 
@@ -164,7 +164,7 @@ def test_c06_nic():
 @reported("criterion 07 (simulation matches the closed-form risk)")
 def test_c07_mc_vs_closed_form():
     t0 = time.monotonic()
-    p = validate_params(ProblemParams(1.0, 1.0 / 900.0, 9, 1))
+    p = ProblemParams(1.0, 1.0 / 900.0, 9, 1)
     alpha = solve_alpha(p).alpha
     sc = _gaussian_scenario(p, "cross-check", recommended_strategy(p),
                             alpha=alpha, reps=1_000_000)
@@ -176,7 +176,7 @@ def test_c07_mc_vs_closed_form():
 
 @reported("criterion 08 (corrupt-and-deploy penalty, PoS, and exploit)")
 def test_c08_corrupt_deploy():
-    p = validate_params(ProblemParams(1.0, 1.0 / 900.0, 9, 1))
+    p = ProblemParams(1.0, 1.0 / 900.0, 9, 1)
     for eps in (0.5, 0.25, 0.1):
         k = mech.k_eps(eps)
         foc = recommended_strategy(p, "corrupt-deploy", eps)
@@ -225,7 +225,7 @@ def test_c08_corrupt_deploy():
 
 @reported("criterion 09 (size-check pooling: optimum, PoS = 1, exploit)")
 def test_c09_size_check():
-    p = validate_params(ProblemParams(1.0, 1.0 / 900.0, 9, 1))
+    p = ProblemParams(1.0, 1.0 / 900.0, 9, 1)
     ns = p.n_star
     p_star = sizecheck_penalty(ns, p)
     for n in range(1, 4 * ns + 1):
@@ -259,7 +259,7 @@ def test_c10_gaussian_integrals():
 @reported("criterion 11 (bounded-variance high-dimensional check)")
 def test_c11_highdim():
     t0 = time.monotonic()
-    p = validate_params(ProblemParams(1.0, 1.0 / 300.0, 9, 3))
+    p = ProblemParams(1.0, 1.0 / 300.0, 9, 3)
     assert p.n_star == 10
     alpha = solve_alpha(p).alpha
     spec = DistributionSpec("uniform_box", np.zeros(3),
@@ -276,7 +276,7 @@ def test_c11_highdim():
 
 @reported("criterion 12 (property suite)")
 def test_c12_properties():
-    p = validate_params(ProblemParams(1.0, 1.0 / 900.0, 9, 1))
+    p = ProblemParams(1.0, 1.0 / 900.0, 9, 1)
     alpha = solve_alpha(p).alpha
     ns = p.n_star
 

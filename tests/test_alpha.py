@@ -12,7 +12,7 @@ import pytest
 from conftest import params_for
 from meanshare import alphasolve
 from meanshare.alphasolve import bracket, c_m, g_of_alpha, solve_alpha
-from meanshare.params import InvalidParam, ProblemParams, validate_params
+from meanshare.params import InvalidParam, ProblemParams
 from paper_forms import erfc_lb, erfc_ub, g_bounds
 
 
@@ -73,7 +73,7 @@ class TestGOfAlpha:
         assert g_of_alpha(a, canonical) == pytest.approx(t1 - t2, rel=1e-12)
 
     def test_small_m_rejected(self):
-        p = validate_params(ProblemParams(1.0, 1 / 64, 4, 1))
+        p = ProblemParams(1.0, 1 / 64, 4, 1)
         with pytest.raises(ValueError):
             g_of_alpha(1.0, p)
 
@@ -84,8 +84,21 @@ class TestGOfAlpha:
         # from 2**510 on its two terms overflow to inf, and inf - inf is NaN
         with pytest.raises(InvalidParam):
             g_of_alpha(alpha, canonical)
-        with pytest.raises(InvalidParam):
-            g_of_alpha(np.array([3.5, alpha]), canonical)
+
+    @pytest.mark.parametrize("alpha", [
+        np.array([3.5, 4.0]), np.array([3.5, -1.0]), np.array(3.5), [3.5], "3.5", None, 3.5 + 0j,
+    ], ids=["array", "array-with-bad-entry", "0-d-array", "list", "str", "None", "complex"])
+    def test_non_scalar_alpha_rejected(self, canonical, monkeypatch, alpha):
+        # G takes one real alpha; anything else is refused before G is evaluated
+        monkeypatch.setattr(alphasolve, "_g", lambda a, m: pytest.fail("G was evaluated"))
+        with pytest.raises(TypeError, match="real scalar"):
+            g_of_alpha(alpha, canonical)
+
+    @pytest.mark.parametrize("alpha", [3.5, 3, np.float64(3.5), np.float32(3.5), np.int64(3)],
+                             ids=repr)
+    def test_real_scalar_alpha_gives_a_float(self, canonical, alpha):
+        g = g_of_alpha(alpha, canonical)
+        assert type(g) is float and g == g_of_alpha(float(alpha), canonical)
 
     def test_no_nan_below_alpha_limit(self):
         # the accepted range ends where the two terms of G could both
@@ -93,8 +106,7 @@ class TestGOfAlpha:
         for m, n_star in itertools.product((5, 9, 500), (1, 10)):
             p = params_for(m, n_star=n_star)
             grid = np.geomspace(1e-300, np.nextafter(2.0**510, 0), 2001)
-            with np.errstate(over="ignore"):
-                g = g_of_alpha(grid, p)
+            g = np.array([g_of_alpha(a, p) for a in grid.tolist()])
             assert not np.isnan(g).any()
             assert np.all(g[grid > 1e105] == math.inf)
             assert math.isfinite(g_of_alpha(1e-300, p))
@@ -115,7 +127,7 @@ class TestGBounds:
         lo, hi = bracket(p)
         grid = np.linspace(lo * 1.0001, hi, 25)
         lb, ub = g_bounds(grid, p)
-        g = g_of_alpha(grid, p)
+        g = np.array([g_of_alpha(a, p) for a in grid.tolist()])
         assert np.all(lb <= g + 1e-12)
         assert np.all(g <= ub + 1e-12)
 
@@ -128,7 +140,7 @@ class TestSolveAlpha:
         assert sol.bracket_lo < sol.alpha < sol.bracket_hi
 
     def test_large_m(self):
-        p = validate_params(ProblemParams(1.0, 4 / 90000, 900, 1))
+        p = ProblemParams(1.0, 4 / 90000, 900, 1)
         assert p.n_star == 5
         sol = solve_alpha(p)
         assert 1.0 < sol.a_m < 1 + 5 / 900
@@ -170,9 +182,9 @@ def test_roots_without_scipy():
     ms = (5, 6, 9, 500)
     code = ("import sys; sys.modules['scipy'] = None; import meanshare.cli\n"
             "from meanshare.alphasolve import solve_alpha\n"
-            "from meanshare.params import ProblemParams, cost_for_n_star, validate_params\n"
+            "from meanshare.params import ProblemParams, cost_for_n_star\n"
             f"for m in {ms!r}:\n"
-            "    p = validate_params(ProblemParams(1.0, cost_for_n_star(1.0, 10, m), m))\n"
+            "    p = ProblemParams(1.0, cost_for_n_star(1.0, 10, m), m)\n"
             "    print(repr(solve_alpha(p).alpha))\n")
     src = str(Path(alphasolve.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -214,17 +226,6 @@ class TestITP:
         sol = solve_alpha(p)
         assert abs(sol.alpha - alpha_oracle(6, n_star)) <= 1e-12 * math.sqrt(n_star)
 
-    @pytest.mark.parametrize("m", [5, 9, 100])
-    def test_scalar_path_matches_array_path(self, m):
-        p = params_for(m)
-        lo, hi = bracket(p)
-        grid = np.linspace(lo, hi, 25)
-        vec = g_of_alpha(grid, p)
-        for a, g in zip(grid.tolist(), vec):
-            val = g_of_alpha(a, p)
-            assert type(val) is float
-            assert val == pytest.approx(g, rel=1e-14, abs=0)
-
 
 class TestRootMemo:
     """The root in A = alpha/sqrt(n*) is a constant of m, solved once per m."""
@@ -264,8 +265,9 @@ class TestRootMemo:
     def test_second_solve_at_m_evaluates_g_for_its_residual_only(self, g_calls):
         (s1, d1, n1), (s2, d2, n2) = self.CASES[:2]
         first = solve_alpha(params_for(9, n_star=n1, sigma=s1, dim=d1))
-        # two bracket ends, the ITP steps, the sign scan and the residual
-        assert len(g_calls) == first.iterations + 4
+        # two bracket ends, the ITP steps, the 64 points of the sign scan and
+        # the residual
+        assert len(g_calls) == first.iterations + 67
         g_calls.clear()
         solve_alpha(params_for(9, n_star=n2, sigma=s2, dim=d2))
         assert len(g_calls) == 1

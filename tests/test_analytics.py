@@ -12,7 +12,7 @@ from scipy.integrate import quad
 from conftest import params_for
 from meanshare import analytics as an
 from meanshare.alphasolve import solve_alpha
-from meanshare.params import InvalidParam, ProblemParams, validate_params
+from meanshare.params import InvalidParam, ProblemParams
 from paper_forms import bayes_risk_Rl, gauss_int_J
 
 SQRT2PI = math.sqrt(2 * math.pi)
@@ -78,8 +78,8 @@ class TestBaselines:
         assert b["free_rider_penalty"] == pytest.approx(0.0125)
 
     def test_dim_scaling(self):
-        p1 = validate_params(ProblemParams(1.0, 1 / 900, 9, 1))
-        p3 = validate_params(ProblemParams(1.0, 3 / 900, 9, 3))
+        p1 = ProblemParams(1.0, 1 / 900, 9, 1)
+        p3 = ProblemParams(1.0, 3 / 900, 9, 3)
         b1, b3 = an.baseline_penalties(p1), an.baseline_penalties(p3)
         for k in b1:
             assert b3[k] == pytest.approx(b1[k] * 3.0)  # sqrt(c d) with c = 3c1, d = 3
@@ -245,7 +245,7 @@ class TestPos:
             an.pos_mechpk(math.inf)
 
     def test_small_m(self):
-        p = validate_params(ProblemParams(1.0, 1 / 64, 4, 1))
+        p = ProblemParams(1.0, 1 / 64, 4, 1)
         assert an.pos_smallm(p) == pytest.approx(1.25)
 
     @pytest.mark.parametrize("alpha", [math.nan, math.inf, -1.0, 1e200])
@@ -314,7 +314,7 @@ class TestHighdim:
 
     def test_dim_scaling_of_bound(self, canonical, canonical_alpha):
         # same sigma, cost, m, and ratio A: the bound scales as sqrt(d)
-        p4 = validate_params(ProblemParams(1.0, 1 / 900, 9, 4))
+        p4 = ProblemParams(1.0, 1 / 900, 9, 4)
         assert p4.n_star == 20
         a_ratio = canonical_alpha / math.sqrt(canonical.n_star)
         alpha4 = a_ratio * math.sqrt(p4.n_star)
@@ -362,7 +362,7 @@ class TestSizecheckAndSmallM:
 
     def test_smallm_participation(self):
         # the m <= 4 pooling penalty (1 + 1/m) sigma sqrt(c d) beats standing alone
-        p = validate_params(ProblemParams(1.0, 1 / 64, 4, 1))
+        p = ProblemParams(1.0, 1 / 64, 4, 1)
         participating = (1 + 1 / p.agents) * p.sigma * math.sqrt(p.cost * p.dim)
         assert participating == pytest.approx(0.15625)
         assert participating < 2 * 1.0 * math.sqrt(1 / 64)

@@ -279,6 +279,23 @@ class TestExperiments:
         assert err.startswith("error: ") and "epsilon" in err
 
     @pytest.mark.parametrize("argv", [
+        ("nash-sweep", "--epsilon", "0.003"),
+        ("nash-sweep", "--epsilon", "0.001"),
+        ("nash-sweep", "--epsilon", "1e-4"),
+        ("nash-sweep", "--epsilon", "1e-7"),
+        ("nash-sweep", "--epsilon", "0.0049", "--agents", "100"),
+        ("ir-check", "--epsilon", "0.003"),
+    ], ids=" ".join)
+    def test_epsilon_too_small_exits_1(self, capsys, argv):
+        # beta^2 is not a float there; the run used to end in an uncaught
+        # OverflowError from beta_sq_published
+        code, out, err = run_cli(capsys, "experiment", *argv, "--mechanism", "corrupt-deploy",
+                                 "--replications", "1000")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "epsilon" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
         ("nash-sweep", "--epsilon", "inf"),
         # the corrupt-deploy default, given explicitly, is still not read
         ("nash-sweep", "--epsilon", "0.5"),

@@ -187,7 +187,9 @@ class TestEstimate:
         X = as_dataset([0.0, 2.0])
         a = alloc(clean=[4.0], corrupted=[100.0], eta_sq=1.0)
         assert est.estimate(est.CleanOnlyMean(), X, a, 1.0)[0] == 2.0
-        assert est.estimate(est.OwnDataOnlyMean(), X, a, 1.0)[0] == 1.0
+        # with no clean allocation, the clean-only mean reads the own data only
+        assert est.estimate(est.CleanOnlyMean(), X, alloc(corrupted=[100.0], eta_sq=1.0),
+                            1.0)[0] == 1.0
 
     def test_empty_input_rejected(self):
         a = alloc()
@@ -200,8 +202,7 @@ class TestEstimate:
         (est.RecommendedWeighted(), alloc(corrupted=[1.0], eta_sq=np.inf)),
         (est.FixedWeighted(np.inf), alloc(corrupted=[1.0])),
         (est.CleanOnlyMean(), alloc(corrupted=[1.0])),
-        (est.OwnDataOnlyMean(), alloc(clean=[1.0])),
-    ], ids=["recommended-inf-eta", "fixed-inf-tau", "clean-only", "own-only"])
+    ], ids=["recommended-inf-eta", "fixed-inf-tau", "clean-only"])
     def test_no_data_with_positive_weight(self, choice, a):
         with pytest.raises(est.EmptyInput):
             est.estimate(choice, np.empty((0, 1)), a, 1.0)

@@ -7,7 +7,7 @@ from conftest import as_dataset, params_for
 from meanshare import estimators as est
 from meanshare import mechanisms as mech
 from meanshare.alphasolve import solve_alpha
-from meanshare.params import InvalidParam, ProblemParams, double_factorial, spawn_stream, validate_params
+from meanshare.params import InvalidParam, ProblemParams, double_factorial, spawn_stream
 
 
 def _round(mechanism, subs, *args):
@@ -75,6 +75,29 @@ class TestCorruptDeploy:
         with pytest.raises(ValueError, match="epsilon"):
             mech.k_eps(eps)
 
+    def test_k_eps_rejects_epsilon_whose_reciprocal_overflows(self):
+        # 1/(2 epsilon) is +inf there; math.ceil used to raise OverflowError
+        with pytest.raises(InvalidParam, match="epsilon"):
+            mech.k_eps(1e-310)
+
+    @pytest.mark.parametrize("m,k_max", [(9, 149), (100, 102), (1000, 68)])
+    def test_beta_sq_beyond_the_float_range_rejected(self, m, k_max):
+        # from k_max + 1 on a factor of beta^2's formula overflows, which used
+        # to escape as an OverflowError
+        p = params_for(m)
+        assert 0 < mech.beta_sq_published(m * p.n_star, p, k_max) < math.inf
+        with pytest.raises(InvalidParam, match="epsilon"):
+            mech.beta_sq_published(m * p.n_star, p, k_max + 1)
+
+    def test_beta_sq_of_a_huge_k_is_decided_without_the_double_factorial(self, canonical,
+                                                                        monkeypatch):
+        # k (2k-1)!! alone exceeds the float range from k = 150 on
+        monkeypatch.setattr(mech, "double_factorial",
+                            lambda k: pytest.fail("the double factorial was built"))
+        for k in (150, 10**6):
+            with pytest.raises(InvalidParam, match="epsilon"):
+                mech.beta_sq_published(90, canonical, k)
+
     def test_zero_discrepancy_is_plain_pool(self, canonical):
         subs = [as_dataset(np.full(10, 5.0))] * 9
         out = _round(mech.mech_corrupt_deploy, subs, canonical, 0.5, spawn_stream(1, 0))
@@ -110,7 +133,7 @@ class TestCorruptDeploy:
 
 class TestCrossCheckCorrupt:
     def test_small_m_pools(self):
-        p = validate_params(ProblemParams(1.0, 1 / 64, 4, 1))
+        p = ProblemParams(1.0, 1 / 64, 4, 1)
         subs = [as_dataset([float(i)] * 2) for i in range(4)]
         out = _round(mech.mech_cross_check_corrupt, subs, p, None, spawn_stream(3, 100))
         assert len(out[0].clean) == 6
@@ -184,7 +207,7 @@ class TestCrossCheckCorrupt:
             mech.mech_cross_check_corrupt(subs, 0, canonical, alpha, spawn_stream(10, 100))
 
     def test_highdim_elementwise(self):
-        p = validate_params(ProblemParams(1.0, 1 / 300, 9, 3))
+        p = ProblemParams(1.0, 1 / 300, 9, 3)
         rng = spawn_stream(11, 0)
         subs = [rng.standard_normal((10, 3)) for _ in range(9)]
         a = _round(mech.mech_cross_check_corrupt, subs, p, 5.4, spawn_stream(11, 100))[0]
@@ -324,7 +347,7 @@ class TestRoundAxis:
     # must equal a single-round call on that round's points and its share
     # of the draws, bit for bit, and so must the estimates read from them
     ESTIMATORS = [est.RecommendedWeighted(), est.PlainMeanAll(), est.CleanOnlyMean(),
-                  est.FixedWeighted(1.0), est.PosteriorMean(1.0), est.OwnDataOnlyMean()]
+                  est.FixedWeighted(1.0), est.PosteriorMean(1.0)]
 
     @pytest.mark.parametrize("own", [10, 5, 0], ids=["n*", "n*/2", "empty"])
     @pytest.mark.parametrize("d", [1, 3])

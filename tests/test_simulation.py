@@ -20,7 +20,6 @@ from meanshare.params import (
     InvalidParam,
     ProblemParams,
     spawn_stream,
-    validate_params,
 )
 from meanshare.simulation import (
     EmpiricalPenalty,
@@ -245,7 +244,7 @@ class TestReferenceAgreement:
 
     # gate: 2.2 % of the risk
     def test_fast_vs_reference_uniform_box_fixed_weighted(self):
-        p = validate_params(ProblemParams(1.0, 1.0 / 300.0, 9, 3))
+        p = ProblemParams(1.0, 1.0 / 300.0, 9, 3)
         from meanshare.alphasolve import solve_alpha
         alpha = solve_alpha(p).alpha
         foc = Strategy(p.n_star, est.Identity(),
@@ -331,18 +330,17 @@ class TestReferenceAgreement:
 
 class TestReferenceBlocks:
     # the reference path plays each mean offset's rounds a block at a time
-    @pytest.mark.parametrize("mechanism,agents", [
-        ("pool", 9), ("size-check", 9), ("cross-check", 9), ("cross-check", 4),
-    ], ids=["pool", "size-check", "cross-check", "cross-check-m4"])
+    # only size-check leaves an estimator's cell without data: pool and
+    # cross-check hand every agent some of the others' points
+    @pytest.mark.parametrize("mechanism,agents", [("size-check", 9)], ids=["size-check"])
     def test_cell_without_weighted_data_scores_inf(self, monkeypatch, mechanism, agents):
-        # the own-data mean of an agent that collects nothing raises
-        # EmptyInput in the first block; every round of the cell scores +inf,
-        # and so do its mean and standard error
+        # the clean-only mean of an agent that collects nothing, and so is
+        # handed nothing, raises EmptyInput in the first block; every round of
+        # the cell scores +inf, and so do its mean and standard error
         p = params_for(agents)
-        alpha = solve_alpha(p).alpha if mechanism == "cross-check" and agents >= 5 else None
         monkeypatch.setattr(simulation, "_REFERENCE_BLOCK_ITEMS", 2 * (agents - 1) * p.n_star)
-        foc = Strategy(0, est.Identity(), est.OwnDataOnlyMean(), "no own data")
-        sc = _scenario(p, mechanism, foc, alpha=alpha, reps=7)
+        foc = Strategy(0, est.Identity(), est.CleanOnlyMean(), "no own data")
+        sc = _scenario(p, mechanism, foc, reps=7)
         sq = simulation._reference_sq_errors(sc, 0, 0.0)
         assert sq.shape == (7,) and np.all(sq == math.inf)
         pen = run_replications_reference(sc)
@@ -584,7 +582,7 @@ class TestSharedDraws:
         mus = simulation.DEFAULT_MU_GRID_SCALE
         for foc in (Strategy(p.n_star, est.Scale(0.5), est.PosteriorMean(1.0)),
                     Strategy(1, est.FabricateFitGaussian(10), est.RecommendedWeighted()),
-                    Strategy(0, est.Identity(), est.OwnDataOnlyMean())):
+                    Strategy(0, est.Identity(), est.CleanOnlyMean())):
             sc = _scenario(p, mechanism, foc, alpha=alpha, epsilon=eps, family="uniform_box",
                            scale=math.sqrt(3.0))
             if mechanism == "corrupt-deploy" and foc.n == 0:
@@ -596,7 +594,8 @@ class TestSharedDraws:
                                                          spawn_stream(3, 0)))
             for a, b in zip(blocked, whole, strict=True):
                 assert a.tobytes() == b.tobytes()
-            assert np.all(np.isinf(whole[0])) == (foc.n == 0)
+            # size-check hands an agent that collects nothing no data at all
+            assert np.all(np.isinf(whole[0])) == (foc.n == 0 and mechanism == "size-check")
 
 
 class TestEquivariance:
@@ -713,10 +712,11 @@ class TestSweepsAndChecks:
         res = ir_check(sc)
         assert res["ok"]
 
-    @pytest.mark.parametrize("mechanism", ["pool", "size-check", "cross-check"])
+    @pytest.mark.parametrize("mechanism", ["size-check"])
     def test_no_own_data_scores_infinite_risk(self, canonical, canonical_alpha, mechanism):
-        # the own-data mean has nothing to average when the agent collects nothing
-        foc = Strategy(0, est.Identity(), est.OwnDataOnlyMean(), "no own data")
+        # the clean-only mean has nothing to average when the agent collects
+        # nothing, and size-check hands it nothing
+        foc = Strategy(0, est.Identity(), est.CleanOnlyMean(), "no own data")
         sc = _scenario(canonical, mechanism, recommended_strategy(canonical, mechanism),
                        alpha=canonical_alpha, reps=2_000)
         assert run_replications(replace(sc, focal=foc)).total == math.inf
@@ -751,7 +751,7 @@ class TestSweepsAndChecks:
         assert not row.profitable
 
     def test_highdim_nic(self):
-        p = validate_params(ProblemParams(1.0, 1.0 / 300.0, 9, 3))
+        p = ProblemParams(1.0, 1.0 / 300.0, 9, 3)
         assert p.n_star == 10
         from meanshare.alphasolve import solve_alpha
         alpha = solve_alpha(p).alpha
@@ -881,7 +881,7 @@ class TestMenuRows:
         assert calls == [(6_000, 10), (6_000, 10), (4_000, 10), (4_000, 10), *menu[0], *menu[1]]
 
     @pytest.mark.parametrize("estimator", [est.PlainMeanAll(), est.CleanOnlyMean(),
-                                           est.FixedWeighted(1.0), est.OwnDataOnlyMean()],
+                                           est.FixedWeighted(1.0)],
                              ids=repr)
     def test_constant_weights_do_not_draw_the_prefix(self, canonical, canonical_alpha,
                                                      monkeypatch, estimator):
@@ -964,6 +964,27 @@ class TestScenario:
                        alpha=canonical_alpha, reps=10)
         with pytest.raises(InvalidParam):
             replace(sc, **change)
+
+
+    @pytest.mark.parametrize("agents,epsilon", [
+        (9, 0.003), (9, 1e-7), (9, 1e-12), (9, 1e-310), (100, 0.0049),
+    ], ids=["m9-k167", "m9-k5e6", "m9-k5e11", "m9-subnormal", "m100-k103"])
+    def test_epsilon_too_small_for_beta_rejected(self, agents, epsilon):
+        # beta^2 is not a positive float there; a run used to end mid-way in an
+        # OverflowError from beta_sq_published
+        p = params_for(agents)
+        with pytest.raises(InvalidParam, match="epsilon"):
+            _scenario(p, "corrupt-deploy", recommended_strategy(p, "corrupt-deploy"),
+                      epsilon=epsilon, reps=10)
+
+    @pytest.mark.parametrize("agents,epsilon", [(9, 0.00336), (100, 0.00495)],
+                             ids=["m9-k149", "m100-k102"])
+    def test_smallest_epsilon_with_a_float_beta_accepted(self, agents, epsilon):
+        # the last k at which beta^2 is a float, for each m
+        assert mech.k_eps(epsilon) == (149 if agents == 9 else 102)
+        p = params_for(agents)
+        _scenario(p, "corrupt-deploy", recommended_strategy(p, "corrupt-deploy"),
+                  epsilon=epsilon, reps=10)
 
 
 class TestMenu:
