@@ -63,9 +63,17 @@ _ITP_N0 = 1
 
 
 _SQRT_2PI = math.sqrt(2 * math.pi)
-# g_of_alpha's upper limit: below it alpha^2 <= 2**1020, so the erfcx term,
-# whose coefficient is at most 4.8 alpha^2, stays finite
+# the upper limit of every alpha: below it alpha^2 <= 2**1020, so G's erfcx
+# term, whose coefficient is at most 4.8 alpha^2, and the closed forms'
+# alpha^2 stay finite
 _ALPHA_MAX = 2.0**510
+
+
+def _check_alpha(alpha: float) -> None:
+    """Raise :class:`InvalidParam` unless 0 < alpha < 2**510, the one alpha
+    domain of the package (NaN and inf are outside it)."""
+    if not 0 < alpha < _ALPHA_MAX:
+        raise InvalidParam(f"alpha must be in (0, 2**510), got {alpha}")
 
 
 def c_m(m: int) -> float:
@@ -100,8 +108,7 @@ def g_of_alpha(alpha: float, p: ProblemParams) -> float:
     if not isinstance(alpha, numbers.Real):
         raise TypeError(f"alpha must be a real scalar, got {type(alpha).__name__}")
     alpha = float(alpha)
-    if not 0 < alpha < _ALPHA_MAX:
-        raise InvalidParam(f"G is defined here for 0 < alpha < 2**510, got {alpha}")
+    _check_alpha(alpha)
     return _g(alpha / math.sqrt(p.n_star), p.agents)
 
 

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import math
 
-from .alphasolve import _ALPHA_MAX
+from .alphasolve import _check_alpha
 from .mechanisms import k_eps
-from .params import InvalidParam, ProblemParams, erfcx
+from .params import ProblemParams, erfcx
 
 __all__ = [
     "NonpositiveL",
@@ -95,14 +95,15 @@ def rinf_max_risk(n_i: float, p: ProblemParams, alpha: float) -> float:
     recommended estimator when collecting n_i > 0 points against an
     n*-collecting field: d * E_x[ l(n_i, x) ], where
     l(n_i, x) = 1/((m-2) n* / v + (n_i + n*)/sigma^2) and
-    v = sigma^2 + alpha^2 sigma^2 (1/n_i + 1/n*) x^2. Raises
-    :class:`InvalidParam` for an alpha outside [0, 2**510), NaN included."""
+    v = sigma^2 + alpha^2 sigma^2 (1/n_i + 1/n*) x^2. alpha = 0 is the
+    uncorrupted limit; any other alpha outside (0, 2**510), NaN included,
+    raises :class:`InvalidParam`."""
     if p.agents < 5:
         raise ValueError("the corrupted-allocation risk applies to m >= 5")
     if n_i <= 0:
         raise ValueError("n_i must be positive")
-    if not 0 <= alpha < _ALPHA_MAX:
-        raise InvalidParam(f"alpha must be in [0, 2**510), got {alpha}")
+    if alpha != 0:
+        _check_alpha(alpha)
     s2, ns = p.sigma**2, p.n_star
     b = alpha**2 * s2 * (1.0 / n_i + 1.0 / ns)
     return p.dim * _mobius_mean((p.agents - 2) * ns, b, (n_i + ns) / s2, s2)
@@ -113,15 +114,10 @@ def penalty_closed_form(n_i: float, p: ProblemParams, alpha: float) -> float:
     return rinf_max_risk(n_i, p, alpha) + p.cost * n_i
 
 
-def _require_positive_alpha(alpha: float) -> None:
-    # the closed forms at n* divide by alpha; rinf_max_risk covers alpha = 0
-    if not 0 < alpha < _ALPHA_MAX:
-        raise InvalidParam(f"alpha must be in (0, 2**510), got {alpha}")
-
-
 def penalty_at_nstar(p: ProblemParams, alpha: float) -> float:
-    """Closed form of p(n*), via the scaled-erfc kernel."""
-    _require_positive_alpha(alpha)
+    """Closed form of p(n*), via the scaled-erfc kernel. It divides by alpha,
+    so alpha = 0 is rejected with the rest of what lies outside (0, 2**510)."""
+    _check_alpha(alpha)
     m, ns, s2 = p.agents, p.n_star, p.sigma**2
     r = math.sqrt(alpha**2 / (m * ns))
     z = 1.0 / (2 * math.sqrt(2) * r)
@@ -141,7 +137,7 @@ def penalty_derivative_at_nstar(p: ProblemParams, alpha: float) -> float:
     tau_k = 1 + 4 k u^2/tau_{k+1}. Against mpmath the error is below 5e-13
     of c + |p'(n*) - c| for alpha in (0, 2**510), largest just below z = 8.
     """
-    _require_positive_alpha(alpha)
+    _check_alpha(alpha)
     m, ns = p.agents, p.n_star
     u2 = alpha * alpha / (m * ns)
     if u2 > 1 / 512:  # z < 8
@@ -157,9 +153,10 @@ def penalty_derivative_at_nstar(p: ProblemParams, alpha: float) -> float:
 
 def pos_mechany(p: ProblemParams, alpha: float) -> float:
     """Price of stability of the cross-check mechanism (m >= 5); < 2.
-    Raises :class:`InvalidParam` for an alpha outside [0, 2**510), NaN too."""
-    if not 0 <= alpha < _ALPHA_MAX:
-        raise InvalidParam(f"alpha must be in [0, 2**510), got {alpha}")
+    alpha = 0 is the uncorrupted limit; any other alpha outside (0, 2**510),
+    NaN too, raises :class:`InvalidParam`."""
+    if alpha != 0:
+        _check_alpha(alpha)
     m, ns = p.agents, p.n_star
     a2 = alpha**2 / ns
     return 0.5 * ((10 * a2 - 1) / (4 * a2 * (m + 1) / m - 1) + 1)
@@ -178,7 +175,11 @@ def pos_smallm(p: ProblemParams) -> float:
 
 def highdim_penalty_bound(p: ProblemParams, alpha: float) -> float:
     """Upper bound on the recommended-profile penalty when only the
-    per-dimension variance (not Gaussianity) is assumed."""
+    per-dimension variance (not Gaussianity) is assumed. alpha = 0 is the
+    uncorrupted limit; any other alpha outside (0, 2**510), NaN too, raises
+    :class:`InvalidParam`."""
+    if alpha != 0:
+        _check_alpha(alpha)
     m, ns = p.agents, p.n_star
     a2 = alpha**2 / ns
     return p.sigma * math.sqrt(p.cost * p.dim / m) * (m / (2 + (m - 2) / (1 + 2 * a2)) + 1)

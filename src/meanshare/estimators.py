@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mechanisms import Allocation
-from .params import ProblemParams
+from .params import InvalidParam, ProblemParams
 
 __all__ = [
     "SubsetTooLarge",
@@ -106,6 +106,15 @@ def _shrink_factor(n: int, sigma: float, ell: float) -> float:
     return 1.0 / (1.0 + sigma**2 / (n * ell**2))
 
 
+def _kept(rule: Subset, n: int) -> int:
+    """The k points a subset of n collected points keeps; raises unless 0 <= k <= n."""
+    if rule.k < 0:
+        raise InvalidParam(f"subset size must be >= 0, got {rule.k}")
+    if rule.k > n:
+        raise SubsetTooLarge(f"subset size {rule.k} exceeds collected {n}")
+    return rule.k
+
+
 def apply_submission(rule, X: np.ndarray, p: ProblemParams, stream=None) -> np.ndarray:
     """Produce the submitted dataset Y = f(X).
 
@@ -123,9 +132,7 @@ def apply_submission(rule, X: np.ndarray, p: ProblemParams, stream=None) -> np.n
     if isinstance(rule, SubmitConstant):
         return np.full_like(X, rule.v)
     if isinstance(rule, Subset):
-        if rule.k > n:
-            raise SubsetTooLarge(f"subset size {rule.k} exceeds collected {n}")
-        return X[..., : rule.k, :]
+        return X[..., : _kept(rule, n), :]
     if isinstance(rule, FabricateFitGaussian):
         if n == 0:
             raise EmptyInput("cannot fit a Gaussian to an empty sample")
@@ -152,10 +159,9 @@ def _submitted_sum(rule, n: int, p: ProblemParams, block_sum):
     other rule reads one block of n points.
     """
     if isinstance(rule, Subset):
-        if rule.k > n:
-            raise SubsetTooLarge(f"subset size {rule.k} exceeds collected {n}")
-        head = block_sum(rule.k)
-        return head + block_sum(n - rule.k), head, rule.k
+        k = _kept(rule, n)
+        head = block_sum(k)
+        return head + block_sum(n - k), head, k
     sum_x = block_sum(n)
     if isinstance(rule, Identity):
         return sum_x, sum_x, n

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .alphasolve import _check_alpha
 from .params import InvalidParam, ProblemParams, double_factorial
 
 __all__ = [
@@ -152,7 +153,7 @@ def mech_cross_check_corrupt(submissions: list[np.ndarray], i: int, p: ProblemPa
     clean cross-check subset of up to n_star points sampled without
     replacement from the others' pool, and the remainder corrupted with
     per-dimension variance alpha^2 (mean(Y_i) - mean(D_i))^2; it then
-    needs a positive finite alpha and raises :class:`InvalidParam` without.
+    needs an alpha in (0, 2**510) and raises :class:`InvalidParam` without.
 
     ``stream`` is the mechanism's own generator, disjoint from any
     agent-side randomness; it draws a uniform permutation of each round's
@@ -163,8 +164,9 @@ def mech_cross_check_corrupt(submissions: list[np.ndarray], i: int, p: ProblemPa
     *rounds, n_others, d = others.shape
     if len(submissions) <= 4:
         return Allocation(clean=others, corrupted=others[..., :0, :], eta_sq=np.zeros((*rounds, d)))
-    if alpha is None or not 0 < alpha < math.inf:
-        raise InvalidParam(f"m >= 5 requires the solved corruption level alpha, got {alpha}")
+    if alpha is None:
+        raise InvalidParam("m >= 5 requires the solved corruption level alpha")
+    _check_alpha(alpha)
     s = submissions[i]
     take = min(n_others, p.n_star)
     # C-ordered indices keep each round contiguous, summed as a single round is

@@ -26,15 +26,16 @@ family, and it cannot raise the variance of a round's score.
   eta^2 (fixed weights, the plain and clean-only means) reads the
   prefix sum linearly, and eta^2 only through the remainder's
   variance, which is linear in it. For such a row the prefix is
-  integrated out too: it enters at its mean take loc with variance
-  take v, and eta^2 at its conditional mean
-  alpha^2 ((ybar - loc)^2 + v / take). This needs the data's first two
+  integrated out too: the prefix of n* points enters at its mean n* loc
+  with variance n* v, and eta^2 at its conditional mean
+  alpha^2 ((ybar - loc)^2 + v / n*). This needs the data's first two
   moments only.
 - Pool, size-check and cross-check with m <= 4: the others' pool enters
   with a fixed weight and is integrated out; nothing of it is drawn.
-- Corrupt-and-deploy: eta^2 reads the pool sum, so the pool sum and the
-  noise are drawn. Integrating the (b, d) noise draw out would save no
-  time.
+- Corrupt-and-deploy: eta^2 reads the pool sum, so the pool sum is drawn.
+  Given it, the pool's noise enters the estimate linearly, so it is
+  integrated out: the round adds its variance k_pool eta^2 times the
+  corrupted block's squared weight.
 
 The focal agent's own data is drawn as block sums too, since the round
 reads it only through its sum, the submitted sum and the submitted count.
@@ -118,6 +119,7 @@ import numpy as np
 
 from . import estimators as est
 from . import mechanisms as mech
+from .alphasolve import _check_alpha
 from .analytics import penalty_closed_form, sizecheck_penalty
 from .params import DistributionSpec, InvalidParam, ProblemParams, spawn_stream
 
@@ -143,12 +145,17 @@ MECHANISMS = ("pool", "size-check", "corrupt-deploy", "cross-check")
 
 @dataclass(frozen=True)
 class Strategy:
-    """An agent's choice: sample count, submission rule, estimator."""
+    """An agent's choice: sample count, submission rule, estimator. Making
+    one raises :class:`InvalidParam` unless n is an integer >= 0."""
 
     n: int
     submission: object
     estimator: object
     label: str = ""
+
+    def __post_init__(self):
+        if not isinstance(self.n, (int, np.integer)) or self.n < 0:
+            raise InvalidParam(f"n must be an integer >= 0, got {self.n!r}")
 
 
 @dataclass(frozen=True)
@@ -179,9 +186,10 @@ class Scenario:
         if spec.per_dim_variance > p.sigma**2 * (1 + 1e-9):
             raise InvalidParam(f"data variance {spec.per_dim_variance} exceeds sigma^2 "
                                f"= {p.sigma**2}; the estimator weights assume sigma")
-        if self.mechanism == "cross-check" and p.agents >= 5 and \
-                (self.alpha is None or not self.alpha > 0):
-            raise InvalidParam("cross-check with 5 or more agents needs alpha > 0")
+        if self.alpha is not None:
+            _check_alpha(self.alpha)
+        elif self.mechanism == "cross-check" and p.agents >= 5:
+            raise InvalidParam("cross-check with 5 or more agents needs alpha")
         if self.mechanism == "corrupt-deploy":
             if self.epsilon is None:
                 raise InvalidParam("corrupt-deploy needs a finite epsilon > 0")
@@ -192,8 +200,7 @@ class Scenario:
             raise InvalidParam(f"epsilon is read by corrupt-deploy only, not by {self.mechanism}")
         for name, value, low in (("replications", self.replications, 1),
                                  ("chunk_size", self.chunk_size, 1), ("workers", self.workers, 1),
-                                 ("len(mu_grid)", len(self.mu_grid), 1),
-                                 ("focal.n", self.focal.n, 0)):
+                                 ("len(mu_grid)", len(self.mu_grid), 1)):
             if value < low:
                 raise InvalidParam(f"{name} must be >= {low}, got {value}")
         if not all(math.isfinite(mu) for mu in self.mu_grid):
@@ -280,10 +287,10 @@ def _chunk_sq_errors(sc: Scenario, rows, b: int, stream):
 
     Draw phase, once for every row, at offset 0: the focal agent's points as
     block sums at the union of the rows' block boundaries, then each
-    fabrication row's own points, then the mechanism's draw if some row's
-    plan reads it. Score phase (:func:`_score_rows`): each cell on those
-    draws, a score block at a time; at offset mu a k-point block sum reads
-    its drawn value plus k mu."""
+    fabrication row's own points, then the one block sum that eta^2 reads,
+    if some row's plan reads it. Score phase (:func:`_score_rows`): each
+    cell on those draws, a score block at a time; at offset mu a k-point
+    block sum reads its drawn value plus k mu."""
     p, spec = sc.params, sc.distribution
     d, ns, m = p.dim, p.n_star, p.agents
     plans = [_plan(sc, foc) for foc, _ in rows]
@@ -309,24 +316,19 @@ def _chunk_sq_errors(sc: Scenario, rows, b: int, stream):
         fab *= math.sqrt(n_y)
         fab += (n_y / foc.n) * sum_x
         focal.append([(sum_x, foc.n), (fab, n_y)])
-    k_pool = (m - 1) * ns
-    drawn = []
-    if sc.mechanism == "corrupt-deploy":
-        # eta^2 reads the pool sum, so the pool and its noise are drawn
-        drawn = [(spec.sample_sum(stream, b, k_pool), k_pool), (stream.standard_normal((b, d)), 0)]
-    elif any(reads for _, _, reads in plans):
-        # eta^2 reads the cross-check prefix, so only the prefix is drawn;
-        # the corrupted remainder and its noise are independent of it
-        take = min(k_pool, ns)
-        drawn = [(spec.sample_sum(stream, b, take), take)]
+    # the one block sum eta^2 reads, if some row reads it: the others' pool
+    # under corrupt-deploy, the cross-check prefix under cross-check; the rest
+    # of the pool and all corruption noise are integrated out
+    k_drawn = (m - 1) * ns if sc.mechanism == "corrupt-deploy" else ns
+    drawn = spec.sample_sum(stream, b, k_drawn) if any(reads for _, _, reads in plans) else None
     per_block = max(_SCORE_BLOCK_ITEMS // d, 1)
     for (foc, mus), (_, n_y, reads), blocks in zip(rows, plans, focal):
         for mu in mus:
             sq = np.empty(b)
             for r in range(0, b, per_block):
                 at = slice(r, r + per_block)
-                focal_at, drawn_at = ([s[at] + k * mu if k * mu else s[at] for s, k in sums]
-                                      for sums in (blocks, drawn if reads else []))
+                focal_at = [s[at] + k * mu if k * mu else s[at] for s, k in blocks]
+                drawn_at = (drawn[at] + k_drawn * mu if mu else drawn[at]) if reads else None
                 try:
                     sq[at] = _score_rows(sc, foc, focal_at, drawn_at, n_y, mu)
                 except est.EmptyInput:
@@ -341,15 +343,17 @@ def _score_rows(sc: Scenario, foc: Strategy, focal, drawn, n_y: int,
     errors ||est - mu||^2 at ``mu_offset``, each averaged over the blocks of
     the others' pool it does not draw. ``focal`` holds the rounds' focal
     block sums at that offset in the order of the row's plan (fabrication:
-    the collected and the fabricated sums), ``drawn`` the mechanism's draw
-    the row reads (corrupt-deploy: pool sum and noise; cross-check: prefix
-    sum; else nothing), and ``n_y`` is the plan's submitted count.
+    the collected and the fabricated sums), ``drawn`` the block sum at that
+    offset that the row reads (corrupt-deploy: the others' pool;
+    cross-check: the prefix) or None, and ``n_y`` is the plan's submitted
+    count.
 
     A block of k points that is not drawn enters the estimate through its
     mean k loc, and its conditional variance k (v + eta^2) per dimension,
-    times the block's squared weight, is added to the round's score. Raises
-    :class:`estimators.EmptyInput` when the focal estimator has no data with
-    positive weight."""
+    times the block's squared weight, is added to the round's score; so is
+    the variance k_pool eta^2 of corrupt-deploy's noise on the drawn pool
+    sum. Raises :class:`estimators.EmptyInput` when the focal estimator has
+    no data with positive weight."""
     p = sc.params
     ns, m = p.n_star, p.agents
     spec = sc.distribution
@@ -370,34 +374,31 @@ def _score_rows(sc: Scenario, foc: Strategy, focal, drawn, n_y: int,
     if sc.mechanism == "size-check" and n_y < ns:
         clean = (0.0, 0, 0.0)
     elif sc.mechanism == "corrupt-deploy":
-        sum_p, z = drawn
         k = mech.k_eps(sc.epsilon)
-        beta_sq = mech.beta_sq_published(n_y + k_pool, p, k)
-        delta = sum_y / n_y - sum_p / k_pool
-        eta_sq = beta_sq * delta ** (2 * k)
-        clean = (0.0, 0, 0.0)
-        corrupted = (sum_p + math.sqrt(k_pool) * np.sqrt(eta_sq) * z, k_pool, 0.0)
+        delta = sum_y / n_y - drawn / k_pool
+        eta_sq = mech.beta_sq_published(n_y + k_pool, p, k) * delta ** (2 * k)
+        # the variance of the pool's noise, k_pool eta^2, is added once the weights are known
+        clean, corrupted = (0.0, 0, 0.0), (drawn, k_pool, 0.0)
         if isinstance(foc.estimator, est.PlainMeanAll):
             # the estimate the mechanism deploys: mean of Y_i and the corrupted pool
             own = (sum_y, n_y)
     elif sc.mechanism == "cross-check" and m >= 5:
-        take = min(k_pool, ns)
-        n_rest = k_pool - take
-        if drawn:
-            (sum_d,) = drawn
-            clean = (sum_d, take, 0.0)
+        # the prefix holds n* of the pool's points
+        n_rest = k_pool - ns
+        if drawn is not None:
+            clean = (drawn, ns, 0.0)
         else:
             # weights that do not read eta^2 read the prefix linearly, and
             # eta^2 only through the remainder's variance, linearly: so the
             # prefix is integrated out too, entering at its mean with its
             # variance, and eta^2 at its conditional mean
-            clean = (take * loc, take, take * v)
+            clean = (ns * loc, ns, ns * v)
         if n_y == 0:
             eta_sq = np.full(sum_y.shape, np.inf)
-        elif drawn:
-            eta_sq = (sc.alpha**2) * (sum_y / n_y - sum_d / take) ** 2
+        elif drawn is not None:
+            eta_sq = (sc.alpha**2) * (sum_y / n_y - drawn / ns) ** 2
         else:
-            eta_sq = (sc.alpha**2) * ((sum_y / n_y - loc) ** 2 + v / take)
+            eta_sq = (sc.alpha**2) * ((sum_y / n_y - loc) ** 2 + v / ns)
         corrupted = (n_rest * loc, n_rest, n_rest * (v + eta_sq))
 
     w_x, w_clean, w_corr = est._block_weights(foc.estimator, own[1], clean[1],
@@ -407,7 +408,10 @@ def _score_rows(sc: Scenario, foc: Strategy, focal, drawn, n_y: int,
     err += w_corr * corrupted[0]
     err -= loc
     sq = np.einsum("bd,bd->b", err, err)
-    var = 0.0
+    # corrupt-deploy's noise adds w_corr^2 k_pool eta^2; the weight scales
+    # eta^2 before k_pool does, so that no finite term overflows
+    var = (w_corr * w_corr * np.where(w_corr == 0, 0.0, eta_sq) * k_pool
+           if sc.mechanism == "corrupt-deploy" else 0.0)
     for w, blk_var in ((w_clean, clean[2]), (w_corr, corrupted[2])):
         # a zero weight drops its block's variance, even an infinite one
         if not isinstance(blk_var, np.ndarray) and blk_var == 0:

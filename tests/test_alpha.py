@@ -94,6 +94,16 @@ class TestGOfAlpha:
         with pytest.raises(TypeError, match="real scalar"):
             g_of_alpha(alpha, canonical)
 
+    def test_one_alpha_domain(self):
+        # (0, 2**510) is stated once; the closed forms, the cross-check
+        # mechanism and Scenario call the same check
+        top = math.nextafter(2.0**510, 0.0)
+        for alpha in (5e-324, 1.0, top):
+            alphasolve._check_alpha(alpha)
+        for alpha in (0.0, -0.0, -1.0, 2.0**510, math.inf, math.nan):
+            with pytest.raises(InvalidParam, match=r"alpha must be in \(0, 2\*\*510\)"):
+                alphasolve._check_alpha(alpha)
+
     @pytest.mark.parametrize("alpha", [3.5, 3, np.float64(3.5), np.float32(3.5), np.int64(3)],
                              ids=repr)
     def test_real_scalar_alpha_gives_a_float(self, canonical, alpha):

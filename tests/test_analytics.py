@@ -322,6 +322,18 @@ class TestHighdim:
             math.sqrt(4) * an.highdim_penalty_bound(canonical, canonical_alpha), rel=1e-12
         )
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -1.0, 1e200])
+    def test_alpha_outside_range_rejected(self, canonical, alpha):
+        # NaN and inf used to give a NaN or inf bound, and 1e200 a bare
+        # OverflowError from alpha**2
+        with pytest.raises(InvalidParam, match="alpha"):
+            an.highdim_penalty_bound(canonical, alpha)
+
+    def test_zero_alpha_is_the_uncorrupted_limit(self, canonical):
+        # with alpha = 0 the corrupted pool is clean: m/(2 + m - 2) + 1 = 2
+        assert an.highdim_penalty_bound(canonical, 0.0) == pytest.approx(
+            2 * canonical.sigma * math.sqrt(canonical.cost / canonical.agents), rel=1e-12)
+
     def test_bound_above_penalty(self, canonical, canonical_alpha):
         assert an.highdim_penalty_bound(canonical, canonical_alpha) > an.penalty_at_nstar(
             canonical, canonical_alpha

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from meanshare import estimators as est
 from meanshare.mechanisms import Allocation
-from meanshare.params import spawn_stream
+from meanshare.params import InvalidParam, spawn_stream
 
 from conftest import as_dataset
 
@@ -47,6 +47,16 @@ class TestApplySubmission:
     def test_subset_too_large(self, canonical):
         with pytest.raises(est.SubsetTooLarge):
             est.apply_submission(est.Subset(4), as_dataset([1.0, 2.0]), canonical)
+
+    @pytest.mark.parametrize("k", [-1, -9])
+    def test_negative_subset_rejected(self, canonical, k):
+        # X[..., :-1] used to keep all but the last point, so Subset(-1) of
+        # ten points played Subset(9)
+        X = np.zeros((3, 10, 1))
+        with pytest.raises(InvalidParam, match="subset size"):
+            est.apply_submission(est.Subset(k), X, canonical)
+        with pytest.raises(InvalidParam, match="subset size"):
+            est._submitted_sum(est.Subset(k), 10, canonical, lambda n: X[:, :n].sum(axis=1))
 
     def test_empty(self, canonical):
         Y = est.apply_submission(est.Empty(), as_dataset([1.0]), canonical)

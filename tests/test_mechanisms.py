@@ -206,6 +206,20 @@ class TestCrossCheckCorrupt:
         with pytest.raises(InvalidParam, match="alpha"):
             mech.mech_cross_check_corrupt(subs, 0, canonical, alpha, spawn_stream(10, 100))
 
+    @pytest.mark.parametrize("alpha", [1e200, 2.0**510, 0.0, -1.0],
+                             ids=["1e200", "2**510", "0", "-1"])
+    def test_alpha_beyond_the_domain_rejected(self, canonical, alpha):
+        # from about 1.3e154 on, alpha**2 used to overflow into a bare
+        # OverflowError; the mechanism shares the package's (0, 2**510)
+        subs = [as_dataset(np.arange(10.0) + j) for j in range(9)]
+        with pytest.raises(InvalidParam, match="alpha"):
+            mech.mech_cross_check_corrupt(subs, 0, canonical, alpha, spawn_stream(10, 100))
+
+    def test_largest_alpha_runs(self, canonical):
+        subs = [as_dataset(np.arange(10.0) + j) for j in range(9)]
+        a = mech.mech_cross_check_corrupt(subs, 0, canonical, 1e150, spawn_stream(10, 100))
+        assert np.all(np.isfinite(a.eta_sq)) and np.all(np.isfinite(a.corrupted))
+
     def test_highdim_elementwise(self):
         p = ProblemParams(1.0, 1 / 300, 9, 3)
         rng = spawn_stream(11, 0)

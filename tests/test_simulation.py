@@ -461,6 +461,61 @@ BLOCK_SUM_RULES = [est.Identity(), est.Scale(0.5), est.Shift(1.0), est.SubmitCon
                    est.Subset(5), est.Empty(), est.ShrinkEll(1.0)]
 
 
+class TestCorruptDeployNoise:
+    # given the drawn pool sum, corrupt-deploy's noise enters the estimate
+    # linearly, so the engine integrates it out instead of drawing it
+
+    def test_chunk_draws_no_noise(self):
+        # uniform sums come from standard uniforms, so a standard normal call
+        # could only be the noise; the engine used to make one (b, d) call
+        p = params_for(9, dim=3)
+        calls = []
+
+        class Counting:
+            def __init__(self, stream):
+                self._stream = stream
+
+            def standard_normal(self, *args, **kwargs):
+                calls.append(args)
+                return self._stream.standard_normal(*args, **kwargs)
+
+            def __getattr__(self, name):
+                return getattr(self._stream, name)
+
+        sc = _scenario(p, "corrupt-deploy", recommended_strategy(p, "corrupt-deploy"),
+                       epsilon=0.5, family="uniform_box", scale=math.sqrt(3.0))
+        exploit = Strategy(p.n_star, est.Identity(), est.RecommendedWeighted())
+        rows = [(sc.focal, (0.0, 5.0)), (exploit, (0.0,))]
+        sqs = list(simulation._chunk_sq_errors(sc, rows, 1_000, Counting(spawn_stream(3, 0))))
+        assert calls == []
+        assert len(sqs) == 3 and all(np.all(np.isfinite(sq)) for sq in sqs)
+
+    @pytest.mark.parametrize("eps", [0.5, 0.1])
+    def test_calibrated_over_seeds(self, canonical, eps):
+        # the grand mean of 40 seeds of 50 000 rounds, for the deployed and
+        # the exploit estimator, within 4 standard errors taken across the
+        # seeds of the exact risks
+        k = mech.k_eps(eps)
+        tau_sq = (1.0 / k) * canonical.agents / (canonical.agents - 1) * canonical.sigma**2
+        deployed = recommended_strategy(canonical, "corrupt-deploy")
+        exploit = Strategy(canonical.n_star, est.Identity(), est.FixedWeighted(tau_sq))
+        for foc, exact in zip((deployed, exploit), mechpk_exploit_risk(canonical, eps)):
+            means = [run_replications(_scenario(canonical, "corrupt-deploy", foc, epsilon=eps,
+                                                seed=seed)).mean_sq_error for seed in range(40)]
+            se = np.std(means, ddof=1) / math.sqrt(len(means))
+            assert abs(np.mean(means) - exact) < 4 * se
+
+    def test_noise_variance_scaled_by_the_weight_first(self, canonical):
+        # submitting 1e153 at eps = 0.5 makes eta^2 about 1e307: finite, while
+        # k_pool eta^2 is not. The exploit's weight on the pool is then about
+        # 1e-308, so the pool adds nothing and the risk is the own data's,
+        # sigma^2/n*; formed the other way round, k_pool eta^2 would overflow
+        foc = Strategy(canonical.n_star, est.SubmitConstant(1e153), est.RecommendedWeighted())
+        pen = run_replications(_scenario(canonical, "corrupt-deploy", foc, epsilon=0.5,
+                                         reps=4_000))
+        assert abs(pen.mean_sq_error - 1.0 / canonical.n_star) < 4 * pen.std_error
+
+
 class TestFocalBlockSums:
     # the engine draws the focal agent's data as block sums, and points only
     # for fabrication, whose fitted sd reads the points themselves; uniform
@@ -946,7 +1001,6 @@ class TestScenario:
         {"chunk_size": -5},
         {"workers": 0},
         {"mu_grid": ()},
-        {"focal": Strategy(-1, est.Identity(), est.PlainMeanAll())},
         {"mu_grid": (math.nan, 5.0)},
         {"mu_grid": (0.0, math.inf)},
         {"mechanism": "corrupt-deploy", "epsilon": math.inf},
@@ -956,7 +1010,7 @@ class TestScenario:
         {"mechanism": "size-check", "epsilon": 0.5},
     ], ids=["unknown mechanism", "dim mismatch", "variance above sigma^2",
             "no alpha", "zero alpha", "no epsilon", "zero epsilon", "zero chunk",
-            "negative chunk", "no workers", "empty mu grid", "negative focal n",
+            "negative chunk", "no workers", "empty mu grid",
             "nan in mu grid", "inf in mu grid", "inf epsilon",
             "epsilon under cross-check", "epsilon under pool", "epsilon under size-check"])
     def test_bad_input_rejected(self, canonical, canonical_alpha, change):
@@ -965,6 +1019,27 @@ class TestScenario:
         with pytest.raises(InvalidParam):
             replace(sc, **change)
 
+
+    @pytest.mark.parametrize("alpha", [math.inf, 1e300, 2.0**510, math.nan, 0.0, -1.0],
+                             ids=["inf", "1e300", "2**510", "nan", "0", "-1"])
+    @pytest.mark.parametrize("mechanism", simulation.MECHANISMS)
+    def test_alpha_outside_its_domain_rejected(self, canonical, mechanism, alpha):
+        # alpha = inf used to run, and nash_deviation_sweep raised only from
+        # its closed-form column after all of its MC; 1e300 ended in a bare
+        # OverflowError from alpha**2
+        eps = 0.5 if mechanism == "corrupt-deploy" else None
+        with pytest.raises(InvalidParam, match="alpha"):
+            _scenario(canonical, mechanism, recommended_strategy(canonical, mechanism),
+                      alpha=alpha, epsilon=eps, reps=10)
+
+    @pytest.mark.parametrize("mechanism", simulation.MECHANISMS)
+    def test_solved_alpha_accepted_under_every_mechanism(self, canonical, canonical_alpha,
+                                                         mechanism):
+        # the benchmark passes its solved alpha to every mechanism
+        eps = 0.5 if mechanism == "corrupt-deploy" else None
+        sc = _scenario(canonical, mechanism, recommended_strategy(canonical, mechanism),
+                       alpha=canonical_alpha, epsilon=eps, reps=100)
+        assert math.isfinite(run_replications(sc).total)
 
     @pytest.mark.parametrize("agents,epsilon", [
         (9, 0.003), (9, 1e-7), (9, 1e-12), (9, 1e-310), (100, 0.0049),
@@ -985,6 +1060,27 @@ class TestScenario:
         p = params_for(agents)
         _scenario(p, "corrupt-deploy", recommended_strategy(p, "corrupt-deploy"),
                   epsilon=epsilon, reps=10)
+
+
+class TestStrategy:
+    @pytest.mark.parametrize("n", [-1, -3, 5.5, 10.0, "4", None],
+                             ids=["negative focal n", "negative menu n", "fractional n",
+                                  "float n", "str n", "no n"])
+    def test_invalid_n_rejected(self, n):
+        # a menu row with n = -3 used to score a total with a negative cost,
+        # and n = 5.5 was scored as 5.5 Gaussian points by the engine while
+        # the reference raised TypeError
+        with pytest.raises(InvalidParam, match="n must be an integer"):
+            Strategy(n, est.Identity(), est.PlainMeanAll())
+
+    @pytest.mark.parametrize("run", [run_replications, run_replications_reference])
+    def test_negative_subset_rejected(self, canonical, canonical_alpha, run):
+        # Subset(-1) used to score 0.03934 in the engine but 0.03876 in the
+        # reference, which played X[..., :-1], the same as Subset(9)
+        foc = Strategy(canonical.n_star, est.Subset(-1), est.RecommendedWeighted())
+        sc = _scenario(canonical, "cross-check", foc, alpha=canonical_alpha, reps=2_000)
+        with pytest.raises(InvalidParam, match="subset size"):
+            run(sc)
 
 
 class TestMenu:
