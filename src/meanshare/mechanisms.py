@@ -43,6 +43,7 @@ __all__ = [
     "mech_cross_check_corrupt",
     "k_eps",
     "beta_sq_published",
+    "corruption_variance",
 ]
 
 
@@ -125,6 +126,21 @@ def beta_sq_published(total_points: int, p: ProblemParams, k: int) -> float:
     return beta_sq
 
 
+def corruption_variance(scale: float, delta, k: int):
+    """``scale * delta**(2 k)``, formed as (scale^{1/k} delta^2)^k by repeated
+    squaring: finite wherever the true value is (+inf, with numpy's overflow
+    warning, beyond), and ``scale * delta**2`` bit for bit at k = 1."""
+    x = np.square(delta)
+    x *= scale ** (1.0 / k) if k > 1 else scale
+    power = x if k & 1 else 1.0
+    while k > 1:
+        k >>= 1
+        x = x * x
+        if k & 1:
+            power = power * x
+    return power
+
+
 def mech_corrupt_deploy(submissions: list[np.ndarray], i: int, p: ProblemParams,
                         epsilon: float, stream: np.random.Generator) -> DeployedEstimate:
     """Corrupt every other agent's point with noise of variance
@@ -138,7 +154,7 @@ def mech_corrupt_deploy(submissions: list[np.ndarray], i: int, p: ProblemParams,
     beta_sq = beta_sq_published(sum(s.shape[-2] for s in submissions), p, k)
     s = submissions[i]
     delta = s.mean(axis=-2) - others.mean(axis=-2)
-    eta_sq = beta_sq * delta ** (2 * k)
+    eta_sq = corruption_variance(beta_sq, delta, k)
     corrupted = others + stream.standard_normal(others.shape) * np.sqrt(eta_sq)[..., None, :]
     del others  # pool-sized: freed before the deployed mean's concatenation
     value = np.concatenate([s, corrupted], axis=-2).mean(axis=-2)

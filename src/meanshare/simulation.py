@@ -53,26 +53,32 @@ and mapped once onto the box.
 
 A chunk is played in two phases (:func:`_chunk_sq_errors`). The draw phase
 draws everything random once, at mean offset 0. The score phase
-(:func:`_score_rows`) scores each offset of the mu grid on those draws: a
+(:func:`_score`) scores each offset of the mu grid on those draws: a
 k-point block sum at offset mu is the offset-0 sum plus k mu, exactly, so
 every offset of a row reads the same draws (common random numbers), and a
-non-equivariant row costs one draw, not one per offset. The score phase
-runs over blocks of 8192 // d rounds, so each of its (rounds, d)
-temporaries is at most 64 KiB: it stays in L2 cache, and glibc serves it
-from the heap instead of mapping, and page-faulting, fresh memory, as it
-does for requests above its mmap threshold (128 KiB by default).
+non-equivariant row costs one draw, not one per offset. All that is
+constant in a row, from the mechanism's branch to the weights that do not
+read a drawn eta^2, is resolved once, in its plan (:func:`_plan`), so the
+kernel does array arithmetic only: it sums over d by adding columns, forms
+delta^{2k} by squaring (:func:`mechanisms.corruption_variance`), and writes
+the variance term of inverse-variance weights in a form that is exactly 0
+where eta^2 = +inf, with no guard. It runs over blocks of 8192 // d rounds,
+so each of its (rounds, d) temporaries is at most 64 KiB: it stays in L2
+cache, and glibc serves it from the heap instead of mapping, and
+page-faulting, fresh memory, as it does for requests above its mmap
+threshold (128 KiB by default).
 
 A chunk can score several focal profiles against the same others. A
 deviation sweep's menu rows are scored that way
-(:func:`nash_deviation_sweep`), each on its plan (:func:`_plan`). The
-focal points are drawn once, as sums of the increments between the union
-of the rows' block boundaries (points 1, 5, 10 and 20 for the default menu
-at n* = 10), and each row's block sum is the sum of its run of increments;
+(:func:`nash_deviation_sweep`), each on its plan. The focal points are
+drawn once, as sums of the increments between the union of the rows'
+block boundaries (points 1, 5, 10 and 20 for the default menu at
+n* = 10), and each row's block sum is the sum of its run of increments;
 each fabrication row draws its own points; and the mechanism's draw is
-made once, if some row reads it. A menu runs in chunks of one score block, so none of its arrays
-exceeds 64 KiB whatever the replication count. A single run
-(:func:`run_replications`, and row 0 of a sweep) is the one-row case, in
-chunks of ``Scenario.chunk_size`` rounds.
+made once, if some row reads it. A menu runs in chunks of one score
+block, so none of its arrays exceeds 64 KiB whatever the replication
+count. A single run (:func:`run_replications`, and row 0 of a sweep) is
+the one-row case, in chunks of ``Scenario.chunk_size`` rounds.
 
 The engine shares its estimator kernel (:func:`estimators._block_weights`)
 with the object-level API. The slow reference path plays blocks of rounds
@@ -251,13 +257,35 @@ _SCORE_BLOCK_ITEMS = 8192
 _CONSTANT_WEIGHTS = (est.FixedWeighted, est.PlainMeanAll, est.CleanOnlyMean)
 
 
-def _plan(sc: Scenario, foc: Strategy):
-    """``(spans, n_y, reads)`` of a row: the ranges ``(lo, hi)`` of collected
-    points whose sums :func:`estimators._submitted_sum` reads, in its order
-    (None for fabrication, which reads the points); the submitted count; and
-    whether the rounds read the mechanism's draw (corrupt-deploy always, and
-    cross-check with m >= 5 through eta^2 in the estimator's weights).
-    Raises what a round of ``foc`` raises before it is scored."""
+@dataclass(frozen=True)
+class _Row:
+    """A row's plan (:func:`_plan`)."""
+
+    foc: Strategy
+    spans: list | None
+    n_y: int
+    own_y: bool
+    counts: tuple[int, int, int]
+    drawn: int
+    eta: tuple | None
+    weights: tuple | None
+
+
+def _plan(sc: Scenario, foc: Strategy) -> _Row:
+    """What a row's rounds draw and read, with every constant of its score
+    resolved once. ``spans``: the ranges (lo, hi) of collected points whose
+    sums :func:`estimators._submitted_sum` reads, in its order (None:
+    fabrication reads the points); n_y: the submitted count. The estimate
+    reads the own block (the submission if ``own_y``), the clean and the
+    corrupted block, of ``counts`` points; block ``drawn`` (1 clean, 2
+    corrupted, 0 none) is the drawn sum, and the others enter at their mean.
+    A per-round eta^2 is ``scale (ybar - ref)^{2k}``, ``eta = (scale, k,
+    k_ref)``, ref the drawn sum over k_ref or, if k_ref is None, the mean.
+    ``weights`` are resolved unless they read a per-round eta^2, with the
+    undrawn blocks' terms. Raises what a round of ``foc`` raises before it
+    is scored."""
+    p, v = sc.params, sc.distribution.per_dim_variance
+    ns, m = p.n_star, p.agents
     if isinstance(foc.submission, est.FabricateFitGaussian):
         if foc.n == 0:
             raise est.EmptyInput("cannot fit a Gaussian to an empty sample")
@@ -270,13 +298,46 @@ def _plan(sc: Scenario, foc: Strategy):
             spans.append((lo, lo + k))
             return 0.0  # only the spans and n_y are read here
 
-        n_y = est._submitted_sum(foc.submission, foc.n, sc.params, block)[2]
-    if sc.mechanism == "corrupt-deploy" and n_y == 0:
-        raise mech.EmptySubmission("corrupt-and-deploy requires a nonempty submission")
-    reads = sc.mechanism == "corrupt-deploy" or (
-        sc.mechanism == "cross-check" and sc.params.agents >= 5
-        and not isinstance(foc.estimator, _CONSTANT_WEIGHTS))
-    return spans, n_y, reads
+        n_y = est._submitted_sum(foc.submission, foc.n, p, block)[2]
+    k_pool = (m - 1) * ns
+    constant = isinstance(foc.estimator, _CONSTANT_WEIGHTS)
+    # pool, size-check and cross-check with m <= 4 hand over the others' whole pool
+    own_y, counts, drawn, eta, eta_sq = False, (foc.n, k_pool, 0), 0, None, 0.0
+    if sc.mechanism == "size-check" and n_y < ns:
+        counts = (foc.n, 0, 0)
+    elif sc.mechanism == "corrupt-deploy":
+        if n_y == 0:
+            raise mech.EmptySubmission("corrupt-and-deploy requires a nonempty submission")
+        # the plain mean stands for the deployed estimate, of Y_i and the corrupted pool
+        own_y, k = isinstance(foc.estimator, est.PlainMeanAll), mech.k_eps(sc.epsilon)
+        counts, drawn = (n_y if own_y else foc.n, 0, k_pool), 2
+        eta = (mech.beta_sq_published(n_y + k_pool, p, k), k, k_pool)
+    elif sc.mechanism == "cross-check" and m >= 5:
+        # weights that read no eta^2 read the n*-point prefix, and eta^2, linearly: so the
+        # prefix is integrated out, and eta^2 enters at its conditional mean (+ alpha^2 v / n*)
+        counts, drawn = (foc.n, ns, k_pool - ns), 0 if constant else 1
+        eta_sq = math.inf if n_y == 0 else 0.0 if drawn else sc.alpha**2 * v / ns
+        eta = (sc.alpha**2, 1, ns if drawn else None) if n_y else None
+    if eta and not constant:
+        return _Row(foc, spans, n_y, own_y, counts, drawn, eta, None)
+    try:
+        w_x, *ws = est._block_weights(foc.estimator, *counts, eta_sq, p.sigma)
+    except est.EmptyInput:  # no data with positive weight: every round scores +inf
+        return _Row(foc, spans, n_y, own_y, counts, drawn, None, (0.0, 0.0, 0.0, 0.0, math.inf))
+    # the undrawn blocks' mean and variance; a zero weight drops even an infinite one
+    w_loc, var = 0.0, 0.0
+    for i, (w, n, e) in enumerate(zip(ws, counts[1:], (0.0, eta_sq)), 1):
+        if w and n and i != drawn:
+            w_loc += w * n
+            var += w * w * (n * (v + e))
+    return _Row(foc, spans, n_y, own_y, counts, drawn, eta if ws[1] else None,
+                (w_x, ws[drawn - 1] if drawn else 0.0, ws[1], w_loc, sum([var] * p.dim)))
+
+
+def _dsum(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=1)`` of a (b, d) array by adding its columns: the same
+    bits for d < 8, at a fraction of the cost."""
+    return sum(a.T[1:], a[:, 0])
 
 
 def _chunk_sq_errors(sc: Scenario, rows, b: int, stream):
@@ -288,13 +349,13 @@ def _chunk_sq_errors(sc: Scenario, rows, b: int, stream):
     Draw phase, once for every row, at offset 0: the focal agent's points as
     block sums at the union of the rows' block boundaries, then each
     fabrication row's own points, then the one block sum that eta^2 reads,
-    if some row's plan reads it. Score phase (:func:`_score_rows`): each
-    cell on those draws, a score block at a time; at offset mu a k-point
-    block sum reads its drawn value plus k mu."""
+    if some row's plan reads it. Score phase (:func:`_score`): each cell on
+    those draws, a score block at a time; at offset mu a k-point block sum
+    reads its drawn value plus k mu."""
     p, spec = sc.params, sc.distribution
     d, ns, m = p.dim, p.n_star, p.agents
     plans = [_plan(sc, foc) for foc, _ in rows]
-    edges = sorted({0, *(hi for spans, _, _ in plans if spans for _, hi in spans)})
+    edges = sorted({0, *(hi for row in plans if row.spans for _, hi in row.spans)})
     increments = [spec.sample_sum(stream, b, hi - lo) for lo, hi in zip(edges, edges[1:])]
 
     @functools.cache
@@ -303,9 +364,9 @@ def _chunk_sq_errors(sc: Scenario, rows, b: int, stream):
         return sum(parts[1:], parts[0]) if parts else np.zeros((b, d))
 
     focal = []
-    for (foc, _), (spans, n_y, _) in zip(rows, plans):
-        if spans is not None:
-            focal.append([(block_sum(lo, hi), hi - lo) for lo, hi in spans])
+    for (foc, _), row in zip(rows, plans):
+        if row.spans is not None:
+            focal.append([(block_sum(lo, hi), hi - lo) for lo, hi in row.spans])
             continue
         # fabrication: the fitted sd reads the collected points, and the n_y
         # fabricated points enter only through their sum n_y xbar + sqrt(n_y) sd z
@@ -313,117 +374,70 @@ def _chunk_sq_errors(sc: Scenario, rows, b: int, stream):
         sum_x = X.sum(axis=1)
         fab = stream.standard_normal((b, d))
         fab *= X.std(axis=1)
-        fab *= math.sqrt(n_y)
-        fab += (n_y / foc.n) * sum_x
-        focal.append([(sum_x, foc.n), (fab, n_y)])
+        fab *= math.sqrt(row.n_y)
+        fab += (row.n_y / foc.n) * sum_x
+        focal.append([(sum_x, foc.n), (fab, row.n_y)])
     # the one block sum eta^2 reads, if some row reads it: the others' pool
     # under corrupt-deploy, the cross-check prefix under cross-check; the rest
     # of the pool and all corruption noise are integrated out
     k_drawn = (m - 1) * ns if sc.mechanism == "corrupt-deploy" else ns
-    drawn = spec.sample_sum(stream, b, k_drawn) if any(reads for _, _, reads in plans) else None
+    drawn = spec.sample_sum(stream, b, k_drawn) if any(row.drawn for row in plans) else None
     per_block = max(_SCORE_BLOCK_ITEMS // d, 1)
-    for (foc, mus), (_, n_y, reads), blocks in zip(rows, plans, focal):
+    for (_, mus), row, blocks in zip(rows, plans, focal):
         for mu in mus:
+            loc = spec.mean + mu
             sq = np.empty(b)
             for r in range(0, b, per_block):
                 at = slice(r, r + per_block)
                 focal_at = [s[at] + k * mu if k * mu else s[at] for s, k in blocks]
-                drawn_at = (drawn[at] + k_drawn * mu if mu else drawn[at]) if reads else None
-                try:
-                    sq[at] = _score_rows(sc, foc, focal_at, drawn_at, n_y, mu)
-                except est.EmptyInput:
-                    sq.fill(np.inf)
-                    break
+                drawn_at = (drawn[at] + k_drawn * mu if mu else drawn[at]) if row.drawn else None
+                sq[at] = _score(sc, row, focal_at, drawn_at, loc)
             yield sq
 
 
-def _score_rows(sc: Scenario, foc: Strategy, focal, drawn, n_y: int,
-                mu_offset: float) -> np.ndarray:
-    """Score phase of a block of rounds of ``foc``: their squared estimation
-    errors ||est - mu||^2 at ``mu_offset``, each averaged over the blocks of
-    the others' pool it does not draw. ``focal`` holds the rounds' focal
-    block sums at that offset in the order of the row's plan (fabrication:
-    the collected and the fabricated sums), ``drawn`` the block sum at that
-    offset that the row reads (corrupt-deploy: the others' pool;
-    cross-check: the prefix) or None, and ``n_y`` is the plan's submitted
-    count.
-
-    A block of k points that is not drawn enters the estimate through its
-    mean k loc, and its conditional variance k (v + eta^2) per dimension,
-    times the block's squared weight, is added to the round's score; so is
-    the variance k_pool eta^2 of corrupt-deploy's noise on the drawn pool
-    sum. Raises :class:`estimators.EmptyInput` when the focal estimator has
-    no data with positive weight."""
-    p = sc.params
-    ns, m = p.n_star, p.agents
-    spec = sc.distribution
-    loc = spec.mean + mu_offset
-    v = spec.per_dim_variance
-    if isinstance(foc.submission, est.FabricateFitGaussian):
+def _score(sc: Scenario, row: _Row, focal, drawn, loc) -> np.ndarray:
+    """The score kernel: squared errors ||est - loc||^2 of a block of rounds
+    of ``row`` at true mean ``loc``, each averaged over the blocks of the
+    others' pool it does not draw. ``focal``: the focal block sums in the
+    order of the row's spans (fabrication: collected and fabricated sums);
+    ``drawn``: the drawn block sum, or None. An undrawn block of n points
+    enters at its mean n loc and adds its variance, n v per dimension
+    (cross-check's remainder: n (v + eta^2)), times its squared weight;
+    corrupt-deploy's noise adds w_corr^2 k_pool eta^2. For per-round
+    inverse-variance weights w and w_corr, w_corr^2 (v_c + eta^2) is formed
+    as w_corr (sigma^2 w - (sigma^2 - v_c) w_corr): 0 where eta^2 = +inf."""
+    if row.spans is None:
         sum_x, sum_y = focal
     else:
         blocks = iter(focal)
-        sum_x, sum_y, _ = est._submitted_sum(foc.submission, foc.n, p, lambda k: next(blocks))
-
-    # the focal allocation, as (sum, count, conditional variance per
-    # dimension) of its clean and corrupted blocks; pool, size-check and
-    # cross-check with m <= 4 hand over the others' whole pool, undrawn
-    own = (sum_x, foc.n)
-    k_pool = (m - 1) * ns
-    clean, corrupted, eta_sq = (k_pool * loc, k_pool, k_pool * v), (0.0, 0, 0.0), 0.0
-    if sc.mechanism == "size-check" and n_y < ns:
-        clean = (0.0, 0, 0.0)
-    elif sc.mechanism == "corrupt-deploy":
-        k = mech.k_eps(sc.epsilon)
-        delta = sum_y / n_y - drawn / k_pool
-        eta_sq = mech.beta_sq_published(n_y + k_pool, p, k) * delta ** (2 * k)
-        # the variance of the pool's noise, k_pool eta^2, is added once the weights are known
-        clean, corrupted = (0.0, 0, 0.0), (drawn, k_pool, 0.0)
-        if isinstance(foc.estimator, est.PlainMeanAll):
-            # the estimate the mechanism deploys: mean of Y_i and the corrupted pool
-            own = (sum_y, n_y)
-    elif sc.mechanism == "cross-check" and m >= 5:
-        # the prefix holds n* of the pool's points
-        n_rest = k_pool - ns
-        if drawn is not None:
-            clean = (drawn, ns, 0.0)
-        else:
-            # weights that do not read eta^2 read the prefix linearly, and
-            # eta^2 only through the remainder's variance, linearly: so the
-            # prefix is integrated out too, entering at its mean with its
-            # variance, and eta^2 at its conditional mean
-            clean = (ns * loc, ns, ns * v)
-        if n_y == 0:
-            eta_sq = np.full(sum_y.shape, np.inf)
-        elif drawn is not None:
-            eta_sq = (sc.alpha**2) * (sum_y / n_y - drawn / ns) ** 2
-        else:
-            eta_sq = (sc.alpha**2) * ((sum_y / n_y - loc) ** 2 + v / ns)
-        corrupted = (n_rest * loc, n_rest, n_rest * (v + eta_sq))
-
-    w_x, w_clean, w_corr = est._block_weights(foc.estimator, own[1], clean[1],
-                                              corrupted[1], eta_sq, p.sigma)
-    err = w_x * own[0]
-    err += w_clean * clean[0]
-    err += w_corr * corrupted[0]
-    err -= loc
-    sq = np.einsum("bd,bd->b", err, err)
-    # corrupt-deploy's noise adds w_corr^2 k_pool eta^2; the weight scales
-    # eta^2 before k_pool does, so that no finite term overflows
-    var = (w_corr * w_corr * np.where(w_corr == 0, 0.0, eta_sq) * k_pool
-           if sc.mechanism == "corrupt-deploy" else 0.0)
-    for w, blk_var in ((w_clean, clean[2]), (w_corr, corrupted[2])):
-        # a zero weight drops its block's variance, even an infinite one
-        if not isinstance(blk_var, np.ndarray) and blk_var == 0:
-            continue
-        if isinstance(w, np.ndarray):
-            with np.errstate(invalid="ignore"):
-                var = var + np.where(w == 0, 0.0, w * w * blk_var)
-        elif w != 0:
-            var = var + w * w * blk_var
-    if isinstance(var, np.ndarray) or var:
-        sq += np.broadcast_to(var, err.shape).sum(axis=1)
-    return sq
+        sum_x, sum_y, _ = est._submitted_sum(row.foc.submission, row.foc.n, sc.params,
+                                             lambda k: next(blocks))
+    if row.eta is not None:
+        scale, k, k_ref = row.eta
+        delta = sum_y / row.n_y - (loc if k_ref is None else drawn / k_ref)
+        eta = mech.corruption_variance(scale, delta, k)
+    if row.weights is None:
+        s2, n_corr = sc.params.sigma**2, row.counts[2]
+        w_x, w_clean, w_corr = est._block_weights(row.foc.estimator, *row.counts, eta,
+                                                  sc.params.sigma)
+        w_drawn, mean, v_c = w_corr, -loc, 0.0  # corrupt-deploy: the drawn pool is corrupted
+        if row.drawn == 1:  # cross-check: the drawn prefix is clean, the rest undrawn
+            w_drawn, mean = w_clean, w_corr * (n_corr * loc) - loc
+            v_c = sc.distribution.per_dim_variance
+        var = _dsum(w_corr * ((s2 * n_corr) * w_x - ((s2 - v_c) * n_corr) * w_corr))
+    else:
+        w_x, w_drawn, w_corr, w_loc, var = row.weights
+        mean = w_loc * loc - loc
+        if row.eta is not None:  # the corrupted block's term (w_corr^2 eta^2) n_corr
+            eta *= w_corr * w_corr
+            eta *= row.counts[2]
+            var = _dsum(eta) + var
+    err = w_x * (sum_y if row.own_y else sum_x)
+    if drawn is not None:
+        err += w_drawn * drawn
+    err += mean
+    err *= err
+    return _dsum(err) + var
 
 
 def _offsets(sc: Scenario, foc: Strategy) -> tuple[float, ...]:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -97,6 +98,39 @@ class TestCorruptDeploy:
         for k in (150, 10**6):
             with pytest.raises(InvalidParam, match="epsilon"):
                 mech.beta_sq_published(90, canonical, k)
+
+    @pytest.mark.parametrize("k", [1, 5, 50, 148])
+    def test_corruption_variance_matches_mpmath(self, k):
+        # beta^2 delta^{2k} at the canonical beta^2, for discrepancies whose
+        # true value spans [1e-290, 1e300]; delta^{2k} alone leaves the float
+        # range long before that at k = 148 (beta^2 is about 5e-164 there)
+        beta_sq = mech.beta_sq_published(90, params_for(9), k)
+        logs = np.linspace(-289.9, 299.9, 60)
+        delta = 10.0 ** ((logs - math.log10(beta_sq)) / (2 * k))
+        delta[::2] *= -1
+        got = mech.corruption_variance(beta_sq, delta, k)
+        with mpmath.workdps(40):
+            want = [mpmath.mpf(beta_sq) * mpmath.mpf(x) ** (2 * k) for x in delta]
+        for g, w in zip(got, want):
+            assert 1e-290 <= w <= 1e300
+            assert abs(g - w) <= 1e-13 * w
+
+    def test_corruption_variance_finite_where_the_power_overflows(self):
+        # at k = 148, delta^{2k} overflows from |delta| > 11, while beta^2
+        # delta^{2k} stays finite up to |delta| of about 39
+        beta_sq = mech.beta_sq_published(90, params_for(9), 148)
+        got = mech.corruption_variance(beta_sq, np.array([12.0, -25.0, 38.0]), 148)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, [1.32e156, 2.98e250, 2.00e304], rtol=0.01)
+        # beyond the float range it is +inf, and numpy warns
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert mech.corruption_variance(beta_sq, np.array([40.0]), 148)[0] == math.inf
+
+    def test_corruption_variance_at_k1_is_the_plain_product(self):
+        delta = spawn_stream(4, 0).standard_normal(1000) * 30
+        for scale in (13.2, 0.37, 1e-5):
+            assert mech.corruption_variance(scale, delta, 1).tobytes() == \
+                (scale * delta**2).tobytes()
 
     def test_zero_discrepancy_is_plain_pool(self, canonical):
         subs = [as_dataset(np.full(10, 5.0))] * 9

@@ -653,6 +653,110 @@ class TestSharedDraws:
             assert np.all(np.isinf(whole[0])) == (foc.n == 0 and mechanism == "size-check")
 
 
+def _formula_score(sc, foc, focal, drawn, loc):
+    """The score of a block of rounds, transcribed from its formula: the
+    linear estimate's squared error plus the undrawn blocks' conditional
+    variance, each block's term guarded where its weight is 0."""
+    p, v = sc.params, sc.distribution.per_dim_variance
+    ns, m = p.n_star, p.agents
+    if isinstance(foc.submission, est.FabricateFitGaussian):
+        (sum_x, sum_y), n_y = focal, foc.submission.n_fake
+    else:
+        blocks = iter(focal)
+        sum_x, sum_y, n_y = est._submitted_sum(foc.submission, foc.n, p, lambda k: next(blocks))
+    k_pool = (m - 1) * ns
+    own, eta_sq = (sum_x, foc.n), 0.0
+    clean, corrupted = (k_pool * loc, k_pool, k_pool * v), (0.0, 0, 0.0)
+    if sc.mechanism == "size-check" and n_y < ns:
+        clean = (0.0, 0, 0.0)
+    elif sc.mechanism == "corrupt-deploy":
+        k = mech.k_eps(sc.epsilon)
+        delta = sum_y / n_y - drawn / k_pool
+        eta_sq = mech.beta_sq_published(n_y + k_pool, p, k) * delta ** (2 * k)
+        clean, corrupted = (0.0, 0, 0.0), (drawn, k_pool, k_pool * eta_sq)
+        if isinstance(foc.estimator, est.PlainMeanAll):
+            own = (sum_y, n_y)
+    elif sc.mechanism == "cross-check" and m >= 5:
+        if drawn is None:  # the prefix integrated out, eta^2 at its conditional mean
+            clean = (ns * loc, ns, ns * v)
+            eta_sq = sc.alpha**2 * ((sum_y / n_y - loc) ** 2 + v / ns) if n_y else np.inf
+        else:
+            clean = (drawn, ns, 0.0)
+            eta_sq = sc.alpha**2 * (sum_y / n_y - drawn / ns) ** 2 if n_y else np.inf
+        eta_sq = np.broadcast_to(eta_sq, sum_y.shape)
+        corrupted = (k_pool - ns) * loc, k_pool - ns, (k_pool - ns) * (v + eta_sq)
+    try:
+        w_x, w_clean, w_corr = est._block_weights(foc.estimator, own[1], clean[1], corrupted[1],
+                                                  eta_sq, p.sigma)
+    except est.EmptyInput:
+        return np.full(len(sum_x), np.inf)
+    err = w_x * own[0] + w_clean * clean[0] + w_corr * corrupted[0] - loc
+    with np.errstate(invalid="ignore"):  # 0 * inf, dropped by np.where
+        var = sum(np.where(w == 0, 0.0, w * w * np.asarray(blk, float))
+                  for w, blk in ((w_clean, clean[2]), (w_corr, corrupted[2])))
+    return (err**2 + var).sum(axis=1)
+
+
+class TestScoreKernel:
+    # the engine's score kernel against _formula_score, on the kernel's own
+    # inputs, round by round: every menu row at every offset of the default
+    # grid, with every estimator, under every mechanism
+    ESTIMATORS = [est.RecommendedWeighted(), est.FixedWeighted(0.9), est.PlainMeanAll(),
+                  est.CleanOnlyMean(), est.PosteriorMean(1.0)]
+
+    @pytest.mark.parametrize("family,scale", [
+        ("gaussian", 1.0), ("uniform_box", math.sqrt(3.0)), ("scaled_rademacher", 1.0),
+    ], ids=["gaussian", "uniform_box", "rademacher"])
+    @pytest.mark.parametrize("dim", [1, 3, 8])
+    @pytest.mark.parametrize("mechanism,agents", [
+        *((mech_name, 9) for mech_name in simulation.MECHANISMS), ("cross-check", 4),
+    ], ids=[*simulation.MECHANISMS, "cross-check-m4"])
+    def test_kernel_matches_the_formula(self, monkeypatch, mechanism, agents, dim, family,
+                                        scale):
+        p = params_for(agents, dim=dim)
+        alpha = solve_alpha(p).alpha if mechanism == "cross-check" and agents >= 5 else None
+        eps = 0.1 if mechanism == "corrupt-deploy" else None
+        mus = simulation.DEFAULT_MU_GRID_SCALE
+        calls = []
+        score = simulation._score
+
+        def recording(sc, row, focal, drawn, loc):
+            calls.append((row.foc, focal, drawn, loc))
+            return score(sc, row, focal, drawn, loc)
+
+        monkeypatch.setattr(simulation, "_score", recording)
+        for i, estimator in enumerate(self.ESTIMATORS):
+            menu = default_menu(p, estimator)
+            if mechanism == "corrupt-deploy":
+                menu = [s for s in menu if s.n > 0 and not isinstance(s.submission, est.Empty)]
+            sc = _scenario(p, mechanism, menu[0], alpha=alpha, epsilon=eps, family=family,
+                           scale=scale, mu_grid=mus)
+            calls.clear()
+            got = list(simulation._chunk_sq_errors(sc, [(s, mus) for s in menu], 200,
+                                                   spawn_stream(11, i)))
+            cells = [(s, mu) for s in menu for mu in mus]
+            assert len(calls) == len(got) == len(cells)  # one score block per cell
+            for (foc, mu), (called, *args), sq in zip(cells, calls, got):
+                assert called is foc
+                want = _formula_score(sc, foc, *args)
+                assert np.array_equal(np.isnan(sq), np.isnan(want))
+                assert np.array_equal(np.isposinf(sq), np.isposinf(want))
+                ok = np.isfinite(want)
+                np.testing.assert_allclose(sq[ok], want[ok], rtol=1e-12,
+                                           atol=1e-15 * (1 + mu**2), err_msg=f"{foc.label} mu={mu}")
+
+    def test_corrupt_deploy_variance_finite_below_the_float_limit(self):
+        # at eps = 0.0034 (k = 148), the scale 0.5 row's cells at mu = +-50 have
+        # |delta| of about 25 and eta^2 of about 1e250: finite, though
+        # delta^{2k} alone overflows
+        p = params_for(9)
+        foc = Strategy(p.n_star, est.Scale(0.5), est.PlainMeanAll())
+        sc = _scenario(p, "corrupt-deploy", foc, epsilon=0.0034, mu_grid=(50.0, -50.0))
+        assert mech.k_eps(sc.epsilon) == 148
+        for sq in simulation._chunk_sq_errors(sc, [(foc, sc.mu_grid)], 2_000, spawn_stream(0, 0)):
+            assert np.all(np.isfinite(sq)) and np.median(sq) > 1e200
+
+
 class TestEquivariance:
     def test_equivariant_risk_independent_of_mu(self, canonical, canonical_alpha):
         foc = recommended_strategy(canonical)
