@@ -102,80 +102,54 @@ class ShrinkEll:
     ell: float
 
 
-def _shrink_factor(n: int, sigma: float, ell: float) -> float:
-    return 1.0 / (1.0 + sigma**2 / (n * ell**2))
-
-
-def _kept(rule: Subset, n: int) -> int:
-    """The k points a subset of n collected points keeps; raises unless 0 <= k <= n."""
-    if rule.k < 0:
-        raise InvalidParam(f"subset size must be >= 0, got {rule.k}")
-    if rule.k > n:
-        raise SubsetTooLarge(f"subset size {rule.k} exceeds collected {n}")
-    return rule.k
+def _affine(rule, n: int, p: ProblemParams) -> tuple[int, float, float]:
+    """Every submission rule but fabrication as ``(k, gain, shift)``: of n
+    collected points, the rule submits the first k, each mapped to ``gain x +
+    shift``. Raises unless a subset keeps 0 <= k <= n, and :class:`TypeError`
+    for fabrication, which draws what it submits, and for an unknown rule."""
+    if isinstance(rule, Identity):
+        return n, 1.0, 0.0
+    if isinstance(rule, Scale):
+        return n, rule.gamma, 0.0
+    if isinstance(rule, Shift):
+        return n, 1.0, rule.delta
+    if isinstance(rule, SubmitConstant):
+        return n, 0.0, rule.v
+    if isinstance(rule, Subset):
+        if rule.k < 0:
+            raise InvalidParam(f"subset size must be >= 0, got {rule.k}")
+        if rule.k > n:
+            raise SubsetTooLarge(f"subset size {rule.k} exceeds collected {n}")
+        return rule.k, 1.0, 0.0
+    if isinstance(rule, Empty):
+        return 0, 1.0, 0.0
+    if isinstance(rule, ShrinkEll):
+        return n, (1.0 / (1.0 + p.sigma**2 / (n * rule.ell**2)) if n else 1.0), 0.0
+    raise TypeError(f"unknown submission rule {rule!r}")
 
 
 def apply_submission(rule, X: np.ndarray, p: ProblemParams, stream=None) -> np.ndarray:
     """Produce the submitted dataset Y = f(X).
 
     X has shape (..., n, d): leading axes are batch axes, and the rule acts
-    on the points along axis -2 of each batch entry. Only fabrication draws
-    from ``stream``.
+    on the points along axis -2 of each batch entry. Fabrication draws its
+    points from ``stream``; every other rule is the map of :func:`_affine`,
+    so Identity returns X itself.
     """
     n, d = X.shape[-2:]
-    if isinstance(rule, Identity):
-        return X
-    if isinstance(rule, Scale):
-        return X * rule.gamma
-    if isinstance(rule, Shift):
-        return X + rule.delta
-    if isinstance(rule, SubmitConstant):
-        return np.full_like(X, rule.v)
-    if isinstance(rule, Subset):
-        return X[..., : _kept(rule, n), :]
     if isinstance(rule, FabricateFitGaussian):
         if n == 0:
             raise EmptyInput("cannot fit a Gaussian to an empty sample")
         mu = X.mean(axis=-2, keepdims=True)
         sd = X.std(axis=-2, keepdims=True)
         return mu + sd * stream.standard_normal((*X.shape[:-2], rule.n_fake, d))
-    if isinstance(rule, Empty):
-        return X[..., :0, :]
-    if isinstance(rule, ShrinkEll):
-        if n == 0:
-            return X
-        return X * _shrink_factor(n, p.sigma, rule.ell)
-    raise TypeError(f"unknown submission rule {rule!r}")
-
-
-def _submitted_sum(rule, n: int, p: ProblemParams, block_sum):
-    """:func:`apply_submission` read through block sums, for every rule but
-    fabrication, which reads more than a sum.
-
-    ``block_sum(k)`` returns the sums, shape (b, d), of the next k of the n
-    collected points. Returns ``(sum_x, sum_y, n_y)``: the sum of the
-    collected points, the sum of the submitted points and their count.
-    Subset reads two blocks, its k kept points and the other n - k; every
-    other rule reads one block of n points.
-    """
-    if isinstance(rule, Subset):
-        k = _kept(rule, n)
-        head = block_sum(k)
-        return head + block_sum(n - k), head, k
-    sum_x = block_sum(n)
-    if isinstance(rule, Identity):
-        return sum_x, sum_x, n
-    if isinstance(rule, Scale):
-        return sum_x, sum_x * rule.gamma, n
-    if isinstance(rule, Shift):
-        return sum_x, sum_x + n * rule.delta, n
-    if isinstance(rule, SubmitConstant):
-        return sum_x, np.full_like(sum_x, n * rule.v), n
-    if isinstance(rule, Empty):
-        return sum_x, np.zeros_like(sum_x), 0
-    if isinstance(rule, ShrinkEll):
-        return sum_x, (sum_x * _shrink_factor(n, p.sigma, rule.ell) if n else sum_x), n
-    raise TypeError(f"no block-sum form for submission rule {rule!r}")
+    k, gain, shift = _affine(rule, n, p)
+    Y = X[..., :k, :] if k < n else X
+    if gain != 1:
+        Y = Y * gain
+    if shift:
+        Y = Y + shift
+    return Y
 
 
 # ---------------------------------------------------------------------------

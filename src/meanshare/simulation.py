@@ -37,19 +37,19 @@ family, and it cannot raise the variance of a round's score.
   integrated out: the round adds its variance k_pool eta^2 times the
   corrupted block's squared weight.
 
-The focal agent's own data is drawn as block sums too, since the round
-reads it only through its sum, the submitted sum and the submitted count.
-:func:`estimators._submitted_sum` gives these for every submission rule
-but fabrication, from one block sum of the n collected points, or from two
-(the kept k points and the other n - k) for a subset. Fabrication fits a
-standard deviation s to the collected points, so those points are drawn;
-the n_fake points it submits enter only through their sum, which is drawn
-as n_fake xbar + sqrt(n_fake) s z with z standard normal, its exact law
-given the collected points. Gaussian and Rademacher block sums are exact
-O(b d) draws. Uniform data has no cheap exact sum sampler, so its block
-sums, the cross-check prefix and the corrupt-deploy pool included, are
-sums of k (b, d) planes of standard uniforms, added one plane at a time
-and mapped once onto the box.
+The focal agent's own data is drawn as sums too, since the round reads it
+only through its sum, the submitted sum and the submitted count. Every
+submission rule but fabrication submits the first k of the n collected
+points, each mapped to gain x + shift (:func:`estimators._affine`), so the
+submitted sum is gain times the sum of the first k points plus k shift.
+Fabrication fits a standard deviation s to the collected points, so those
+points are drawn; the n_fake points it submits enter only through their
+sum, which is drawn as n_fake xbar + sqrt(n_fake) s z with z standard
+normal, its exact law given the collected points. Gaussian and Rademacher
+block sums are exact O(b d) draws. Uniform data has no cheap exact sum
+sampler, so its block sums, the cross-check prefix and the corrupt-deploy
+pool included, are sums of k (b, d) planes of standard uniforms, added one
+plane at a time and mapped once onto the box.
 
 A chunk is played in two phases (:func:`_chunk_sq_errors`). The draw phase
 draws everything random once, at mean offset 0. The score phase
@@ -71,9 +71,9 @@ threshold (128 KiB by default).
 A chunk can score several focal profiles against the same others. A
 deviation sweep's menu rows are scored that way
 (:func:`nash_deviation_sweep`), each on its plan. The focal points are
-drawn once, as sums of the increments between the union of the rows'
-block boundaries (points 1, 5, 10 and 20 for the default menu at
-n* = 10), and each row's block sum is the sum of its run of increments;
+drawn once, as running sums of the first k points at every count k that
+some row reads, its n or its k (0, 1, 5, 10 and 20 points for the
+default menu at n* = 10), each the previous sum plus a drawn increment;
 each fabrication row draws its own points; and the mechanism's draw is
 made once, if some row reads it. A menu runs in chunks of one score
 block, so none of its arrays exceeds 64 KiB whatever the replication
@@ -89,11 +89,12 @@ most four pool-sized arrays at once. A round serves the
 agents in index order, so the focal agent, the only one scored, is agent
 0, the first to draw from a mechanism stream, and the reference path
 serves it alone. It draws every fabricated point, and every offset on
-streams of its own, so it checks the mechanisms, the block-sum
-submission map, the fabricated-sum law, the shift of block sums by k mu,
-the conditioning on block sums and the streams independently; the
-estimator arithmetic is pinned by the hand-computed oracles in the
-estimator tests.
+streams of its own, so it checks the mechanisms, the running sums, the
+fabricated-sum law, the shift of block sums by k mu, the conditioning on
+block sums and the streams independently; the estimator arithmetic and
+the submission table (:func:`estimators._affine`), which it shares with
+the engine, are pinned by the hand-computed oracles in the estimator
+tests.
 
 Reproducibility: replications are processed in fixed-size chunks, each
 chunk drawing from its own hierarchically-derived stream, and the chunk
@@ -116,7 +117,6 @@ master seed:
 
 from __future__ import annotations
 
-import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -169,7 +169,10 @@ class Scenario:
     """One MC experiment: the focal profile against the others' recommended
     profile, under ``mechanism``. A single run processes its replications in
     chunks of ``chunk_size`` rounds on ``workers`` threads; a deviation
-    sweep's menu rows run in chunks of one score block instead."""
+    sweep's menu rows run in chunks of one score block instead. Making one
+    raises :class:`InvalidParam` for an inconsistent or out-of-range field:
+    ``master_seed`` must be an integer >= 0, and ``replications``,
+    ``chunk_size`` and ``workers`` integers >= 1."""
 
     params: ProblemParams
     mechanism: str  # one of MECHANISMS
@@ -204,13 +207,14 @@ class Scenario:
             mech.beta_sq_published(p.agents * p.n_star, p, mech.k_eps(self.epsilon))
         elif self.epsilon is not None:
             raise InvalidParam(f"epsilon is read by corrupt-deploy only, not by {self.mechanism}")
-        for name, value, low in (("replications", self.replications, 1),
-                                 ("chunk_size", self.chunk_size, 1), ("workers", self.workers, 1),
-                                 ("len(mu_grid)", len(self.mu_grid), 1)):
-            if value < low:
-                raise InvalidParam(f"{name} must be >= {low}, got {value}")
-        if not all(math.isfinite(mu) for mu in self.mu_grid):
-            raise InvalidParam(f"mu_grid entries must be finite, got {self.mu_grid}")
+        # a seed of None would draw fresh OS entropy in every stream
+        for name, value, low in (("master_seed", self.master_seed, 0),
+                                 ("replications", self.replications, 1),
+                                 ("chunk_size", self.chunk_size, 1), ("workers", self.workers, 1)):
+            if not isinstance(value, (int, np.integer)) or value < low:
+                raise InvalidParam(f"{name} must be an integer >= {low}, got {value!r}")
+        if len(self.mu_grid) == 0 or not all(math.isfinite(mu) for mu in self.mu_grid):
+            raise InvalidParam(f"mu_grid must hold finite offsets, got {self.mu_grid}")
 
 
 @dataclass(frozen=True)
@@ -262,8 +266,9 @@ class _Row:
     """A row's plan (:func:`_plan`)."""
 
     foc: Strategy
-    spans: list | None
     n_y: int
+    gain: float
+    shift: float
     own_y: bool
     counts: tuple[int, int, int]
     drawn: int
@@ -273,32 +278,25 @@ class _Row:
 
 def _plan(sc: Scenario, foc: Strategy) -> _Row:
     """What a row's rounds draw and read, with every constant of its score
-    resolved once. ``spans``: the ranges (lo, hi) of collected points whose
-    sums :func:`estimators._submitted_sum` reads, in its order (None:
-    fabrication reads the points); n_y: the submitted count. The estimate
-    reads the own block (the submission if ``own_y``), the clean and the
-    corrupted block, of ``counts`` points; block ``drawn`` (1 clean, 2
-    corrupted, 0 none) is the drawn sum, and the others enter at their mean.
-    A per-round eta^2 is ``scale (ybar - ref)^{2k}``, ``eta = (scale, k,
-    k_ref)``, ref the drawn sum over k_ref or, if k_ref is None, the mean.
-    ``weights`` are resolved unless they read a per-round eta^2, with the
-    undrawn blocks' terms. Raises what a round of ``foc`` raises before it
-    is scored."""
+    resolved once. The row submits n_y points, whose sum is ``gain`` times
+    that of the first n_y collected points plus ``n_y shift``
+    (:func:`estimators._affine`); a fabrication row's (gain 1, shift 0) reads
+    the sum of its drawn points. The estimate reads the own block (the
+    submission if ``own_y``), the clean and the corrupted block, of
+    ``counts`` points; block ``drawn`` (1 clean, 2 corrupted, 0 none) is the
+    drawn sum, and the others enter at their mean. A per-round eta^2 is
+    ``scale (ybar - ref)^{2k}``, ``eta = (scale, k, k_ref)``, ref the drawn
+    sum over k_ref or, if k_ref is None, the mean. ``weights`` are resolved
+    unless they read a per-round eta^2, with the undrawn blocks' terms.
+    Raises what a round of ``foc`` raises before it is scored."""
     p, v = sc.params, sc.distribution.per_dim_variance
     ns, m = p.n_star, p.agents
     if isinstance(foc.submission, est.FabricateFitGaussian):
         if foc.n == 0:
             raise est.EmptyInput("cannot fit a Gaussian to an empty sample")
-        spans, n_y = None, foc.submission.n_fake
+        n_y, gain, shift = foc.submission.n_fake, 1.0, 0.0
     else:
-        spans = []
-
-        def block(k):
-            lo = spans[-1][1] if spans else 0
-            spans.append((lo, lo + k))
-            return 0.0  # only the spans and n_y are read here
-
-        n_y = est._submitted_sum(foc.submission, foc.n, p, block)[2]
+        n_y, gain, shift = est._affine(foc.submission, foc.n, p)
     k_pool = (m - 1) * ns
     constant = isinstance(foc.estimator, _CONSTANT_WEIGHTS)
     # pool, size-check and cross-check with m <= 4 hand over the others' whole pool
@@ -318,19 +316,20 @@ def _plan(sc: Scenario, foc: Strategy) -> _Row:
         counts, drawn = (foc.n, ns, k_pool - ns), 0 if constant else 1
         eta_sq = math.inf if n_y == 0 else 0.0 if drawn else sc.alpha**2 * v / ns
         eta = (sc.alpha**2, 1, ns if drawn else None) if n_y else None
+    fixed = (foc, n_y, gain, shift, own_y, counts, drawn)
     if eta and not constant:
-        return _Row(foc, spans, n_y, own_y, counts, drawn, eta, None)
+        return _Row(*fixed, eta, None)
     try:
         w_x, *ws = est._block_weights(foc.estimator, *counts, eta_sq, p.sigma)
     except est.EmptyInput:  # no data with positive weight: every round scores +inf
-        return _Row(foc, spans, n_y, own_y, counts, drawn, None, (0.0, 0.0, 0.0, 0.0, math.inf))
+        return _Row(*fixed, None, (0.0, 0.0, 0.0, 0.0, math.inf))
     # the undrawn blocks' mean and variance; a zero weight drops even an infinite one
     w_loc, var = 0.0, 0.0
     for i, (w, n, e) in enumerate(zip(ws, counts[1:], (0.0, eta_sq)), 1):
         if w and n and i != drawn:
             w_loc += w * n
             var += w * w * (n * (v + e))
-    return _Row(foc, spans, n_y, own_y, counts, drawn, eta if ws[1] else None,
+    return _Row(*fixed, eta if ws[1] else None,
                 (w_x, ws[drawn - 1] if drawn else 0.0, ws[1], w_loc, sum([var] * p.dim)))
 
 
@@ -346,72 +345,74 @@ def _chunk_sq_errors(sc: Scenario, rows, b: int, stream):
     mean offset, in order. A cell in which the focal estimator has no data
     with positive weight scores +inf.
 
-    Draw phase, once for every row, at offset 0: the focal agent's points as
-    block sums at the union of the rows' block boundaries, then each
-    fabrication row's own points, then the one block sum that eta^2 reads,
-    if some row's plan reads it. Score phase (:func:`_score`): each cell on
-    those draws, a score block at a time; at offset mu a k-point block sum
-    reads its drawn value plus k mu."""
+    Draw phase, once for every row, at offset 0: the sums of the focal
+    agent's first k points, running, at each count k that some row reads
+    (its n collected and its n_y submitted points), then each fabrication
+    row's own points, then the one block sum that eta^2 reads, if some row's
+    plan reads it. Score phase (:func:`_score`): each cell on those draws, a
+    score block at a time; at offset mu a k-point sum reads its drawn value
+    plus k mu."""
     p, spec = sc.params, sc.distribution
     d, ns, m = p.dim, p.n_star, p.agents
     plans = [_plan(sc, foc) for foc, _ in rows]
-    edges = sorted({0, *(hi for row in plans if row.spans for _, hi in row.spans)})
-    increments = [spec.sample_sum(stream, b, hi - lo) for lo, hi in zip(edges, edges[1:])]
-
-    @functools.cache
-    def block_sum(lo, hi):
-        parts = increments[edges.index(lo):edges.index(hi)]
-        return sum(parts[1:], parts[0]) if parts else np.zeros((b, d))
-
+    fabricates = [isinstance(foc.submission, est.FabricateFitGaussian) for foc, _ in rows]
+    reads = {k for row, fab in zip(plans, fabricates) if not fab for k in (row.foc.n, row.n_y)}
+    sums, last = {}, 0
+    for k in sorted(reads):
+        step = spec.sample_sum(stream, b, k - last)
+        sums[k] = sums[last] + step if last else step
+        last = k
     focal = []
-    for (foc, _), row in zip(rows, plans):
-        if row.spans is not None:
-            focal.append([(block_sum(lo, hi), hi - lo) for lo, hi in row.spans])
+    for (foc, _), row, fab in zip(rows, plans, fabricates):
+        if not fab:
+            focal.append((sums[foc.n], sums[row.n_y]))
             continue
         # fabrication: the fitted sd reads the collected points, and the n_y
         # fabricated points enter only through their sum n_y xbar + sqrt(n_y) sd z
         X = spec.sample(stream, (b, foc.n, d))
         sum_x = X.sum(axis=1)
-        fab = stream.standard_normal((b, d))
-        fab *= X.std(axis=1)
-        fab *= math.sqrt(row.n_y)
-        fab += (row.n_y / foc.n) * sum_x
-        focal.append([(sum_x, foc.n), (fab, row.n_y)])
+        sum_y = stream.standard_normal((b, d))
+        sum_y *= X.std(axis=1)
+        sum_y *= math.sqrt(row.n_y)
+        sum_y += (row.n_y / foc.n) * sum_x
+        focal.append((sum_x, sum_y))
     # the one block sum eta^2 reads, if some row reads it: the others' pool
     # under corrupt-deploy, the cross-check prefix under cross-check; the rest
     # of the pool and all corruption noise are integrated out
     k_drawn = (m - 1) * ns if sc.mechanism == "corrupt-deploy" else ns
     drawn = spec.sample_sum(stream, b, k_drawn) if any(row.drawn for row in plans) else None
     per_block = max(_SCORE_BLOCK_ITEMS // d, 1)
-    for (_, mus), row, blocks in zip(rows, plans, focal):
+    for (foc, mus), row, (all_x, all_y) in zip(rows, plans, focal):
         for mu in mus:
             loc = spec.mean + mu
             sq = np.empty(b)
             for r in range(0, b, per_block):
                 at = slice(r, r + per_block)
-                focal_at = [s[at] + k * mu if k * mu else s[at] for s, k in blocks]
+                sum_x, sum_y = all_x[at], all_y[at]
+                if mu:
+                    sum_x = sum_x + foc.n * mu
+                    sum_y = sum_x if all_y is all_x else sum_y + row.n_y * mu
+                if row.gain != 1:
+                    sum_y = sum_y * row.gain
+                if row.shift:
+                    sum_y = sum_y + row.n_y * row.shift
                 drawn_at = (drawn[at] + k_drawn * mu if mu else drawn[at]) if row.drawn else None
-                sq[at] = _score(sc, row, focal_at, drawn_at, loc)
+                sq[at] = _score(sc, row, (sum_x, sum_y), drawn_at, loc)
             yield sq
 
 
 def _score(sc: Scenario, row: _Row, focal, drawn, loc) -> np.ndarray:
     """The score kernel: squared errors ||est - loc||^2 of a block of rounds
     of ``row`` at true mean ``loc``, each averaged over the blocks of the
-    others' pool it does not draw. ``focal``: the focal block sums in the
-    order of the row's spans (fabrication: collected and fabricated sums);
-    ``drawn``: the drawn block sum, or None. An undrawn block of n points
-    enters at its mean n loc and adds its variance, n v per dimension
-    (cross-check's remainder: n (v + eta^2)), times its squared weight;
-    corrupt-deploy's noise adds w_corr^2 k_pool eta^2. For per-round
-    inverse-variance weights w and w_corr, w_corr^2 (v_c + eta^2) is formed
-    as w_corr (sigma^2 w - (sigma^2 - v_c) w_corr): 0 where eta^2 = +inf."""
-    if row.spans is None:
-        sum_x, sum_y = focal
-    else:
-        blocks = iter(focal)
-        sum_x, sum_y, _ = est._submitted_sum(row.foc.submission, row.foc.n, sc.params,
-                                             lambda k: next(blocks))
+    others' pool it does not draw. ``focal``: the sums of the collected and
+    of the submitted points; ``drawn``: the drawn block sum, or None. An
+    undrawn block of n points enters at its mean n loc and adds its
+    variance, n v per dimension (cross-check's remainder: n (v + eta^2)),
+    times its squared weight; corrupt-deploy's noise adds w_corr^2 k_pool
+    eta^2. For per-round inverse-variance weights w and w_corr, w_corr^2
+    (v_c + eta^2) is formed as w_corr (sigma^2 w - (sigma^2 - v_c) w_corr):
+    0 where eta^2 = +inf."""
+    sum_x, sum_y = focal
     if row.eta is not None:
         scale, k, k_ref = row.eta
         delta = sum_y / row.n_y - (loc if k_ref is None else drawn / k_ref)

@@ -56,7 +56,7 @@ class TestApplySubmission:
         with pytest.raises(InvalidParam, match="subset size"):
             est.apply_submission(est.Subset(k), X, canonical)
         with pytest.raises(InvalidParam, match="subset size"):
-            est._submitted_sum(est.Subset(k), 10, canonical, lambda n: X[:, :n].sum(axis=1))
+            est._affine(est.Subset(k), 10, canonical)
 
     def test_empty(self, canonical):
         Y = est.apply_submission(est.Empty(), as_dataset([1.0]), canonical)
@@ -114,30 +114,25 @@ BLOCK_SUM_RULES = st.one_of(
 
 
 class TestSubmittedSum:
-    # the engine's block-sum form of every rule but fabrication must give
-    # what the object-level rule gives, read through sums
+    # the engine reads every rule but fabrication as its affine map of a
+    # prefix (estimators._affine), through running sums of the collected
+    # points: that must give what the object-level rule gives
     @settings(max_examples=300, deadline=None)
     @given(rule=BLOCK_SUM_RULES, b=st.integers(1, 4), n=st.integers(0, 8), d=st.integers(1, 3),
            seed=st.integers(0, 2**32 - 1))
     def test_matches_apply_submission(self, canonical, rule, b, n, d, seed):
         X = 5.0 * spawn_stream(seed, 0).standard_normal((b, n, d)) + 2.0
-        read = []
-
-        def block_sum(k):
-            lo = sum(read)
-            read.append(k)
-            return X[:, lo:lo + k].sum(axis=1)
-
         if isinstance(rule, est.Subset) and rule.k > n:
             for f in (lambda: est.apply_submission(rule, X, canonical),
-                      lambda: est._submitted_sum(rule, n, canonical, block_sum)):
+                      lambda: est._affine(rule, n, canonical)):
                 with pytest.raises(est.SubsetTooLarge):
                     f()
             return
         Y = est.apply_submission(rule, X, canonical)
-        sum_x, sum_y, n_y = est._submitted_sum(rule, n, canonical, block_sum)
-        assert sum(read) == n
-        assert n_y == Y.shape[1]
+        k, gain, shift = est._affine(rule, n, canonical)
+        prefix = np.concatenate([np.zeros((b, 1, d)), X.cumsum(axis=1)], axis=1)
+        assert k == Y.shape[1]
+        sum_x, sum_y = prefix[:, n], gain * prefix[:, k] + k * shift
         for got, want, pts in ((sum_x, X.sum(axis=1), X), (sum_y, Y.sum(axis=1), Y)):
             assert got.shape == (b, d)
             # relative to the points' magnitudes, which a cancelling sum can fall far below
@@ -146,7 +141,7 @@ class TestSubmittedSum:
 
     def test_fabrication_has_no_block_sum_form(self, canonical):
         with pytest.raises(TypeError):
-            est._submitted_sum(est.FabricateFitGaussian(3), 2, canonical, lambda k: np.zeros((1, 1)))
+            est._affine(est.FabricateFitGaussian(3), 2, canonical)
 
 
 class TestEstimate:

@@ -197,8 +197,8 @@ class TestReferenceAgreement:
         assert abs(fast.mean_sq_error - ref.mean_sq_error) < tol
 
     # canonical n* = 10; the engine reads every rule but fabrication through
-    # estimators._submitted_sum, which the reference path does not use, and
-    # draws the fabricated points as one sum, whose spread term is nonzero
+    # running sums of the collected points, where the reference path has the
+    # points themselves, and draws the fabricated points as one sum, whose spread term is nonzero
     # only when more than one point is collected. gate: 3.8-4.5 % of the
     # risk in every cell
     @pytest.mark.parametrize("n,submission,mu_grid,family", [
@@ -276,9 +276,9 @@ class TestReferenceAgreement:
         for (mu, fast_mse, fast_se), (_, ref_mse, ref_se) in zip(fast.per_mu, ref.per_mu):
             assert abs(fast_mse - ref_mse) < 4 * math.hypot(fast_se, ref_se), mu
 
-    # a sweep's menu rows read block sums built from the increments at the
-    # union of the rows' block boundaries: "n=20" sums four of them and
-    # "subset 5" reads two runs of them
+    # a sweep's menu rows read running sums of the focal points, drawn in
+    # increments at every count some row reads: "n=20" sums four increments
+    # and "subset 5" reads the sums at 5 and 10
     @pytest.mark.parametrize("family,dim,fixed", [
         ("uniform_box", 3, True), ("scaled_rademacher", 1, False),
     ], ids=["uniform_box-d3-fixed", "scaled_rademacher-recommended"])
@@ -659,11 +659,11 @@ def _formula_score(sc, foc, focal, drawn, loc):
     variance, each block's term guarded where its weight is 0."""
     p, v = sc.params, sc.distribution.per_dim_variance
     ns, m = p.n_star, p.agents
+    sum_x, sum_y = focal
     if isinstance(foc.submission, est.FabricateFitGaussian):
-        (sum_x, sum_y), n_y = focal, foc.submission.n_fake
+        n_y = foc.submission.n_fake
     else:
-        blocks = iter(focal)
-        sum_x, sum_y, n_y = est._submitted_sum(foc.submission, foc.n, p, lambda k: next(blocks))
+        n_y = est._affine(foc.submission, foc.n, p)[0]
     k_pool = (m - 1) * ns
     own, eta_sq = (sum_x, foc.n), 0.0
     clean, corrupted = (k_pool * loc, k_pool, k_pool * v), (0.0, 0, 0.0)
@@ -1015,8 +1015,9 @@ class TestMenuRows:
         assert len(a) == 3 and len(b) == 11
 
     def test_menu_draws_once_per_chunk(self, canonical, canonical_alpha, monkeypatch):
-        # the default menu at n* = 10 reads blocks that end at 1, 5, 10 and
-        # 20 points, so a menu chunk draws four focal increments and one
+        # the default menu at n* = 10 reads the focal points' running sums at
+        # 0, 1, 5, 10 and 20 points, so a menu chunk draws four focal
+        # increments, after the sum of 0 points, which draws nothing, and one
         # cross-check prefix, and fabrication's one point, for 11 rows; row
         # 0 draws its 10 points and the prefix in each of its chunks
         calls = []
@@ -1036,7 +1037,8 @@ class TestMenuRows:
                        alpha=canonical_alpha, reps=10_000, chunk_size=6_000)
         rows = nash_deviation_sweep(sc)
         assert len(rows) == 12
-        menu = [[(b, 1), (b, 4), (b, 5), (b, 10), (b, 1, 1), (b, 10)] for b in (8_192, 1_808)]
+        menu = [[(b, 0), (b, 1), (b, 4), (b, 5), (b, 10), (b, 1, 1), (b, 10)]
+                for b in (8_192, 1_808)]
         assert calls == [(6_000, 10), (6_000, 10), (4_000, 10), (4_000, 10), *menu[0], *menu[1]]
 
     @pytest.mark.parametrize("estimator", [est.PlainMeanAll(), est.CleanOnlyMean(),
@@ -1112,11 +1114,21 @@ class TestScenario:
         {"epsilon": 0.5},
         {"mechanism": "pool", "epsilon": 0.5},
         {"mechanism": "size-check", "epsilon": 0.5},
+        # None used to seed every stream from fresh OS entropy; -1 and 1.5
+        # failed inside numpy, and fractional counts in a bare TypeError
+        {"master_seed": None},
+        {"master_seed": -1},
+        {"master_seed": 1.5},
+        {"replications": 1000.5},
+        {"chunk_size": 100.5},
+        {"workers": 1.5},
     ], ids=["unknown mechanism", "dim mismatch", "variance above sigma^2",
             "no alpha", "zero alpha", "no epsilon", "zero epsilon", "zero chunk",
             "negative chunk", "no workers", "empty mu grid",
             "nan in mu grid", "inf in mu grid", "inf epsilon",
-            "epsilon under cross-check", "epsilon under pool", "epsilon under size-check"])
+            "epsilon under cross-check", "epsilon under pool", "epsilon under size-check",
+            "no seed", "negative seed", "fractional seed", "fractional replications",
+            "fractional chunk", "fractional workers"])
     def test_bad_input_rejected(self, canonical, canonical_alpha, change):
         sc = _scenario(canonical, "cross-check", recommended_strategy(canonical),
                        alpha=canonical_alpha, reps=10)
