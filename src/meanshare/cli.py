@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -266,7 +267,11 @@ _NOT_TAKEN = {"mechanism": "cross-check", "epsilon": None, "mu_grid": (0.0,),
               "unrestricted": False}
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process: building it makes
+    about 70 ``add_argument`` calls, each of which formats help text.
+    Parsing does not change it, so every call shares it."""
     top = _Parser(prog="meanshare",
                   description="verify data-sharing mechanisms for collaborative mean estimation")
     subs = top.add_subparsers(dest="command", required=True)

@@ -208,7 +208,9 @@ def _block_weights(choice, n_x: int, n_clean: int, n_corr: int, eta_sq, sigma: f
         corr_var = choice.tau_sq if isinstance(choice, FixedWeighted) else eta_sq
         extra_prec = 1.0 / choice.ell**2 if isinstance(choice, PosteriorMean) else 0.0
         prec_corr = 1.0 / (s2 + corr_var)
-        den = n_all_clean / s2 + n_corr * prec_corr + extra_prec
+        den = n_all_clean / s2 + n_corr * prec_corr
+        if extra_prec:  # adding a zero prior would cost one more (b, d) pass
+            den += extra_prec
         # clean data or a prior keep every entry of den positive
         if not (n_all_clean or extra_prec) and np.any(den == 0):
             raise EmptyInput("no data with positive weight")

@@ -51,9 +51,10 @@ sampler, so its block sums, the cross-check prefix and the corrupt-deploy
 pool included, are sums of k (b, d) planes of standard uniforms, added one
 plane at a time and mapped once onto the box.
 
-A chunk is played in two phases (:func:`_chunk_sq_errors`). The draw phase
-draws everything random once, at mean offset 0. The score phase
-(:func:`_score`) scores each offset of the mu grid on those draws: a
+A chunk is played in two phases. The draw phase (:func:`_draw`) draws
+everything random once, at mean offset 0. The score phase (:func:`_scores`,
+a score block at a time in :func:`_score`) scores each offset of the mu
+grid on those draws: a
 k-point block sum at offset mu is the offset-0 sum plus k mu, exactly, so
 every offset of a row reads the same draws (common random numbers), and a
 non-equivariant row costs one draw, not one per offset. All that is
@@ -97,9 +98,19 @@ the engine, are pinned by the hand-computed oracles in the estimator
 tests.
 
 Reproducibility: replications are processed in fixed-size chunks, each
-chunk drawing from its own hierarchically-derived stream, and the chunk
-results are reduced in index order. Outputs are therefore identical for
-any worker count.
+chunk drawing from its own hierarchically-derived stream, and each row is
+planned once per run. The calling thread scores every chunk and reduces it
+in index order. Outputs are therefore identical for any worker count.
+
+Worker threads (:class:`_DrawAhead`): with ``workers`` = w > 1, w - 1
+helper threads only draw, since a random fill releases the GIL for one
+long call, while the score phase's many short numpy calls would hand it
+back and forth between threads. The calling thread draws too, but only a
+chunk that no helper has claimed, while the one it must score next is not
+drawn yet. At most w chunks are drawn ahead of the one being scored, so a
+run holds the draws of at most w + 1 chunks at once. The helpers come from
+one pool per process, started on first use and grown only when a run asks
+for more.
 
 Stream layout, as :func:`params.spawn_stream` paths under the scenario's
 master seed:
@@ -118,7 +129,10 @@ master seed:
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
+import queue
+import threading
+from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -168,8 +182,10 @@ class Strategy:
 class Scenario:
     """One MC experiment: the focal profile against the others' recommended
     profile, under ``mechanism``. A single run processes its replications in
-    chunks of ``chunk_size`` rounds on ``workers`` threads; a deviation
-    sweep's menu rows run in chunks of one score block instead. Making one
+    chunks of ``chunk_size`` rounds on ``workers`` threads: the calling
+    thread scores every chunk, and ``workers`` - 1 helpers draw ahead of it
+    (see the module docstring). A deviation sweep's menu rows run in chunks
+    of one score block instead. Making one
     raises :class:`InvalidParam` for an inconsistent or out-of-range field:
     ``master_seed`` must be an integer >= 0, and ``replications``,
     ``chunk_size`` and ``workers`` integers >= 1."""
@@ -343,19 +359,21 @@ def _chunk_sq_errors(sc: Scenario, rows, b: int, stream):
     """Squared estimation errors of one chunk of b rounds, for the
     ``(focal, mus)`` pairs of ``rows``: yields one (b,) array per row and
     mean offset, in order. A cell in which the focal estimator has no data
-    with positive weight scores +inf.
-
-    Draw phase, once for every row, at offset 0: the sums of the focal
-    agent's first k points, running, at each count k that some row reads
-    (its n collected and its n_y submitted points), then each fabrication
-    row's own points, then the one block sum that eta^2 reads, if some row's
-    plan reads it. Score phase (:func:`_score`): each cell on those draws, a
-    score block at a time; at offset mu a k-point sum reads its drawn value
-    plus k mu."""
-    p, spec = sc.params, sc.distribution
-    d, ns, m = p.dim, p.n_star, p.agents
+    with positive weight scores +inf. The draw phase (:func:`_draw`) then
+    the score phase (:func:`_scores`) of one chunk."""
     plans = [_plan(sc, foc) for foc, _ in rows]
-    fabricates = [isinstance(foc.submission, est.FabricateFitGaussian) for foc, _ in rows]
+    yield from _scores(sc, plans, [mus for _, mus in rows], b, _draw(sc, plans, b, stream))
+
+
+def _draw(sc: Scenario, plans, b: int, stream):
+    """The draw phase of a chunk of b rounds, once for every row of
+    ``plans``, at offset 0: the sums of the focal agent's first k points,
+    running, at each count k that some row reads (its n collected and its n_y
+    submitted points), then each fabrication row's own points, then the one
+    block sum that eta^2 reads, if some row's plan reads it. Returns each
+    row's (collected sum, submitted sum) and that block sum, or None."""
+    spec, d = sc.distribution, sc.params.dim
+    fabricates = [isinstance(row.foc.submission, est.FabricateFitGaussian) for row in plans]
     reads = {k for row, fab in zip(plans, fabricates) if not fab for k in (row.foc.n, row.n_y)}
     sums, last = {}, 0
     for k in sorted(reads):
@@ -363,26 +381,36 @@ def _chunk_sq_errors(sc: Scenario, rows, b: int, stream):
         sums[k] = sums[last] + step if last else step
         last = k
     focal = []
-    for (foc, _), row, fab in zip(rows, plans, fabricates):
+    for row, fab in zip(plans, fabricates):
+        n = row.foc.n
         if not fab:
-            focal.append((sums[foc.n], sums[row.n_y]))
+            focal.append((sums[n], sums[row.n_y]))
             continue
         # fabrication: the fitted sd reads the collected points, and the n_y
         # fabricated points enter only through their sum n_y xbar + sqrt(n_y) sd z
-        X = spec.sample(stream, (b, foc.n, d))
+        X = spec.sample(stream, (b, n, d))
         sum_x = X.sum(axis=1)
         sum_y = stream.standard_normal((b, d))
         sum_y *= X.std(axis=1)
         sum_y *= math.sqrt(row.n_y)
-        sum_y += (row.n_y / foc.n) * sum_x
+        sum_y += (row.n_y / n) * sum_x
         focal.append((sum_x, sum_y))
     # the one block sum eta^2 reads, if some row reads it: the others' pool
     # under corrupt-deploy, the cross-check prefix under cross-check; the rest
     # of the pool and all corruption noise are integrated out
-    k_drawn = (m - 1) * ns if sc.mechanism == "corrupt-deploy" else ns
-    drawn = spec.sample_sum(stream, b, k_drawn) if any(row.drawn for row in plans) else None
-    per_block = max(_SCORE_BLOCK_ITEMS // d, 1)
-    for (foc, mus), row, (all_x, all_y) in zip(rows, plans, focal):
+    k_drawn = [row.counts[row.drawn] for row in plans if row.drawn]
+    return focal, spec.sample_sum(stream, b, k_drawn[0]) if k_drawn else None
+
+
+def _scores(sc: Scenario, plans, grid, b: int, draws):
+    """The score phase of a chunk of b rounds: yields the (b,) squared errors
+    of each row of ``plans`` at each of its offsets in ``grid``, in order, on
+    the chunk's ``draws`` (:func:`_draw`), a score block at a time
+    (:func:`_score`); at offset mu a k-point sum reads its drawn value plus
+    k mu."""
+    spec, (focal, drawn) = sc.distribution, draws
+    per_block = max(_SCORE_BLOCK_ITEMS // sc.params.dim, 1)
+    for row, mus, (all_x, all_y) in zip(plans, grid, focal):
         for mu in mus:
             loc = spec.mean + mu
             sq = np.empty(b)
@@ -390,13 +418,15 @@ def _chunk_sq_errors(sc: Scenario, rows, b: int, stream):
                 at = slice(r, r + per_block)
                 sum_x, sum_y = all_x[at], all_y[at]
                 if mu:
-                    sum_x = sum_x + foc.n * mu
+                    sum_x = sum_x + row.foc.n * mu
                     sum_y = sum_x if all_y is all_x else sum_y + row.n_y * mu
                 if row.gain != 1:
                     sum_y = sum_y * row.gain
                 if row.shift:
                     sum_y = sum_y + row.n_y * row.shift
-                drawn_at = (drawn[at] + k_drawn * mu if mu else drawn[at]) if row.drawn else None
+                drawn_at = None
+                if row.drawn:
+                    drawn_at = drawn[at] + row.counts[row.drawn] * mu if mu else drawn[at]
                 sq[at] = _score(sc, row, (sum_x, sum_y), drawn_at, loc)
             yield sq
 
@@ -456,29 +486,114 @@ def _penalty(sc: Scenario, foc: Strategy, per_mu) -> EmpiricalPenalty:
                             total=mse + cost, per_mu=tuple(per_mu))
 
 
+# helper threads of runs with workers > 1, one pool per process. Threads are
+# started on first use and added only when a run asks for more; a forked child
+# starts with none of its parent's
+_jobs: queue.SimpleQueue = queue.SimpleQueue()
+_helpers: list[threading.Thread] = []
+_helpers_lock = threading.Lock()
+
+
+def _forget_helpers():
+    global _jobs, _helpers, _helpers_lock
+    _jobs, _helpers, _helpers_lock = queue.SimpleQueue(), [], threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_helpers)
+
+
+def _helper(jobs: queue.SimpleQueue):
+    while True:
+        jobs.get()()
+
+
+class _DrawAhead:
+    """``draw(0)``, ..., ``draw(count - 1)``, iterated in order by the calling
+    thread, and drawn by it and by at most workers - 1 helper threads, never
+    more than ``workers`` chunks ahead of the one it takes (see "Worker
+    threads" in the module docstring). The caller draws only a chunk that no
+    helper has claimed, when the one it takes is not drawn yet."""
+
+    def __init__(self, draw, count: int, workers: int):
+        self.draw, self.count, self.workers = draw, count, workers
+        self.lock = threading.Lock()
+        self.futures: dict[int, Future] = {}
+        self.next = self.taken = self.helpers = 0
+
+    def _claim(self, helper: bool = False):
+        """The next chunk within reach and its future, or None; a helper
+        that finds none leaves, in the same step."""
+        with self.lock:
+            ci = self.next
+            if ci < self.count and ci <= self.taken + self.workers:
+                self.next += 1
+                self.futures[ci] = Future()
+                return ci, self.futures[ci]
+            if helper:
+                self.helpers -= 1
+            return None
+
+    def _run(self, ci: int, fut: Future):
+        try:
+            fut.set_result(self.draw(ci))
+        except Exception as e:  # raised where the caller takes this chunk
+            fut.set_exception(e)
+
+    def _help(self):
+        while (job := self._claim(helper=True)) is not None:
+            self._run(*job)
+
+    def __iter__(self):
+        with _helpers_lock:
+            while len(_helpers) < self.workers - 1:
+                _helpers.append(threading.Thread(target=_helper, args=(_jobs,), daemon=True,
+                                                 name=f"meanshare-draw-{len(_helpers)}"))
+                _helpers[-1].start()
+        try:
+            for ci in range(self.count):
+                with self.lock:
+                    self.taken = ci
+                    # call helpers for the unclaimed chunks within reach
+                    calls = min(self.workers - 1 - self.helpers,
+                                min(self.count, ci + self.workers + 1) - self.next)
+                    self.helpers += calls
+                for _ in range(calls):
+                    _jobs.put(self._help)
+                while ci not in self.futures or not self.futures[ci].done():
+                    job = self._claim()
+                    if job is None:
+                        break
+                    self._run(*job)
+                yield self.futures.pop(ci).result()
+        finally:
+            with self.lock:  # no new claims once the caller stops
+                self.next = self.count
+                self.futures.clear()
+
+
 def _penalties(sc: Scenario, focals, path: int, chunk_size: int) -> list[EmpiricalPenalty]:
     """Empirical penalty of each profile of ``focals`` against the others of
     ``sc``, all scored on the same draws: chunk ci of chunk_size rounds draws
-    from stream ``(0, path, ci)``, and the chunks' sums are reduced in index
-    order, whatever the worker count."""
+    from stream ``(0, path, ci)``, and the calling thread scores the chunks
+    and reduces their sums in index order, whatever the worker count; with
+    ``sc.workers`` > 1, helper threads draw (:class:`_DrawAhead`). Each row is
+    planned once per run."""
     if not focals:
         return []
     n = sc.replications
     rows = [(foc, _offsets(sc, foc)) for foc in focals]
-    chunks = [(ci, min(chunk_size, n - ci * chunk_size))
-              for ci in range((n + chunk_size - 1) // chunk_size)]
+    plans = [_plan(sc, foc) for foc in focals]
+    grid = [mus for _, mus in rows]
+    sizes = [min(chunk_size, n - start) for start in range(0, n, chunk_size)]
 
-    def work(item):
-        ci, b = item
-        stream = spawn_stream(sc.master_seed, 0, path, ci)
-        return [(float(sq.sum()), float(np.square(sq, out=sq).sum()))
-                for sq in _chunk_sq_errors(sc, rows, b, stream)]
+    def draw(ci):
+        return _draw(sc, plans, sizes[ci], spawn_stream(sc.master_seed, 0, path, ci))
 
-    if sc.workers > 1:
-        with ThreadPoolExecutor(max_workers=sc.workers) as ex:
-            parts = list(ex.map(work, chunks))
-    else:
-        parts = [work(item) for item in chunks]
+    chunks = map(draw, range(len(sizes))) if sc.workers == 1 else \
+        _DrawAhead(draw, len(sizes), sc.workers)
+    parts = [[(float(sq.sum()), float(np.square(sq, out=sq).sum()))
+              for sq in _scores(sc, plans, grid, b, draws)]
+             for b, draws in zip(sizes, chunks)]
     cells = iter(range(len(parts[0])))
     out = []
     for foc, mus in rows:

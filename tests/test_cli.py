@@ -218,6 +218,18 @@ class TestExperiments:
         # the fabrication entry beats honest collection
         assert any(r["profitable_deviation"] for r in rows)
 
+    def test_parser_built_once_and_shared(self, capsys):
+        # one parser serves every call: an unrestricted sweep leaves nothing
+        # behind for the restricted one after it (row 0 and n = 5, n = 20)
+        assert cli.build_parser() is cli.build_parser()
+        code, out, _ = run_cli(capsys, "experiment", "nash-sweep", "--mechanism", "size-check",
+                               "--unrestricted", "--replications", "2000", "--seed", "5")
+        assert code == 0 and len(json.loads(out)) > 3
+        code, out, _ = run_cli(capsys, "experiment", "nash-sweep", "--mechanism", "size-check",
+                               "--replications", "2000", "--seed", "5")
+        assert code == 0
+        assert [r["n"] for r in json.loads(out)] == [10, 5, 20]
+
     def test_nash_sweep_cross_check(self, capsys):
         code, out, _ = run_cli(capsys, "experiment", "nash-sweep",
                                "--agents", "9", "--replications", "20000",

@@ -1,4 +1,9 @@
 import math
+import multiprocessing
+import os
+import sys
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -91,6 +96,140 @@ class TestDeterminism:
         b = run_replications(_scenario(canonical, "cross-check", foc,
                                        alpha=canonical_alpha, reps=5_000, seed=2))
         assert a.mean_sq_error != b.mean_sq_error
+
+
+class TestWorkerThreads:
+    # with workers = w > 1, w - 1 helper threads of one long-lived pool only
+    # draw, at most w chunks ahead of the one being scored, and the calling
+    # thread scores every chunk and reduces it in index order (it draws too,
+    # when its next chunk is not drawn yet). At most 4 workers here
+    def _sc(self, canonical, canonical_alpha, workers, reps=20_000):
+        # chunks of 1 000 rounds of an equivariant row at one offset: one
+        # _score call per chunk
+        return _scenario(canonical, "cross-check", recommended_strategy(canonical),
+                         alpha=canonical_alpha, reps=reps, chunk_size=1_000, workers=workers)
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_only_the_caller_scores(self, canonical, canonical_alpha, monkeypatch, workers):
+        lock, active = threading.Lock(), [0]
+        draws, scores, ahead, busy = [], [], [], []
+        draw, score = simulation._draw, simulation._score
+
+        def drawing(*args):
+            with lock:
+                draws.append(threading.get_ident())
+                # chunk indices drawn so far, less the chunks already reduced
+                ahead.append(len(draws) - 1 - len(scores))
+                active[0] += 1
+                busy.append(active[0])
+            time.sleep(0.001)
+            try:
+                return draw(*args)
+            finally:
+                with lock:
+                    active[0] -= 1
+
+        def scoring(*args):
+            time.sleep(0.002)  # a slow caller: unbounded helpers would run far ahead
+            out = score(*args)
+            with lock:
+                scores.append(threading.get_ident())
+            return out
+
+        monkeypatch.setattr(simulation, "_draw", drawing)
+        monkeypatch.setattr(simulation, "_score", scoring)
+        run_replications(self._sc(canonical, canonical_alpha, workers))
+        assert len(draws) == len(scores) == 20
+        assert set(scores) == {threading.get_ident()}
+        # helpers drew while the caller scored, never more than w threads at
+        # once, nor more than w chunks ahead
+        assert set(draws) - {threading.get_ident()}
+        assert max(busy) <= workers
+        assert max(ahead) <= workers
+
+    def test_plan_once_per_row_per_run(self, canonical, canonical_alpha, monkeypatch):
+        planned = []
+        plan = simulation._plan
+
+        def counting(sc, foc):
+            planned.append(foc)
+            return plan(sc, foc)
+
+        monkeypatch.setattr(simulation, "_plan", counting)
+        sc = self._sc(canonical, canonical_alpha, 2)
+        run_replications(sc)
+        assert planned == [sc.focal]
+        planned.clear()
+        # 20 000 rounds: row 0 in 20 chunks, the menu in three
+        rows = nash_deviation_sweep(sc)
+        assert planned == [r.strategy for r in rows]
+
+    def test_second_run_starts_no_thread(self, canonical, canonical_alpha, monkeypatch):
+        sc = self._sc(canonical, canonical_alpha, 2, reps=5_000)
+        first = run_replications(sc)
+        started = []
+        start = threading.Thread.start
+
+        def counting(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting)
+        assert run_replications(sc) == first
+        assert started == []
+
+    def test_draw_error_reaches_the_caller(self, canonical, canonical_alpha, monkeypatch):
+        sc = self._sc(canonical, canonical_alpha, 2, reps=5_000)
+        calls, draw = [], simulation._draw
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise RuntimeError("third chunk")
+            return draw(*args)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(simulation, "_draw", failing)
+            with pytest.raises(RuntimeError, match="third chunk"):
+                run_replications(sc)
+        # the helpers live on
+        assert run_replications(sc) == run_replications(replace(sc, workers=1))
+
+    def test_stress_many_small_chunks(self, canonical, canonical_alpha):
+        # 4 workers on short chunks with a tiny switch interval: a chunk lost
+        # or reduced twice changes the sums, and a missed wake-up hangs
+        foc = Strategy(10, est.Scale(0.5), est.RecommendedWeighted())
+        sc = replace(self._sc(canonical, canonical_alpha, 4, reps=6_000), chunk_size=30,
+                     mu_grid=(0.0, 5.0), focal=foc)
+        out = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run = threading.Thread(target=lambda: out.update(many=run_replications(sc)))
+            run.start()
+            run.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not run.is_alive()
+        assert out["many"] == run_replications(replace(sc, workers=1))
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_gets_its_own_helpers(self, canonical, canonical_alpha):
+        # a forked child has none of its parent's threads, so it must not
+        # wait on the parent's pool
+        sc = self._sc(canonical, canonical_alpha, 2, reps=5_000)
+        expected = run_replications(sc)
+
+        def child():
+            os._exit(0 if run_replications(sc) == expected else 3)
+
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+        proc.join(timeout=60)
+        if proc.exitcode is None:
+            proc.kill()
+            proc.join()
+        assert proc.exitcode == 0
 
 
 class TestClosedFormAgreement:
