@@ -7,6 +7,7 @@ mechanism allocation to a point estimate of the mean.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,35 +59,79 @@ class Identity:
     pass
 
 
+def _check_count(name: str, value):
+    if not isinstance(value, (int, np.integer)) or value < 0:
+        raise InvalidParam(f"{name} must be an integer >= 0, got {value!r}")
+
+
+def _check_ell(ell: float):
+    # ell enters squared, so a negative one would play as -ell
+    if not ell > 0:
+        raise InvalidParam(f"ell must be > 0, got {ell!r}")
+
+
 @dataclass(frozen=True)
 class Scale:
+    """Submit every point times gamma. gamma must be finite: a negative one
+    is a real deviation (-1 negates), but an infinite one would map a zero
+    point, or a zero block sum, to NaN. Making one raises
+    :class:`InvalidParam` otherwise."""
+
     gamma: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.gamma):
+            raise InvalidParam(f"gamma must be finite, got {self.gamma!r}")
 
 
 @dataclass(frozen=True)
 class Shift:
+    """Submit every point plus delta (per dim). delta is any float but NaN:
+    an infinite shift is an infinitely corrupted submission, whose eta^2 of
+    +inf gives its corrupted allocation weight 0. Making one raises
+    :class:`InvalidParam` for NaN."""
+
     delta: float
+
+    def __post_init__(self):
+        if math.isnan(self.delta):
+            raise InvalidParam("shift delta must not be NaN")
 
 
 @dataclass(frozen=True)
 class SubmitConstant:
-    """Submit |X| copies of the constant vector v (broadcast per dim)."""
+    """Submit |X| copies of the constant vector v (broadcast per dim). v is
+    any float but NaN, infinite included, as for :class:`Shift`. Making one
+    raises :class:`InvalidParam` for NaN."""
 
     v: float
+
+    def __post_init__(self):
+        if math.isnan(self.v):
+            raise InvalidParam("constant v must not be NaN")
 
 
 @dataclass(frozen=True)
 class Subset:
-    """Keep the first k collected points (deterministic prefix)."""
+    """Keep the first k collected points (deterministic prefix). Making one
+    raises :class:`InvalidParam` unless k is an integer >= 0; k above the
+    collected count raises :class:`SubsetTooLarge` when the rule is applied."""
 
     k: int
+
+    def __post_init__(self):
+        _check_count("subset size", self.k)
 
 
 @dataclass(frozen=True)
 class FabricateFitGaussian:
-    """Fit a Gaussian to the collected points and submit n_fake fresh draws."""
+    """Fit a Gaussian to the collected points and submit n_fake fresh draws.
+    Making one raises :class:`InvalidParam` unless n_fake is an integer >= 0."""
 
     n_fake: int
+
+    def __post_init__(self):
+        _check_count("n_fake", self.n_fake)
 
 
 @dataclass(frozen=True)
@@ -97,16 +142,22 @@ class Empty:
 @dataclass(frozen=True)
 class ShrinkEll:
     """Shrink every point by (1 + sigma^2/(|X| ell^2))^{-1}: the Bayes-optimal
-    submission under a centered Gaussian prior with variance ell^2."""
+    submission under a centered Gaussian prior with variance ell^2. Making one
+    raises :class:`InvalidParam` unless ell > 0; ell = +inf submits the points
+    as they are."""
 
     ell: float
+
+    def __post_init__(self):
+        _check_ell(self.ell)
 
 
 def _affine(rule, n: int, p: ProblemParams) -> tuple[int, float, float]:
     """Every submission rule but fabrication as ``(k, gain, shift)``: of n
     collected points, the rule submits the first k, each mapped to ``gain x +
-    shift``. Raises unless a subset keeps 0 <= k <= n, and :class:`TypeError`
-    for fabrication, which draws what it submits, and for an unknown rule."""
+    shift``. Raises :class:`SubsetTooLarge` unless a subset keeps k <= n, and
+    :class:`TypeError` for fabrication, which draws what it submits, and for
+    an unknown rule."""
     if isinstance(rule, Identity):
         return n, 1.0, 0.0
     if isinstance(rule, Scale):
@@ -116,8 +167,6 @@ def _affine(rule, n: int, p: ProblemParams) -> tuple[int, float, float]:
     if isinstance(rule, SubmitConstant):
         return n, 0.0, rule.v
     if isinstance(rule, Subset):
-        if rule.k < 0:
-            raise InvalidParam(f"subset size must be >= 0, got {rule.k}")
         if rule.k > n:
             raise SubsetTooLarge(f"subset size {rule.k} exceeds collected {n}")
         return rule.k, 1.0, 0.0
@@ -172,9 +221,14 @@ class RecommendedWeighted:
 class FixedWeighted:
     """Weighted average with a deterministic corrupted-data variance tau^2
     in place of the allocation's eta^2 (used in the bounded-variance,
-    high-dimensional setting)."""
+    high-dimensional setting). Making one raises :class:`InvalidParam` unless
+    tau^2 >= 0; tau^2 = +inf gives the corrupted allocation weight 0."""
 
     tau_sq: float
+
+    def __post_init__(self):
+        if not self.tau_sq >= 0:
+            raise InvalidParam(f"tau_sq must be >= 0, got {self.tau_sq!r}")
 
 
 @dataclass(frozen=True)
@@ -184,9 +238,14 @@ class CleanOnlyMean:
 
 @dataclass(frozen=True)
 class PosteriorMean:
-    """Posterior mean under a centered Gaussian prior with variance ell^2."""
+    """Posterior mean under a centered Gaussian prior with variance ell^2.
+    Making one raises :class:`InvalidParam` unless ell > 0; ell = +inf is a
+    flat prior, the inverse-variance weighted average."""
 
     ell: float
+
+    def __post_init__(self):
+        _check_ell(self.ell)
 
 
 def _block_weights(choice, n_x: int, n_clean: int, n_corr: int, eta_sq, sigma: float):

@@ -137,13 +137,24 @@ class DistributionSpec:
         return self.scale**2 / 3.0 if self.family == "uniform_box" else self.scale**2
 
     def sample(self, stream: np.random.Generator, shape, shift: float = 0.0) -> np.ndarray:
-        """i.i.d. points of ``shape`` (last axis ``dim``) located at ``mean + shift``."""
+        """i.i.d. points of ``shape`` (last axis ``dim``) located at ``mean + shift``.
+
+        The points are mapped in place in the array numpy fills, and
+        Rademacher signs are drawn a block of at most 8192 items at a time
+        (:func:`_blocks`), so a call holds one array of ``shape`` and at most
+        64 KiB more."""
         if self.family == "gaussian":
-            pts = stream.standard_normal(shape) * self.scale
+            pts = stream.standard_normal(shape)
+            pts *= self.scale
         elif self.family == "uniform_box":
             pts = stream.uniform(-self.scale, self.scale, size=shape)
         else:
-            pts = self.scale * (2.0 * stream.integers(0, 2, size=shape) - 1.0)
+            pts = np.empty(shape)
+            for part in _blocks(pts):
+                part[...] = stream.integers(0, 2, size=part.size)
+            pts *= 2.0
+            pts -= 1.0
+            pts *= self.scale
         pts += self.mean + shift
         return pts
 
@@ -158,24 +169,56 @@ class DistributionSpec:
         Uniform sums have no cheap exact sampler, so they are sums of k
         standard uniforms U(0, 1), mapped once at the end by
         ``2 scale S + k (mean - scale)``: the law of a sum of k points of
-        U(mean - scale, mean + scale). The k ``(b, dim)`` planes of uniforms are
-        drawn in turn into one scratch array and added into the result, so a
-        call holds two ``(b, dim)`` arrays whatever k is, and the sums equal
-        those of one ``(k, b, dim)`` draw summed over its first axis.
+        U(mean - scale, mean + scale). The sums equal those of one
+        ``(k, b, dim)`` draw summed over its first axis.
+
+        A call holds the returned ``(b, dim)`` array and at most one 64 KiB
+        block besides, whatever k is: the sums are scaled and shifted in
+        place, binomial counts are drawn a block at a time, and each uniform
+        plane after the first is drawn into one block of scratch, a block at a
+        time (:func:`_blocks`), and added in. A generator fills a block of n
+        items from the next n values of its stream, so this draws what one
+        call for the whole array would.
         """
         shape = (b, self.dim)
         if k == 0:
             return np.zeros(shape)
         if self.family == "gaussian":
-            return math.sqrt(k) * self.scale * stream.standard_normal(shape) + k * self.mean
-        if self.family == "scaled_rademacher":
-            return self.scale * (2.0 * stream.binomial(k, 0.5, size=shape) - k) + k * self.mean
-        out, tmp = stream.random(shape), np.empty(shape)
-        for _ in range(k - 1):
-            out += stream.random(out=tmp)
-        out *= 2.0 * self.scale
-        out += k * (self.mean - self.scale)
+            out = stream.standard_normal(shape)
+            out *= math.sqrt(k) * self.scale
+        elif self.family == "scaled_rademacher":
+            out = np.empty(shape)
+            for part in _blocks(out):
+                part[...] = stream.binomial(k, 0.5, size=part.size)
+            out *= 2.0
+            out -= k
+            out *= self.scale
+        else:
+            out = stream.random(shape)
+            parts, tmp = _blocks(out), np.empty(min(out.size, _BLOCK_ITEMS))
+            for _ in range(k - 1):
+                for part in parts:
+                    part += stream.random(out=tmp[:part.size])
+            del tmp  # the shift below may take a ufunc buffer of one block
+            out *= 2.0 * self.scale
+            out += k * (self.mean - self.scale)
+            return out
+        out += k * self.mean
         return out
+
+
+# items of a draw block: a float64 or int64 block then takes at most 64 KiB,
+# the size of the engine's score blocks, which glibc serves from the heap
+# instead of mapping fresh memory, as it does above its mmap threshold (128
+# KiB by default)
+_BLOCK_ITEMS = 8192
+
+
+def _blocks(a: np.ndarray) -> list[np.ndarray]:
+    """Views of the items of a C-contiguous array ``a``, in order, as 1-D
+    blocks of at most ``_BLOCK_ITEMS`` items."""
+    flat = a.reshape(-1)
+    return [flat[i:i + _BLOCK_ITEMS] for i in range(0, flat.size, _BLOCK_ITEMS)]
 
 
 def double_factorial(k: int) -> int:

@@ -67,7 +67,13 @@ where eta^2 = +inf, with no guard. It runs over blocks of 8192 // d rounds,
 so each of its (rounds, d) temporaries is at most 64 KiB: it stays in L2
 cache, and glibc serves it from the heap instead of mapping, and
 page-faulting, fresh memory, as it does for requests above its mmap
-threshold (128 KiB by default).
+threshold (128 KiB by default). The draw phase keeps the same rule: a sum
+is scaled and shifted in place, uniform planes and binomial counts pass
+through blocks of 8192 items (:meth:`DistributionSpec.sample_sum`), and
+each running sum adds its increment in place, so a chunk's draw peaks at
+the arrays it returns. The only arrays longer than a score block are the
+focal sums, the drawn block sum and each cell's (b,) scores, which the
+reduce reads, and a fabrication row's points.
 
 A chunk can score several focal profiles against the same others. A
 deviation sweep's menu rows are scored that way
@@ -141,7 +147,7 @@ from . import estimators as est
 from . import mechanisms as mech
 from .alphasolve import _check_alpha
 from .analytics import penalty_closed_form, sizecheck_penalty
-from .params import DistributionSpec, InvalidParam, ProblemParams, spawn_stream
+from .params import _BLOCK_ITEMS, DistributionSpec, InvalidParam, ProblemParams, spawn_stream
 
 __all__ = [
     "Strategy",
@@ -269,8 +275,8 @@ def is_translation_equivariant(strategy: Strategy) -> bool:
 
 # rows per score block: every (rows, d) float64 temporary of the score phase
 # is then at most 64 KiB, so it stays in L2 and below glibc's default mmap
-# threshold (128 KiB)
-_SCORE_BLOCK_ITEMS = 8192
+# threshold (128 KiB), as the draw phase's blocks do
+_SCORE_BLOCK_ITEMS = _BLOCK_ITEMS
 
 
 # estimators whose weights do not read eta^2 (:func:`estimators._block_weights`)
@@ -369,16 +375,18 @@ def _draw(sc: Scenario, plans, b: int, stream):
     """The draw phase of a chunk of b rounds, once for every row of
     ``plans``, at offset 0: the sums of the focal agent's first k points,
     running, at each count k that some row reads (its n collected and its n_y
-    submitted points), then each fabrication row's own points, then the one
-    block sum that eta^2 reads, if some row's plan reads it. Returns each
-    row's (collected sum, submitted sum) and that block sum, or None."""
+    submitted points), each drawn increment taking the previous sum in place,
+    then each fabrication row's own points, then the one block sum that eta^2
+    reads, if some row's plan reads it. Returns each row's (collected sum,
+    submitted sum) and that block sum, or None."""
     spec, d = sc.distribution, sc.params.dim
     fabricates = [isinstance(row.foc.submission, est.FabricateFitGaussian) for row in plans]
     reads = {k for row, fab in zip(plans, fabricates) if not fab for k in (row.foc.n, row.n_y)}
     sums, last = {}, 0
     for k in sorted(reads):
-        step = spec.sample_sum(stream, b, k - last)
-        sums[k] = sums[last] + step if last else step
+        sums[k] = spec.sample_sum(stream, b, k - last)
+        if last:
+            sums[k] += sums[last]
         last = k
     focal = []
     for row, fab in zip(plans, fabricates):
@@ -571,6 +579,19 @@ class _DrawAhead:
                 self.futures.clear()
 
 
+def _moments(sq: np.ndarray) -> tuple[float, float, int]:
+    """``(s1, s2, e)`` of a chunk's squared errors ``sq``, which it
+    overwrites: their sum s1, and the sum s2 of the squares of ``sq 2^-e``.
+    e is 0 unless s1 >= 2^511, and then it brings the scaled sum below 2^500,
+    so every square and their sum are finite wherever s1 is; below that bound
+    s1 and s2 are the plain sums, bit for bit."""
+    s1 = float(sq.sum())
+    e = math.frexp(s1)[1] - 500 if 2.0**511 <= s1 < math.inf else 0
+    if e:
+        sq *= 2.0**-e
+    return s1, float(np.square(sq, out=sq).sum()), e
+
+
 def _penalties(sc: Scenario, focals, path: int, chunk_size: int) -> list[EmpiricalPenalty]:
     """Empirical penalty of each profile of ``focals`` against the others of
     ``sc``, all scored on the same draws: chunk ci of chunk_size rounds draws
@@ -591,19 +612,22 @@ def _penalties(sc: Scenario, focals, path: int, chunk_size: int) -> list[Empiric
 
     chunks = map(draw, range(len(sizes))) if sc.workers == 1 else \
         _DrawAhead(draw, len(sizes), sc.workers)
-    parts = [[(float(sq.sum()), float(np.square(sq, out=sq).sum()))
-              for sq in _scores(sc, plans, grid, b, draws)]
+    parts = [[_moments(sq) for sq in _scores(sc, plans, grid, b, draws)]
              for b, draws in zip(sizes, chunks)]
     cells = iter(range(len(parts[0])))
     out = []
     for foc, mus in rows:
         per_mu = []
         for mu, i in zip(mus, cells):
-            s1 = math.fsum(x[i][0] for x in parts)
-            s2 = math.fsum(x[i][1] for x in parts)
-            mse = s1 / n
+            # s1 in units of 2^e and s2 of 2^2e, so that neither total
+            # overflows where the mean is finite; a no-op at e = 0
+            e = max(x[i][2] for x in parts)
+            s1 = math.fsum(math.ldexp(x[i][0], -e) for x in parts)
+            s2 = math.fsum(math.ldexp(x[i][1], 2 * (x[i][2] - e)) for x in parts)
+            m, unit = s1 / n, 2.0**e
+            mse = m * unit
             # a cell scored +inf has an infinite, not an undefined, standard error
-            se = math.sqrt(max(s2 / n - mse * mse, 0.0) / n) if mse < math.inf else math.inf
+            se = math.sqrt(max(s2 / n - m * m, 0.0) / n) * unit if mse < math.inf else math.inf
             per_mu.append((mu, mse, se))
         out.append(_penalty(sc, foc, per_mu))
     return out

@@ -83,6 +83,57 @@ DETERMINISTIC_RULES = [est.Identity(), est.Scale(0.5), est.Shift(3.0), est.Submi
                        est.Subset(2), est.Empty(), est.ShrinkEll(2.0)]
 
 
+class TestParameters:
+    # each rule and estimator checks its parameter when it is made, as
+    # Strategy checks n; each rejected case used to run, or to fail mid-run
+    REJECTED = [
+        # Subset(2.5) played a "2.5-point" sum, and fabrication scaled its sum by sqrt(2.5)
+        (est.Subset, 2.5, "subset size"),
+        (est.Subset, "3", "subset size"),
+        (est.FabricateFitGaussian, 2.5, "n_fake"),
+        (est.FabricateFitGaussian, -3, "n_fake"),  # "math domain error"
+        # NaN parameters scored an MSE of NaN with an SE of inf
+        (est.Scale, math.nan, "gamma"),
+        (est.Scale, math.inf, "gamma"),  # inf * 0 is NaN
+        (est.Shift, math.nan, "delta"),
+        (est.SubmitConstant, math.nan, "constant"),
+        (est.FixedWeighted, math.nan, "tau_sq"),
+        (est.FixedWeighted, -1.0, "tau_sq"),  # ZeroDivisionError
+        (est.PosteriorMean, 0.0, "ell"),  # ZeroDivisionError
+        (est.PosteriorMean, -1.0, "ell"),  # ran as ell = 1
+        (est.PosteriorMean, math.nan, "ell"),
+        (est.ShrinkEll, 0.0, "ell"),
+        (est.ShrinkEll, -1.0, "ell"),
+        (est.ShrinkEll, math.nan, "ell"),
+    ]
+
+    @pytest.mark.parametrize("cls,value,name", REJECTED,
+                             ids=[f"{cls.__name__}({value!r})" for cls, value, _ in REJECTED])
+    def test_rejected_when_made(self, cls, value, name):
+        with pytest.raises(InvalidParam, match=name):
+            cls(value)
+
+    @pytest.mark.parametrize("rule", [est.Shift(math.inf), est.Shift(-math.inf),
+                                      est.SubmitConstant(math.inf), est.Scale(-1.0),
+                                      est.Scale(0.0), est.Subset(0), est.FabricateFitGaussian(0),
+                                      est.ShrinkEll(math.inf)], ids=repr)
+    def test_kept_rules(self, canonical, rule):
+        # an infinite shift or constant is an infinitely corrupted submission,
+        # and Scale(-1) negates: each is a real deviation, and none maps a
+        # point to NaN
+        X = 5.0 * spawn_stream(1, 0).standard_normal((4, 10, 1)) + 2.0
+        Y = est.apply_submission(rule, X, canonical, spawn_stream(1, 1))
+        assert not np.isnan(Y).any()
+
+    @pytest.mark.parametrize("choice", [est.FixedWeighted(0.0), est.FixedWeighted(math.inf),
+                                        est.PosteriorMean(math.inf)], ids=repr)
+    def test_kept_estimators(self, choice):
+        # tau^2 = inf weighs the corrupted block 0, and ell = inf is a flat prior
+        a = alloc(clean=[1.0, 3.0], corrupted=[100.0], eta_sq=1.0)
+        v = est.estimate(choice, as_dataset([2.0]), a, 1.0)
+        assert np.isfinite(v).all()
+
+
 class TestBatchedSubmission:
     @pytest.mark.parametrize("rule", DETERMINISTIC_RULES, ids=repr)
     def test_matches_per_row(self, canonical, rule):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import mpmath
@@ -251,6 +252,57 @@ class TestSampleSums:
             want *= 2.0 * spec.scale
             want += k * (loc - spec.scale)
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("b,k", [(1, 7), (3_001, 40), (30_000, 1)])
+    def test_rademacher_blocks_match_one_draw(self, b, k):
+        # the binomial counts are drawn a block at a time, from one generator
+        # in order, so the sums are those of one (b, dim) draw, bit for bit
+        spec = DistributionSpec("scaled_rademacher", np.array([0.5, -1.0, 2.0]), 0.7, 0.49)
+        got = spec.sample_sum(spawn_stream(6, b), b, k)
+        want = 0.7 * (2.0 * spawn_stream(6, b).binomial(k, 0.5, (b, 3)) - k) + k * spec.mean
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 1, 3), (7, 3_001, 3), (4, 0, 3)])
+    def test_rademacher_points_match_one_draw(self, shape):
+        spec = DistributionSpec("scaled_rademacher", np.array([0.5, -1.0, 2.0]), 0.7, 0.49)
+        got = spec.sample(spawn_stream(7, 0), shape, 0.25)
+        want = 0.7 * (2.0 * spawn_stream(7, 0).integers(0, 2, size=shape) - 1.0)
+        want += spec.mean + 0.25
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("family,scale", FAMILIES)
+    def test_footprint_one_array_and_one_block(self, family, scale):
+        # sums are scaled and shifted in place, and uniform planes and
+        # binomial counts pass through blocks of 8192 items (64 KiB), so a
+        # call peaks at the array it returns plus one block; numpy's own
+        # ufunc buffer, of the same size, is not alive at the same time.
+        # Formed out of place, the sums held two or three (b, dim) arrays
+        b, d, k = 30_000, 3, 10
+        spec = DistributionSpec(family, np.array([0.5, -1.0, 2.0]), scale, 0.49)
+        spec.sample_sum(spawn_stream(10, 0), 8, k)  # first-call allocations stay out
+        stream = spawn_stream(10, 1)
+        tracemalloc.start()
+        try:
+            spec.sample_sum(stream, b, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (b * d + 8192) + 4096
+
+    def test_rademacher_points_footprint(self):
+        # the signs are drawn a block at a time and mapped in place: a
+        # (b, n, d) draw peaks at one such array plus one block
+        shape = (1_000, 10, 3)
+        spec = DistributionSpec("scaled_rademacher", np.zeros(3), 1.0, 1.0)
+        spec.sample(spawn_stream(11, 0), (2, 3))
+        stream = spawn_stream(11, 1)
+        tracemalloc.start()
+        try:
+            spec.sample(stream, shape)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (math.prod(shape) + 8192) + 4096
 
     @pytest.mark.parametrize("k", [1, 2, 40])
     def test_uniform_sums_within_support(self, k):

@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -766,6 +767,29 @@ class TestSharedDraws:
             assert len(pen.per_mu) == len(grid)
             assert len(calls) == 3 * per_chunk
 
+    def test_draw_footprint_is_its_output(self):
+        # each running sum's increment is drawn and then added in place, and a
+        # Gaussian sum is scaled and shifted in place, so a chunk's draw peaks
+        # at the arrays it returns, plus numpy's ufunc buffer of one 64 KiB
+        # block for the shift; forming each running sum as a new array held
+        # one more (b, d) array
+        p = params_for(9, dim=3)
+        menu = [s for s in default_menu(p, est.RecommendedWeighted())
+                if not isinstance(s.submission, est.FabricateFitGaussian)]
+        sc = _scenario(p, "cross-check", menu[0], alpha=solve_alpha(p).alpha)
+        plans = [simulation._plan(sc, foc) for foc in menu]
+        simulation._draw(sc, plans, 8, spawn_stream(5, 0))  # first-call allocations stay out
+        tracemalloc.start()
+        try:
+            focal, drawn = simulation._draw(sc, plans, 30_000, spawn_stream(5, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out = {id(a): a for a in (drawn, *(a for sums in focal for a in sums))}
+        # the sums at 0, 1, 5, 10 and 20 points and the drawn prefix
+        assert len(out) == 6
+        assert peak <= sum(a.nbytes for a in out.values()) + 8 * 8192 + 4096
+
     @pytest.mark.parametrize("mechanism", simulation.MECHANISMS)
     def test_row_blocks_score_like_one_block(self, monkeypatch, mechanism):
         # 5 000 rounds at d = 3 span two score blocks of 2 730 rounds; a
@@ -956,6 +980,41 @@ class TestStandardErrors:
                                          seed=11))
         ratio = small.std_error / big.std_error
         assert ratio == pytest.approx(4.0, rel=0.2)
+
+    @pytest.mark.parametrize("chunk_size", [1 << 16, 700])
+    def test_finite_where_the_mse_is_finite(self, canonical, chunk_size):
+        # at epsilon 0.0034 the "scale 0.5" row scores rounds near 1e250 at
+        # offsets +-50, whose squares overflow: the reduce used to return an
+        # SE of NaN, with "overflow encountered in square"
+        foc = Strategy(canonical.n_star, est.Scale(0.5), est.PlainMeanAll(), "scale 0.5")
+        sc = _scenario(canonical, "corrupt-deploy", foc, epsilon=0.0034, reps=2_000, seed=0,
+                       mu_grid=simulation.DEFAULT_MU_GRID_SCALE, chunk_size=chunk_size)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            pen = run_replications(sc)
+        assert pen.mean_sq_error > 1e200
+        # against the same rounds' scores, brought to at most 1 before squaring
+        rows = [(foc, simulation.DEFAULT_MU_GRID_SCALE)]
+        chunks = [list(simulation._chunk_sq_errors(sc, rows, min(chunk_size, 2_000 - start),
+                                                   spawn_stream(0, 0, 0, ci)))
+                  for ci, start in enumerate(range(0, 2_000, chunk_size))]
+        for i, (mu, mse, se) in enumerate(pen.per_mu):
+            sq = np.concatenate([cells[i] for cells in chunks])
+            e = math.frexp(sq.max())[1]
+            sq *= 2.0**-e
+            assert math.isfinite(se) and se > 0
+            assert se == pytest.approx(math.ldexp(sq.std() / math.sqrt(len(sq)), e), rel=1e-9)
+            assert mse == pytest.approx(math.ldexp(sq.mean(), e), rel=1e-12)
+        assert max(se for _, _, se in pen.per_mu) > 1e240
+
+    def test_chunk_totals_above_the_largest_float(self, canonical, monkeypatch):
+        # four chunks of one round scoring 1e308 each: their total overflows,
+        # which math.fsum raises as OverflowError, though their mean is finite
+        monkeypatch.setattr(simulation, "_scores",
+                            lambda sc, plans, grid, b, draws: iter([np.full(b, 1e308)]))
+        foc = recommended_strategy(canonical, "pool")
+        pen = run_replications(_scenario(canonical, "pool", foc, reps=4, chunk_size=1))
+        assert (pen.mean_sq_error, pen.std_error) == (1e308, 0.0)
 
 
 class TestSweepsAndChecks:
@@ -1331,11 +1390,23 @@ class TestStrategy:
     @pytest.mark.parametrize("run", [run_replications, run_replications_reference])
     def test_negative_subset_rejected(self, canonical, canonical_alpha, run):
         # Subset(-1) used to score 0.03934 in the engine but 0.03876 in the
-        # reference, which played X[..., :-1], the same as Subset(9)
-        foc = Strategy(canonical.n_star, est.Subset(-1), est.RecommendedWeighted())
-        sc = _scenario(canonical, "cross-check", foc, alpha=canonical_alpha, reps=2_000)
+        # reference, which played X[..., :-1], the same as Subset(9); it is
+        # now rejected when it is made, before either path can run it
         with pytest.raises(InvalidParam, match="subset size"):
-            run(sc)
+            foc = Strategy(canonical.n_star, est.Subset(-1), est.RecommendedWeighted())
+            run(_scenario(canonical, "cross-check", foc, alpha=canonical_alpha, reps=2_000))
+
+
+    @pytest.mark.parametrize("rule", [est.Shift(math.inf), est.SubmitConstant(math.inf),
+                                      est.Scale(-1.0), est.FabricateFitGaussian(0)], ids=repr)
+    def test_kept_rules_score_finite_risks(self, canonical, canonical_alpha, rule):
+        # an infinite shift or constant makes eta^2 = +inf, which weighs the
+        # corrupted allocation 0; Scale(-1) negates; n_fake = 0 submits nothing
+        foc = Strategy(canonical.n_star, rule, est.RecommendedWeighted())
+        sc = _scenario(canonical, "cross-check", foc, alpha=canonical_alpha, reps=4_000)
+        fast, ref = run_replications(sc), run_replications_reference(sc)
+        assert math.isfinite(fast.total) and math.isfinite(ref.total)
+        assert abs(fast.total - ref.total) < 4 * math.hypot(fast.std_error, ref.std_error)
 
 
 class TestMenu:
