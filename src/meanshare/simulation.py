@@ -73,7 +73,8 @@ through blocks of 8192 items (:meth:`DistributionSpec.sample_sum`), and
 each running sum adds its increment in place, so a chunk's draw peaks at
 the arrays it returns. The only arrays longer than a score block are the
 focal sums, the drawn block sum and each cell's (b,) scores, which the
-reduce reads, and a fabrication row's points.
+reduce reads, and a fabrication row's points, whose fitted standard
+deviation is taken in place on them.
 
 A chunk can score several focal profiles against the same others. A
 deviation sweep's menu rows are scored that way
@@ -108,15 +109,16 @@ chunk drawing from its own hierarchically-derived stream, and each row is
 planned once per run. The calling thread scores every chunk and reduces it
 in index order. Outputs are therefore identical for any worker count.
 
-Worker threads (:class:`_DrawAhead`): with ``workers`` = w > 1, w - 1
+Worker threads (:func:`_drawn_ahead`): with ``workers`` = w > 1, w - 1
 helper threads only draw, since a random fill releases the GIL for one
 long call, while the score phase's many short numpy calls would hand it
-back and forth between threads. The calling thread draws too, but only a
-chunk that no helper has claimed, while the one it must score next is not
-drawn yet. At most w chunks are drawn ahead of the one being scored, so a
-run holds the draws of at most w + 1 chunks at once. The helpers come from
-one pool per process, started on first use and grown only when a run asks
-for more.
+back and forth between threads. As the calling thread reaches chunk ci, it
+submits the chunks up to ci + w to the helpers; it draws chunk ci itself
+if no helper has started it, and otherwise waits for it. So at most w
+threads draw at once, no draw starts more than w chunks ahead of the one
+being scored, and a run holds the draws of at most w + 1 chunks. The
+helpers come from one standard-library thread pool per worker count, made
+on first use and shared by every run with that count.
 
 Stream layout, as :func:`params.spawn_stream` paths under the scenario's
 master seed:
@@ -136,9 +138,8 @@ from __future__ import annotations
 
 import math
 import os
-import queue
 import threading
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -189,8 +190,9 @@ class Scenario:
     """One MC experiment: the focal profile against the others' recommended
     profile, under ``mechanism``. A single run processes its replications in
     chunks of ``chunk_size`` rounds on ``workers`` threads: the calling
-    thread scores every chunk, and ``workers`` - 1 helpers draw ahead of it
-    (see the module docstring). A deviation sweep's menu rows run in chunks
+    thread scores every chunk, and the ``workers`` - 1 helpers of the
+    process's pool for that worker count draw ahead of it (see the module
+    docstring). A deviation sweep's menu rows run in chunks
     of one score block instead. Making one
     raises :class:`InvalidParam` for an inconsistent or out-of-range field:
     ``master_seed`` must be an integer >= 0, and ``replications``,
@@ -398,8 +400,12 @@ def _draw(sc: Scenario, plans, b: int, stream):
         # fabricated points enter only through their sum n_y xbar + sqrt(n_y) sd z
         X = spec.sample(stream, (b, n, d))
         sum_x = X.sum(axis=1)
+        # X.std(axis=1), numpy's steps taken in place on X: the same bits
+        X -= sum_x[:, None] / n
+        sd = np.square(X, out=X).sum(axis=1)
+        sd /= n
         sum_y = stream.standard_normal((b, d))
-        sum_y *= X.std(axis=1)
+        sum_y *= np.sqrt(sd, out=sd)
         sum_y *= math.sqrt(row.n_y)
         sum_y += (row.n_y / n) * sum_x
         focal.append((sum_x, sum_y))
@@ -494,89 +500,46 @@ def _penalty(sc: Scenario, foc: Strategy, per_mu) -> EmpiricalPenalty:
                             total=mse + cost, per_mu=tuple(per_mu))
 
 
-# helper threads of runs with workers > 1, one pool per process. Threads are
-# started on first use and added only when a run asks for more; a forked child
-# starts with none of its parent's
-_jobs: queue.SimpleQueue = queue.SimpleQueue()
-_helpers: list[threading.Thread] = []
-_helpers_lock = threading.Lock()
+# helper threads of runs with workers = w > 1: one executor of w - 1 threads
+# for each w, made on first use. A forked child has none of its parent's
+# threads, so it forgets them
+_executors: dict[int, ThreadPoolExecutor] = {}
+_executors_lock = threading.Lock()
 
 
 def _forget_helpers():
-    global _jobs, _helpers, _helpers_lock
-    _jobs, _helpers, _helpers_lock = queue.SimpleQueue(), [], threading.Lock()
+    global _executors, _executors_lock
+    _executors, _executors_lock = {}, threading.Lock()
 
 
 os.register_at_fork(after_in_child=_forget_helpers)
 
 
-def _helper(jobs: queue.SimpleQueue):
-    while True:
-        jobs.get()()
-
-
-class _DrawAhead:
-    """``draw(0)``, ..., ``draw(count - 1)``, iterated in order by the calling
-    thread, and drawn by it and by at most workers - 1 helper threads, never
-    more than ``workers`` chunks ahead of the one it takes (see "Worker
-    threads" in the module docstring). The caller draws only a chunk that no
-    helper has claimed, when the one it takes is not drawn yet."""
-
-    def __init__(self, draw, count: int, workers: int):
-        self.draw, self.count, self.workers = draw, count, workers
-        self.lock = threading.Lock()
-        self.futures: dict[int, Future] = {}
-        self.next = self.taken = self.helpers = 0
-
-    def _claim(self, helper: bool = False):
-        """The next chunk within reach and its future, or None; a helper
-        that finds none leaves, in the same step."""
-        with self.lock:
-            ci = self.next
-            if ci < self.count and ci <= self.taken + self.workers:
-                self.next += 1
-                self.futures[ci] = Future()
-                return ci, self.futures[ci]
-            if helper:
-                self.helpers -= 1
-            return None
-
-    def _run(self, ci: int, fut: Future):
-        try:
-            fut.set_result(self.draw(ci))
-        except Exception as e:  # raised where the caller takes this chunk
-            fut.set_exception(e)
-
-    def _help(self):
-        while (job := self._claim(helper=True)) is not None:
-            self._run(*job)
-
-    def __iter__(self):
-        with _helpers_lock:
-            while len(_helpers) < self.workers - 1:
-                _helpers.append(threading.Thread(target=_helper, args=(_jobs,), daemon=True,
-                                                 name=f"meanshare-draw-{len(_helpers)}"))
-                _helpers[-1].start()
-        try:
-            for ci in range(self.count):
-                with self.lock:
-                    self.taken = ci
-                    # call helpers for the unclaimed chunks within reach
-                    calls = min(self.workers - 1 - self.helpers,
-                                min(self.count, ci + self.workers + 1) - self.next)
-                    self.helpers += calls
-                for _ in range(calls):
-                    _jobs.put(self._help)
-                while ci not in self.futures or not self.futures[ci].done():
-                    job = self._claim()
-                    if job is None:
-                        break
-                    self._run(*job)
-                yield self.futures.pop(ci).result()
-        finally:
-            with self.lock:  # no new claims once the caller stops
-                self.next = self.count
-                self.futures.clear()
+def _drawn_ahead(draw, count: int, workers: int):
+    """``draw(0)``, ..., ``draw(count - 1)``, in order (see "Worker threads"
+    in the module docstring). With ``workers`` = w > 1, reaching chunk ci
+    hands the chunks up to ci + w to the w - 1 helpers of the executor for w;
+    the calling thread draws chunk ci itself unless a helper has started it,
+    and a helper's error is raised here, at its chunk. On exit the chunks
+    that no helper has started are cancelled."""
+    pool = None
+    if workers > 1:
+        with _executors_lock:
+            pool = _executors.get(workers)
+            if pool is None:
+                pool = _executors[workers] = ThreadPoolExecutor(
+                    workers - 1, thread_name_prefix=f"meanshare-draw-{workers}")
+    futures: dict[int, Future] = {}
+    try:
+        for ci in range(count):
+            if pool:
+                for cj in range(ci + len(futures), min(count, ci + workers + 1)):
+                    futures[cj] = pool.submit(draw, cj)
+            fut = futures.pop(ci, None)
+            yield draw(ci) if fut is None or fut.cancel() else fut.result()
+    finally:
+        for fut in futures.values():
+            fut.cancel()
 
 
 def _moments(sq: np.ndarray) -> tuple[float, float, int]:
@@ -596,9 +559,10 @@ def _penalties(sc: Scenario, focals, path: int, chunk_size: int) -> list[Empiric
     """Empirical penalty of each profile of ``focals`` against the others of
     ``sc``, all scored on the same draws: chunk ci of chunk_size rounds draws
     from stream ``(0, path, ci)``, and the calling thread scores the chunks
-    and reduces their sums in index order, whatever the worker count; with
-    ``sc.workers`` > 1, helper threads draw (:class:`_DrawAhead`). Each row is
-    planned once per run."""
+    and reduces their sums in index order, whatever the worker count; the
+    chunks come from :func:`_drawn_ahead`, drawn by ``sc.workers`` - 1
+    helper threads and by the calling thread. Each row is planned once per
+    run."""
     if not focals:
         return []
     n = sc.replications
@@ -610,10 +574,8 @@ def _penalties(sc: Scenario, focals, path: int, chunk_size: int) -> list[Empiric
     def draw(ci):
         return _draw(sc, plans, sizes[ci], spawn_stream(sc.master_seed, 0, path, ci))
 
-    chunks = map(draw, range(len(sizes))) if sc.workers == 1 else \
-        _DrawAhead(draw, len(sizes), sc.workers)
     parts = [[_moments(sq) for sq in _scores(sc, plans, grid, b, draws)]
-             for b, draws in zip(sizes, chunks)]
+             for b, draws in zip(sizes, _drawn_ahead(draw, len(sizes), sc.workers))]
     cells = iter(range(len(parts[0])))
     out = []
     for foc, mus in rows:

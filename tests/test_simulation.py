@@ -232,6 +232,31 @@ class TestWorkerThreads:
             proc.join()
         assert proc.exitcode == 0
 
+    @pytest.mark.parametrize("other", [2, 4])
+    def test_two_callers_at_once(self, canonical, canonical_alpha, other):
+        # two runs on two calling threads at once, at 2 workers and at
+        # ``other``: at 2 and 2 both hand their chunks to one helper, and a
+        # chunk given to the wrong run, lost or reduced twice changes its sums
+        scs = [replace(self._sc(canonical, canonical_alpha, 2, reps=6_000), chunk_size=100),
+               replace(self._sc(canonical, canonical_alpha, other, reps=6_000), chunk_size=100,
+                       master_seed=8, mu_grid=(0.0, 5.0),
+                       focal=Strategy(10, est.Scale(0.5), est.RecommendedWeighted()))]
+        expected = [run_replications(replace(sc, workers=1)) for sc in scs]
+        out = {}
+        runs = [threading.Thread(target=lambda i=i: out.update({i: run_replications(scs[i])}))
+                for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for run in runs:
+                run.start()
+            for run in runs:
+                run.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(run.is_alive() for run in runs)
+        assert [out[0], out[1]] == expected
+
 
 class TestClosedFormAgreement:
     def test_pool_recommended_mse(self, canonical):
@@ -789,6 +814,25 @@ class TestSharedDraws:
         # the sums at 0, 1, 5, 10 and 20 points and the drawn prefix
         assert len(out) == 6
         assert peak <= sum(a.nbytes for a in out.values()) + 8 * 8192 + 4096
+
+    def test_fabrication_draw_footprint(self):
+        # a fabrication row's fitted sd is taken in place on its (b, n, d)
+        # points, so its draw peaks at those points and four (b, d) arrays:
+        # the two sums it returns, the sd and one temporary. X.std(axis=1)
+        # held a second (b, n, d) array
+        p = params_for(9, dim=3)
+        foc = Strategy(p.n_star, est.FabricateFitGaussian(p.n_star), est.RecommendedWeighted())
+        sc = _scenario(p, "pool", foc)
+        plans = [simulation._plan(sc, foc)]
+        simulation._draw(sc, plans, 8, spawn_stream(5, 0))  # first-call allocations stay out
+        b = 30_000
+        tracemalloc.start()
+        try:
+            simulation._draw(sc, plans, b, spawn_stream(5, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * b * p.dim * (p.n_star + 4) + 8 * 8192 + 4096
 
     @pytest.mark.parametrize("mechanism", simulation.MECHANISMS)
     def test_row_blocks_score_like_one_block(self, monkeypatch, mechanism):
@@ -1417,3 +1461,47 @@ class TestMenu:
         assert len(set(labels)) == len(labels)
         assert any(isinstance(s.submission, est.Empty) for s in menu)
         assert any(isinstance(s.estimator, est.CleanOnlyMean) for s in menu)
+
+
+_FAMILIES = [("gaussian", 1.0), ("scaled_rademacher", 1.0), ("uniform_box", math.sqrt(3.0))]
+
+
+class TestRelations:
+    # exact relations between two runs on the same seed, which need no oracle
+
+    @pytest.mark.parametrize("family,scale", _FAMILIES)
+    @pytest.mark.parametrize("agents", [2, 3, 4])
+    def test_cross_check_with_few_agents_is_pooling(self, agents, family, scale):
+        # cross-check with m <= 4 hands over the whole pool, on the engine
+        # and on the reference path alike
+        p = params_for(agents)
+        sweeps, refs = [], []
+        for mechanism in ("pool", "cross-check"):
+            sc = _scenario(p, mechanism, recommended_strategy(p, mechanism), reps=2_000,
+                           family=family, scale=scale, mu_grid=(0.0, 5.0))
+            sweeps.append(repr(nash_deviation_sweep(sc)))
+            refs.append(repr([run_replications_reference(replace(sc, focal=foc)) for foc in
+                              (sc.focal, Strategy(p.n_star, est.Scale(0.5), est.PlainMeanAll()))]))
+        assert sweeps[0] == sweeps[1]
+        assert refs[0] == refs[1]
+
+    @pytest.mark.parametrize("family,scale", _FAMILIES[::2])
+    @pytest.mark.parametrize("mechanism", ["cross-check", "corrupt-deploy", "size-check"])
+    def test_menu_order_does_not_matter(self, mechanism, family, scale):
+        # the focal running sums are drawn at the sorted counts the rows read,
+        # whatever the menu order. Each fabrication row draws its points in
+        # menu order, so the relation needs at most one, as the default menu has
+        p = params_for(9)
+        alpha = solve_alpha(p).alpha if mechanism == "cross-check" else None
+        eps = 0.1 if mechanism == "corrupt-deploy" else None
+        sc = _scenario(p, mechanism, recommended_strategy(p, mechanism), alpha=alpha,
+                       epsilon=eps, reps=20_000, family=family, scale=scale,
+                       mu_grid=(0.0, 5.0, -50.0))
+        menu = [s for s in default_menu(p, sc.focal.estimator) if simulation._submits_data(s)
+                or mechanism != "corrupt-deploy"]
+        assert sum(isinstance(s.submission, est.FabricateFitGaussian) for s in menu) == 1
+        shuffled = [menu[i] for i in np.random.default_rng(0).permutation(len(menu))]
+        assert shuffled != menu
+        by_label = [{r.strategy.label: repr(r.penalty) for r in nash_deviation_sweep(sc, m)}
+                    for m in (menu, shuffled)]
+        assert by_label[0] == by_label[1]
