@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 
-from .alphasolve import _check_alpha
+from .alphasolve import _check_alpha, _check_regime
 from .mechanisms import k_eps
 from .params import ProblemParams, erfcx
 
@@ -98,8 +98,7 @@ def rinf_max_risk(n_i: float, p: ProblemParams, alpha: float) -> float:
     v = sigma^2 + alpha^2 sigma^2 (1/n_i + 1/n*) x^2. alpha = 0 is the
     uncorrupted limit; any other alpha outside (0, 2**510), NaN included,
     raises :class:`InvalidParam`."""
-    if p.agents < 5:
-        raise ValueError("the corrupted-allocation risk applies to m >= 5")
+    _check_regime(p)
     if n_i <= 0:
         raise ValueError("n_i must be positive")
     if alpha != 0:

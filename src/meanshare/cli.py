@@ -31,12 +31,7 @@ import numpy as np
 from . import estimators as est
 from . import simulation as sim
 from .alphasolve import NoSignChange, bracket, g_of_alpha, solve_alpha
-from .analytics import (
-    e_of_m,
-    penalty_at_nstar,
-    pos_mechany,
-    pos_smallm,
-)
+from .analytics import baseline_penalties, e_of_m, penalty_at_nstar, pos_mechany, pos_smallm
 from .params import DistributionSpec, ProblemParams, cost_for_n_star
 
 EXIT_OK = 0
@@ -180,7 +175,7 @@ def cmd_experiment(args) -> int:
                 continue
             sol = solve_alpha(p)
             pos = pos_mechany(p, sol.alpha)
-            ident = m * penalty_at_nstar(p, sol.alpha) / (2 * p.sigma * math.sqrt(p.cost * m * p.dim))
+            ident = m * penalty_at_nstar(p, sol.alpha) / baseline_penalties(p)["global_min_social"]
             rows.append({"m": m, "alpha": sol.alpha, "pos": pos})
             if abs(pos - ident) > 1e-9:
                 print(f"error: m={m}: PoS formula and penalty identity disagree "

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mechanisms import Allocation
-from .params import InvalidParam, ProblemParams
+from .params import InvalidParam, ProblemParams, _check_int
 
 __all__ = [
     "SubsetTooLarge",
@@ -57,11 +57,6 @@ class DimensionMismatch(ValueError):
 @dataclass(frozen=True)
 class Identity:
     pass
-
-
-def _check_count(name: str, value):
-    if not isinstance(value, (int, np.integer)) or value < 0:
-        raise InvalidParam(f"{name} must be an integer >= 0, got {value!r}")
 
 
 def _check_ell(ell: float):
@@ -120,7 +115,7 @@ class Subset:
     k: int
 
     def __post_init__(self):
-        _check_count("subset size", self.k)
+        _check_int("subset size", self.k, 0)
 
 
 @dataclass(frozen=True)
@@ -131,7 +126,7 @@ class FabricateFitGaussian:
     n_fake: int
 
     def __post_init__(self):
-        _check_count("n_fake", self.n_fake)
+        _check_int("n_fake", self.n_fake, 0)
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,15 @@ class EvenInput(ValueError):
     """double_factorial requires an odd argument."""
 
 
+def _check_int(name: str, value, low: int) -> int:
+    """``value`` as an int. Raises :class:`InvalidParam` unless it is an int
+    or a numpy integer, not a bool, and at least ``low``: the package's one
+    rule for a count, a seed or a size."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise InvalidParam(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ProblemParams:
     """Market parameters: per-dimension noise std, per-sample cost,
@@ -61,12 +70,7 @@ class ProblemParams:
         if not 0 < self.sigma < math.inf:
             raise InvalidParam(f"sigma must be positive and finite, got {self.sigma}")
         for name, low in (("agents", 2), ("dim", 1)):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
-                raise InvalidParam(f"{name} must be an integer, got {value!r}")
-            if value < low:
-                raise InvalidParam(f"{name} must be >= {low}, got {value}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _check_int(name, getattr(self, name), low))
         if not 0 < self.cost < math.inf:
             raise InvalidParam(f"cost must be positive and finite, got {self.cost}")
         m = self.agents
@@ -85,12 +89,11 @@ class ProblemParams:
 def cost_for_n_star(sigma: float, n_star: int, agents: int, dim: int = 1) -> float:
     """The per-sample cost at which the recommended count is exactly
     ``n_star``: the inverse of the n* formula. Raises :class:`InvalidParam`
-    for fewer than 2 agents, n_star < 1, and where :class:`ProblemParams`
-    rejects that cost, for example outside (0, inf) in floating point."""
-    if agents < 2:
-        raise InvalidParam(f"need at least 2 agents, got {agents}")
-    if n_star < 1:
-        raise InvalidParam(f"n_star must be >= 1, got {n_star}")
+    unless agents is an integer >= 2 and n_star and dim ones >= 1, and
+    where :class:`ProblemParams` rejects that cost, for example outside
+    (0, inf) in floating point."""
+    agents, n_star = _check_int("agents", agents, 2), _check_int("n_star", n_star, 1)
+    dim = _check_int("dim", dim, 1)
     den = n_star**2 * agents if agents >= 5 else (n_star * agents) ** 2
     return ProblemParams(sigma, sigma * sigma * dim / den, agents, dim).cost
 
@@ -207,10 +210,10 @@ class DistributionSpec:
         return out
 
 
-# items of a draw block: a float64 or int64 block then takes at most 64 KiB,
-# the size of the engine's score blocks, which glibc serves from the heap
-# instead of mapping fresh memory, as it does above its mmap threshold (128
-# KiB by default)
+# items of a draw block, and of the engine's score blocks (rounds x d): a
+# float64 or int64 block then takes at most 64 KiB, which stays in L2 and
+# which glibc serves from the heap instead of mapping fresh memory, as it
+# does above its mmap threshold (128 KiB by default)
 _BLOCK_ITEMS = 8192
 
 

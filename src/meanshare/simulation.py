@@ -147,8 +147,9 @@ import numpy as np
 from . import estimators as est
 from . import mechanisms as mech
 from .alphasolve import _check_alpha
-from .analytics import penalty_closed_form, sizecheck_penalty
-from .params import _BLOCK_ITEMS, DistributionSpec, InvalidParam, ProblemParams, spawn_stream
+from .analytics import baseline_penalties, penalty_closed_form, sizecheck_penalty
+from .params import (_BLOCK_ITEMS, DistributionSpec, InvalidParam, ProblemParams, _check_int,
+                     spawn_stream)
 
 __all__ = [
     "Strategy",
@@ -181,8 +182,7 @@ class Strategy:
     label: str = ""
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 0:
-            raise InvalidParam(f"n must be an integer >= 0, got {self.n!r}")
+        _check_int("n", self.n, 0)
 
 
 @dataclass(frozen=True)
@@ -232,11 +232,9 @@ class Scenario:
         elif self.epsilon is not None:
             raise InvalidParam(f"epsilon is read by corrupt-deploy only, not by {self.mechanism}")
         # a seed of None would draw fresh OS entropy in every stream
-        for name, value, low in (("master_seed", self.master_seed, 0),
-                                 ("replications", self.replications, 1),
-                                 ("chunk_size", self.chunk_size, 1), ("workers", self.workers, 1)):
-            if not isinstance(value, (int, np.integer)) or value < low:
-                raise InvalidParam(f"{name} must be an integer >= {low}, got {value!r}")
+        for name, low in (("master_seed", 0), ("replications", 1), ("chunk_size", 1),
+                          ("workers", 1)):
+            _check_int(name, getattr(self, name), low)
         if len(self.mu_grid) == 0 or not all(math.isfinite(mu) for mu in self.mu_grid):
             raise InvalidParam(f"mu_grid must hold finite offsets, got {self.mu_grid}")
 
@@ -273,12 +271,6 @@ def is_translation_equivariant(strategy: Strategy) -> bool:
     variances are functions of mean differences)."""
     return not (isinstance(strategy.submission, (est.Scale, est.SubmitConstant, est.ShrinkEll))
                 or isinstance(strategy.estimator, est.PosteriorMean))
-
-
-# rows per score block: every (rows, d) float64 temporary of the score phase
-# is then at most 64 KiB, so it stays in L2 and below glibc's default mmap
-# threshold (128 KiB), as the draw phase's blocks do
-_SCORE_BLOCK_ITEMS = _BLOCK_ITEMS
 
 
 # estimators whose weights do not read eta^2 (:func:`estimators._block_weights`)
@@ -423,7 +415,7 @@ def _scores(sc: Scenario, plans, grid, b: int, draws):
     (:func:`_score`); at offset mu a k-point sum reads its drawn value plus
     k mu."""
     spec, (focal, drawn) = sc.distribution, draws
-    per_block = max(_SCORE_BLOCK_ITEMS // sc.params.dim, 1)
+    per_block = max(_BLOCK_ITEMS // sc.params.dim, 1)
     for row, mus, (all_x, all_y) in zip(plans, grid, focal):
         for mu in mus:
             loc = spec.mean + mu
@@ -677,7 +669,8 @@ def run_replications_reference(sc: Scenario) -> EmpiricalPenalty:
 def default_menu(p: ProblemParams, estimator) -> list[Strategy]:
     """The fixed deviation menu swept by the equilibrium checks: sample-count
     deviations and submission manipulations with ``estimator``, and
-    estimator swaps."""
+    estimator swaps. The "shift 1" row shifts by one sigma, the unit of the
+    CLI's ``--mu-grid``, so the menu scales with the data."""
     ns = p.n_star
     half = max(ns // 2, 1)
     return [
@@ -685,7 +678,7 @@ def default_menu(p: ProblemParams, estimator) -> list[Strategy]:
         Strategy(half, est.Identity(), estimator, f"n={half}"),
         Strategy(2 * ns, est.Identity(), estimator, f"n={2 * ns}"),
         Strategy(ns, est.Scale(0.5), estimator, "scale 0.5"),
-        Strategy(ns, est.Shift(1.0), estimator, "shift 1"),
+        Strategy(ns, est.Shift(p.sigma), estimator, "shift 1"),
         Strategy(ns, est.SubmitConstant(0.0), estimator, "constant 0"),
         Strategy(ns, est.Subset(half), estimator, f"subset {half}"),
         Strategy(1, est.FabricateFitGaussian(ns), estimator, f"fabricate {ns} from 1"),
@@ -742,7 +735,7 @@ def nash_deviation_sweep(sc: Scenario, menu: list[Strategy] | None = None) -> li
         return None
 
     rows = [SweepRow(sc.focal, base, closed(sc.focal), False)]
-    for s, pen in zip(menu, _penalties(sc, menu, 1, max(_SCORE_BLOCK_ITEMS // p.dim, 1))):
+    for s, pen in zip(menu, _penalties(sc, menu, 1, max(_BLOCK_ITEMS // p.dim, 1))):
         gap = base.total - pen.total
         tol = 3.0 * math.hypot(base.std_error, pen.std_error)
         rows.append(SweepRow(s, pen, closed(s), gap > tol))
@@ -751,9 +744,9 @@ def nash_deviation_sweep(sc: Scenario, menu: list[Strategy] | None = None) -> li
 
 def ir_check(sc: Scenario) -> dict:
     """Participating penalty of ``sc.focal`` vs. the best standalone
-    penalty 2 sigma sqrt(c d)."""
-    p = sc.params
-    standalone = 2 * p.sigma * math.sqrt(p.cost * p.dim)
+    penalty 2 sigma sqrt(c d) (``p_min_ir`` of
+    :func:`analytics.baseline_penalties`)."""
+    standalone = baseline_penalties(sc.params)["p_min_ir"]
     pen = run_replications(sc)
     return {
         "participating": pen.total,
@@ -777,7 +770,13 @@ def highdim_nic_check(sc: Scenario) -> dict:
     submission makes its risk unbounded. ``rows`` holds one
     :class:`SweepRow` per menu entry. Raises :class:`InvalidParam` unless
     the mechanism is cross-check with 5 or more agents (so alpha is set):
-    with fewer it pools, and the 1 + 5/m bound is not claimed."""
+    with fewer it pools, and the 1 + 5/m bound is not claimed.
+
+    The mechanism corrupts coordinate by coordinate, eta^2 per dimension
+    from that coordinate alone, and every estimator and family acts per
+    coordinate, so the d-dimensional risk is the sum of the 1-D risks. The
+    paper's abstract does not say whether its mechanism corrupts by the
+    norm ||ybar - dbar||^2 instead."""
     p = sc.params
     if sc.mechanism != "cross-check" or p.agents < 5:
         raise InvalidParam("the high-dimensional check needs cross-check with 5 or more agents")
@@ -791,7 +790,7 @@ def highdim_nic_check(sc: Scenario) -> dict:
     ratio = base.total / best.total
     bound = 1 + 5.0 / p.agents
     slack = 3.0 * math.hypot(base.std_error, best.std_error) / best.total
-    pos_proxy = p.agents * base.total / (2 * p.sigma * math.sqrt(p.cost * p.agents * p.dim))
+    pos_proxy = p.agents * base.total / baseline_penalties(p)["global_min_social"]
     return {
         "recommended": base.total,
         "best_deviation": best.total,

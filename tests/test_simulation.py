@@ -25,6 +25,7 @@ from meanshare.params import (
     DistributionSpec,
     InvalidParam,
     ProblemParams,
+    cost_for_n_star,
     spawn_stream,
 )
 from meanshare.simulation import (
@@ -851,7 +852,7 @@ class TestSharedDraws:
                 continue  # corrupt-and-deploy rejects an empty submission
             blocked = list(simulation._chunk_sq_errors(sc, [(foc, mus)], 5_000, spawn_stream(3, 0)))
             with monkeypatch.context() as mp:
-                mp.setattr(simulation, "_SCORE_BLOCK_ITEMS", 10**9)
+                mp.setattr(simulation, "_BLOCK_ITEMS", 10**9)
                 whole = list(simulation._chunk_sq_errors(sc, [(foc, mus)], 5_000,
                                                          spawn_stream(3, 0)))
             for a, b in zip(blocked, whole, strict=True):
@@ -1420,6 +1421,47 @@ class TestScenario:
                   epsilon=epsilon, reps=10)
 
 
+def _scenario_with(name):
+    def make(value):
+        p = params_for(9)
+        return replace(_scenario(p, "pool", recommended_strategy(p, "pool"), reps=10),
+                       **{name: value})
+    return make
+
+
+# every count, seed and size goes through params._check_int: the field named
+# in the error, its lowest accepted value, and a call that takes it
+INTEGER_SITES = {
+    "ProblemParams.agents": ("agents", 2, lambda v: ProblemParams(1.0, 1 / 900, v)),
+    "ProblemParams.dim": ("dim", 1, lambda v: ProblemParams(1.0, 1 / 900, 9, v)),
+    "cost_for_n_star.agents": ("agents", 2, lambda v: cost_for_n_star(1.0, 10, v)),
+    "cost_for_n_star.n_star": ("n_star", 1, lambda v: cost_for_n_star(1.0, v, 9)),
+    "cost_for_n_star.dim": ("dim", 1, lambda v: cost_for_n_star(1.0, 10, 9, v)),
+    "Strategy.n": ("n", 0, lambda v: Strategy(v, est.Identity(), est.PlainMeanAll())),
+    **{f"Scenario.{name}": (name, low, _scenario_with(name)) for name, low in
+       (("master_seed", 0), ("replications", 1), ("chunk_size", 1), ("workers", 1))},
+    "Subset.k": ("subset size", 0, est.Subset),
+    "FabricateFitGaussian.n_fake": ("n_fake", 0, est.FabricateFitGaussian),
+}
+
+
+class TestIntegerInputs:
+    @pytest.mark.parametrize("site", INTEGER_SITES)
+    @pytest.mark.parametrize("bad", [True, 2.5, "3", None], ids=["True", "2.5", "'3'", "low - 1"])
+    def test_rejected(self, site, bad):
+        # a bool used to pass as 0 or 1: replications=True scored one round,
+        # and chunk_size=True failed inside numpy's standard_normal
+        name, low, make = INTEGER_SITES[site]
+        with pytest.raises(InvalidParam, match=name):
+            make(low - 1 if bad is None else bad)
+
+    @pytest.mark.parametrize("site", INTEGER_SITES)
+    def test_lowest_accepted(self, site):
+        _, low, make = INTEGER_SITES[site]
+        make(low)
+        make(np.int64(low))
+
+
 class TestStrategy:
     @pytest.mark.parametrize("n", [-1, -3, 5.5, 10.0, "4", None],
                              ids=["negative focal n", "negative menu n", "fractional n",
@@ -1505,3 +1547,30 @@ class TestRelations:
         by_label = [{r.strategy.label: repr(r.penalty) for r in nash_deviation_sweep(sc, m)}
                     for m in (menu, shuffled)]
         assert by_label[0] == by_label[1]
+
+    @pytest.mark.parametrize("family,scale", _FAMILIES)
+    @pytest.mark.parametrize("mechanism,epsilon", [
+        ("cross-check", None), ("pool", None), ("size-check", None),
+        ("corrupt-deploy", 0.5), ("corrupt-deploy", 0.1)])
+    def test_sigma_scaling(self, mechanism, epsilon, family, scale):
+        # sigma, the data and the mu grid scaled by lam, with n* = 10 at each
+        # sigma, scale every round's error by lam on the same draws, so every
+        # per-mu MSE of the default sweep scales by lam^2: the menu's shift is
+        # in units of sigma, and corrupt-deploy's eta^2 = beta^2 delta^{2k}
+        # scales by lam^2, since beta^2 goes as sigma^{2 - 2k} at fixed n*
+        def sweep(lam):
+            p = params_for(9, sigma=lam)
+            alpha = solve_alpha(p).alpha if mechanism == "cross-check" else None
+            sc = _scenario(p, mechanism, recommended_strategy(p, mechanism), alpha=alpha,
+                           epsilon=epsilon, reps=4_000, family=family, scale=scale * lam,
+                           mu_grid=tuple(lam * mu for mu in simulation.DEFAULT_MU_GRID_SCALE))
+            return [(r.strategy.label, [mse / lam**2 for _, mse, _ in r.penalty.per_mu])
+                    for r in nash_deviation_sweep(sc)]
+
+        unit = sweep(1.0)
+        for lam in (0.5, 3.0):
+            scaled = sweep(lam)
+            assert [label for label, _ in scaled] == [label for label, _ in unit]
+            for (label, a), (_, b) in zip(scaled, unit):
+                assert all(math.isclose(x, y, rel_tol=1e-12) for x, y in zip(a, b, strict=True)), \
+                    (lam, label, a, b)
