@@ -82,8 +82,9 @@ def c_m(m: int) -> float:
 
 
 def _check_regime(p: ProblemParams):
+    """Raise :class:`InvalidParam` for m <= 4, where no alpha is defined."""
     if p.agents <= 4:
-        raise ValueError("no corruption level is defined for m <= 4 (pooling regime); "
+        raise InvalidParam("no corruption level is defined for m <= 4 (pooling regime); "
                          "it needs 5 or more agents")
 
 

@@ -11,10 +11,12 @@ agent counts. The kernel is :func:`meanshare.params.erfcx`: e^{z^2}
 erfc(z) through ``math`` below z = 8, and a 12-term continued fraction
 from 8 on, with relative error below 4e-15.
 
-The risks below are standard-normal expectations of a Moebius function of
-x^2, 1/(M/(sigma^2 + b x^2) + B), which reduce to the Gaussian integral
-E[1/(L + x^2)] = :func:`gauss_int_I` (:func:`_mobius_mean`); nothing here
-integrates numerically.
+The risk of the recommended estimator, :func:`rinf_max_risk`, is a
+standard-normal expectation of a Moebius function of x^2, which reduces to
+the Gaussian integral E[1/(L + x^2)] = :func:`gauss_int_I`. sigma cancels
+from L, and the product L I(L) that the risk reads is sqrt(pi) z erfcx(z)
+with z = sqrt(L/2), so p(n) is one erfcx call and a few float operations;
+nothing here integrates numerically.
 """
 
 from __future__ import annotations
@@ -78,18 +80,6 @@ def gauss_int_I(L: float) -> float:
     return math.sqrt(math.pi / (2 * L)) * erfcx(math.sqrt(L / 2))
 
 
-def _mobius_mean(M: float, b: float, B: float, s2: float) -> float:
-    """E[1/(M/(s2 + b x^2) + B)] for x ~ N(0,1), with M, b >= 0 and s2, B > 0.
-
-    With v = s2 + b x^2, 1/(M/v + B) = (1 - M/(M + B v))/B and
-    M + B v = B b (L + x^2), so the mean is (1 - M/(B b) I(L))/B with
-    L = (M + B s2)/(B b). b = 0 is the constant integrand."""
-    if b == 0.0:
-        return 1.0 / (M / s2 + B)
-    Bb = B * b
-    return (1.0 - M / Bb * gauss_int_I((M + B * s2) / Bb)) / B
-
-
 def rinf_max_risk(n_i: float, p: ProblemParams, alpha: float) -> float:
     """Maximum risk (per problem, i.e. summed over dimensions) of the
     recommended estimator when collecting n_i > 0 points against an
@@ -97,15 +87,35 @@ def rinf_max_risk(n_i: float, p: ProblemParams, alpha: float) -> float:
     l(n_i, x) = 1/((m-2) n* / v + (n_i + n*)/sigma^2) and
     v = sigma^2 + alpha^2 sigma^2 (1/n_i + 1/n*) x^2. alpha = 0 is the
     uncorrupted limit; any other alpha outside (0, 2**510), NaN included,
-    raises :class:`InvalidParam`."""
+    raises :class:`InvalidParam`.
+
+    With u = n_i + n*, N = (m-1) n* + n_i and K = alpha^2 u^2/(n_i n*), the
+    mean is sigma^2/u (1 - (m-2) n*/K I(L)) with L = N/K, and sigma cancels
+    from L. Since K L = N, the risk is
+
+        d sigma^2/u (1 - (m-2) n*/N sqrt(pi) z erfcx(z)),  z = sqrt(L/2),
+
+    as L I(L) = sqrt(pi) z erfcx(z). It tends to d sigma^2/N (alpha = 0) as
+    z grows and to d sigma^2/u as z falls to 0.
+
+    K is never formed: z = sqrt(N n_i n*/2)/(u alpha), a product of counts
+    over u alpha, which is finite and nonzero for every accepted alpha.
+    alpha^2 u^2 overflows from alpha about 1e153, and a K formed whole
+    overflows to inf near the top of the alpha range and underflows to 0
+    near its bottom, where L = N/K is then 0 or inf. So the risk is finite
+    for every accepted alpha. z is +inf only where alpha is 0 or so small
+    that the quotient overflows, and there L I(L) is its limit 1; erfcx
+    keeps its own branch at z = 8."""
     _check_regime(p)
     if n_i <= 0:
         raise ValueError("n_i must be positive")
     if alpha != 0:
         _check_alpha(alpha)
-    s2, ns = p.sigma**2, p.n_star
-    b = alpha**2 * s2 * (1.0 / n_i + 1.0 / ns)
-    return p.dim * _mobius_mean((p.agents - 2) * ns, b, (n_i + ns) / s2, s2)
+    m, ns, u = p.agents, p.n_star, n_i + p.n_star
+    big_n = (m - 1) * ns + n_i
+    z = math.sqrt(0.5 * big_n * n_i * ns) / (u * alpha) if alpha else math.inf
+    l_i = 1.0 if z == math.inf else _SQRT_PI * z * erfcx(z)  # L I(L)
+    return p.dim * p.sigma * p.sigma / u * (1.0 - (m - 2) * ns / big_n * l_i)
 
 
 def penalty_closed_form(n_i: float, p: ProblemParams, alpha: float) -> float:

@@ -29,7 +29,8 @@ family, and it cannot raise the variance of a round's score.
   integrated out too: the prefix of n* points enters at its mean n* loc
   with variance n* v, and eta^2 at its conditional mean
   alpha^2 ((ybar - loc)^2 + v / n*). This needs the data's first two
-  moments only.
+  moments only. A row that submits nothing has eta^2 = +inf, so every
+  weight of it is constant, and its prefix is integrated out too.
 - Pool, size-check and cross-check with m <= 4: the others' pool enters
   with a fixed weight and is integrated out; nothing of it is drawn.
 - Corrupt-and-deploy: eta^2 reads the pool sum, so the pool sum is drawn.
@@ -60,21 +61,26 @@ every offset of a row reads the same draws (common random numbers), and a
 non-equivariant row costs one draw, not one per offset. All that is
 constant in a row, from the mechanism's branch to the weights that do not
 read a drawn eta^2, is resolved once, in its plan (:func:`_plan`), so the
-kernel does array arithmetic only: it sums over d by adding columns, forms
-delta^{2k} by squaring (:func:`mechanisms.corruption_variance`), and writes
-the variance term of inverse-variance weights in a form that is exactly 0
-where eta^2 = +inf, with no guard. It runs over blocks of 8192 // d rounds,
-so each of its (rounds, d) temporaries is at most 64 KiB: it stays in L2
-cache, and glibc serves it from the heap instead of mapping, and
-page-faulting, fresh memory, as it does for requests above its mmap
-threshold (128 KiB by default). The draw phase keeps the same rule: a sum
-is scaled and shifted in place, uniform planes and binomial counts pass
-through blocks of 8192 items (:meth:`DistributionSpec.sample_sum`), and
-each running sum adds its increment in place, so a chunk's draw peaks at
-the arrays it returns. The only arrays longer than a score block are the
-focal sums, the drawn block sum and each cell's (b,) scores, which the
-reduce reads, and a fabrication row's points, whose fitted standard
-deviation is taken in place on them.
+kernel does array arithmetic only: it sums over d by adding columns and
+forms delta^{2k} by squaring (:func:`mechanisms.corruption_variance`). A
+row whose inverse-variance weights read a per-round eta^2 is scored without
+forming them, as one quotient: with t = sigma^2/(sigma^2 + eta^2) the
+weight of a corrupted point against a clean one and D = P + n_corr t the
+estimate's precision in units of 1/sigma^2, a round scores
+(N^2 + n_corr t (sigma^2 - (sigma^2 - v_c) t))/D^2 per dimension, N the
+weighted deviation of its own and drawn blocks. That is two divisions per
+block, and exactly 0 where eta^2 = +inf, with no guard. The kernel runs
+over blocks of 8192 // d rounds, so each of its (rounds, d) temporaries is
+at most 64 KiB: it stays in L2 cache, and glibc serves it from the heap
+instead of mapping, and page-faulting, fresh memory, as it does for
+requests above its mmap threshold (128 KiB by default). The draw phase
+keeps the same rule: a sum is scaled and shifted in place, uniform planes
+and binomial counts pass through blocks of 8192 items
+(:meth:`DistributionSpec.sample_sum`), and each running sum adds its
+increment in place, so a chunk's draw peaks at the arrays it returns. The
+only arrays longer than a score block are the focal sums, the drawn block
+sum and each cell's (b,) scores, which the reduce reads, and a fabrication
+row's points, whose fitted standard deviation is taken in place on them.
 
 A chunk can score several focal profiles against the same others. A
 deviation sweep's menu rows are scored that way
@@ -89,20 +95,21 @@ count. A single run (:func:`run_replications`, and row 0 of a sweep) is
 the one-row case, in chunks of ``Scenario.chunk_size`` rounds.
 
 The engine shares its estimator kernel (:func:`estimators._block_weights`)
-with the object-level API. The slow reference path plays blocks of rounds
-through the round axis of the mechanisms, each serving one agent, and of
-:func:`estimators.apply_submission` and :func:`estimators.estimate`, on
-explicit points. A block's pool takes at most 8 MB, and a block holds at
-most four pool-sized arrays at once. A round serves the
-agents in index order, so the focal agent, the only one scored, is agent
-0, the first to draw from a mechanism stream, and the reference path
-serves it alone. It draws every fabricated point, and every offset on
-streams of its own, so it checks the mechanisms, the running sums, the
-fabricated-sum law, the shift of block sums by k mu, the conditioning on
-block sums and the streams independently; the estimator arithmetic and
-the submission table (:func:`estimators._affine`), which it shares with
-the engine, are pinned by the hand-computed oracles in the estimator
-tests.
+with the object-level API for the weights it resolves in a plan; the
+quotient of a per-round eta^2 is its own. The slow reference path plays
+blocks of rounds through the round axis of the mechanisms, each serving
+one agent, and of :func:`estimators.apply_submission` and
+:func:`estimators.estimate`, on explicit points. A block's pool takes at
+most 8 MB, and a block holds at most four pool-sized arrays at once. A
+round serves the agents in index order, so the focal agent, the only one
+scored, is agent 0, the first to draw from a mechanism stream, and the
+reference path serves it alone. It draws every fabricated point, and
+every offset on streams of its own, so it checks the mechanisms, the
+running sums, the fabricated-sum law, the shift of block sums by k mu, the
+conditioning on block sums, the per-round quotient and the streams
+independently; the weights resolved in a plan and the submission table
+(:func:`estimators._affine`), which it shares with the engine, are pinned
+by the hand-computed oracles in the estimator tests.
 
 Reproducibility: replications are processed in fixed-size chunks, each
 chunk drawing from its own hierarchically-derived stream, and each row is
@@ -137,6 +144,7 @@ master seed:
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -235,8 +243,9 @@ class Scenario:
         for name, low in (("master_seed", 0), ("replications", 1), ("chunk_size", 1),
                           ("workers", 1)):
             _check_int(name, getattr(self, name), low)
-        if len(self.mu_grid) == 0 or not all(math.isfinite(mu) for mu in self.mu_grid):
-            raise InvalidParam(f"mu_grid must hold finite offsets, got {self.mu_grid}")
+        real = all(isinstance(mu, numbers.Real) and not isinstance(mu, bool) for mu in self.mu_grid)
+        if not (real and len(self.mu_grid) and all(map(math.isfinite, self.mu_grid))):
+            raise InvalidParam(f"mu_grid must hold finite real offsets, got {self.mu_grid}")
 
 
 @dataclass(frozen=True)
@@ -290,6 +299,7 @@ class _Row:
     drawn: int
     eta: tuple | None
     weights: tuple | None
+    prec: float = 0.0
 
 
 def _plan(sc: Scenario, foc: Strategy) -> _Row:
@@ -303,7 +313,10 @@ def _plan(sc: Scenario, foc: Strategy) -> _Row:
     drawn sum, and the others enter at their mean. A per-round eta^2 is
     ``scale (ybar - ref)^{2k}``, ``eta = (scale, k, k_ref)``, ref the drawn
     sum over k_ref or, if k_ref is None, the mean. ``weights`` are resolved
-    unless they read a per-round eta^2, with the undrawn blocks' terms.
+    unless they read a per-round eta^2, with the undrawn blocks' terms; for
+    inverse-variance weights that do, ``prec`` is the eta^2-free precision P
+    in units of 1/sigma^2: the own and clean points, plus sigma^2/ell^2 for
+    the posterior mean's prior (:func:`_score`).
     Raises what a round of ``foc`` raises before it is scored."""
     p, v = sc.params, sc.distribution.per_dim_variance
     ns, m = p.n_star, p.agents
@@ -328,25 +341,26 @@ def _plan(sc: Scenario, foc: Strategy) -> _Row:
         eta = (mech.beta_sq_published(n_y + k_pool, p, k), k, k_pool)
     elif sc.mechanism == "cross-check" and m >= 5:
         # weights that read no eta^2 read the n*-point prefix, and eta^2, linearly: so the
-        # prefix is integrated out, and eta^2 enters at its conditional mean (+ alpha^2 v / n*)
-        counts, drawn = (foc.n, ns, k_pool - ns), 0 if constant else 1
+        # prefix is integrated out, and eta^2 enters at its conditional mean (+ alpha^2 v / n*).
+        # With nothing submitted eta^2 = +inf, every weight is constant, and so is the prefix
+        counts, drawn = (foc.n, ns, k_pool - ns), 0 if constant or n_y == 0 else 1
         eta_sq = math.inf if n_y == 0 else 0.0 if drawn else sc.alpha**2 * v / ns
         eta = (sc.alpha**2, 1, ns if drawn else None) if n_y else None
     fixed = (foc, n_y, gain, shift, own_y, counts, drawn)
     if eta and not constant:
-        return _Row(*fixed, eta, None)
+        ell = foc.estimator.ell if isinstance(foc.estimator, est.PosteriorMean) else math.inf
+        return _Row(*fixed, eta, None, counts[0] + counts[1] + p.sigma**2 / ell**2)
     try:
         w_x, *ws = est._block_weights(foc.estimator, *counts, eta_sq, p.sigma)
     except est.EmptyInput:  # no data with positive weight: every round scores +inf
-        return _Row(*fixed, None, (0.0, 0.0, 0.0, 0.0, math.inf))
+        return _Row(*fixed, None, (0.0, 0.0, 0.0, math.inf))
     # the undrawn blocks' mean and variance; a zero weight drops even an infinite one
     w_loc, var = 0.0, 0.0
     for i, (w, n, e) in enumerate(zip(ws, counts[1:], (0.0, eta_sq)), 1):
         if w and n and i != drawn:
             w_loc += w * n
             var += w * w * (n * (v + e))
-    return _Row(*fixed, eta if ws[1] else None,
-                (w_x, ws[drawn - 1] if drawn else 0.0, ws[1], w_loc, sum([var] * p.dim)))
+    return _Row(*fixed, eta if ws[1] else None, (w_x, ws[1], w_loc, sum([var] * p.dim)))
 
 
 def _dsum(a: np.ndarray) -> np.ndarray:
@@ -445,34 +459,46 @@ def _score(sc: Scenario, row: _Row, focal, drawn, loc) -> np.ndarray:
     undrawn block of n points enters at its mean n loc and adds its
     variance, n v per dimension (cross-check's remainder: n (v + eta^2)),
     times its squared weight; corrupt-deploy's noise adds w_corr^2 k_pool
-    eta^2. For per-round inverse-variance weights w and w_corr, w_corr^2
-    (v_c + eta^2) is formed as w_corr (sigma^2 w - (sigma^2 - v_c) w_corr):
-    0 where eta^2 = +inf."""
+    eta^2.
+
+    Inverse-variance weights of a per-round eta^2 are not formed. In units
+    of a clean point's precision 1/sigma^2, a corrupted point weighs
+    t = sigma^2/(sigma^2 + eta^2) and the estimate's precision is
+    D = P + n_corr t, P the clean points and the prior (``row.prec``). The
+    error is N/D, N the weighted deviations S - n loc of the own and drawn
+    blocks less the prior's pull, (P - n_x - n_clean) loc. The corrupted
+    block adds n_corr t (sigma^2 - (sigma^2 - v_c) t)/D^2 per dimension,
+    w_corr^2 n_corr (v_c + eta^2) with w_corr = t/D, where v_c is the data
+    variance of its points when they are undrawn (cross-check) and 0 when
+    they are drawn and only their noise is not (corrupt-deploy). So a round
+    scores (N^2 + n_corr t (sigma^2 - (sigma^2 - v_c) t))/D^2: two
+    divisions, and exactly 0 where eta^2 = +inf and t = 0, with no guard."""
     sum_x, sum_y = focal
     if row.eta is not None:
         scale, k, k_ref = row.eta
         delta = sum_y / row.n_y - (loc if k_ref is None else drawn / k_ref)
         eta = mech.corruption_variance(scale, delta, k)
-    if row.weights is None:
+    if row.weights is None:  # not the plain mean, so the own block is the collected one
         s2, n_corr = sc.params.sigma**2, row.counts[2]
-        w_x, w_clean, w_corr = est._block_weights(row.foc.estimator, *row.counts, eta,
-                                                  sc.params.sigma)
-        w_drawn, mean, v_c = w_corr, -loc, 0.0  # corrupt-deploy: the drawn pool is corrupted
+        t = np.divide(s2, np.add(eta, s2, out=eta), out=eta)
         if row.drawn == 1:  # cross-check: the drawn prefix is clean, the rest undrawn
-            w_drawn, mean = w_clean, w_corr * (n_corr * loc) - loc
-            v_c = sc.distribution.per_dim_variance
-        var = _dsum(w_corr * ((s2 * n_corr) * w_x - ((s2 - v_c) * n_corr) * w_corr))
-    else:
-        w_x, w_drawn, w_corr, w_loc, var = row.weights
-        mean = w_loc * loc - loc
-        if row.eta is not None:  # the corrupted block's term (w_corr^2 eta^2) n_corr
-            eta *= w_corr * w_corr
-            eta *= row.counts[2]
-            var = _dsum(eta) + var
+            err, v_c = sum_x + drawn, sc.distribution.per_dim_variance
+        else:  # corrupt-deploy: the drawn pool is corrupted, its noise undrawn
+            err, v_c = t * (drawn - n_corr * loc) + sum_x, 0.0
+        err -= row.prec * loc
+        err *= err
+        err += t * (n_corr * s2 - (n_corr * (s2 - v_c)) * t)
+        err /= np.square(t * n_corr + row.prec)
+        return _dsum(err)
+    w_x, w_corr, w_loc, var = row.weights
+    if row.eta is not None:  # the corrupted block's term (w_corr^2 eta^2) n_corr
+        eta *= w_corr * w_corr
+        eta *= row.counts[2]
+        var = _dsum(eta) + var
     err = w_x * (sum_y if row.own_y else sum_x)
-    if drawn is not None:
-        err += w_drawn * drawn
-    err += mean
+    if drawn is not None:  # corrupt-deploy's pool
+        err += w_corr * drawn
+    err += w_loc * loc - loc
     err *= err
     return _dsum(err) + var
 
@@ -558,9 +584,8 @@ def _penalties(sc: Scenario, focals, path: int, chunk_size: int) -> list[Empiric
     if not focals:
         return []
     n = sc.replications
-    rows = [(foc, _offsets(sc, foc)) for foc in focals]
     plans = [_plan(sc, foc) for foc in focals]
-    grid = [mus for _, mus in rows]
+    grid = [_offsets(sc, foc) for foc in focals]
     sizes = [min(chunk_size, n - start) for start in range(0, n, chunk_size)]
 
     def draw(ci):
@@ -570,7 +595,7 @@ def _penalties(sc: Scenario, focals, path: int, chunk_size: int) -> list[Empiric
              for b, draws in zip(sizes, _drawn_ahead(draw, len(sizes), sc.workers))]
     cells = iter(range(len(parts[0])))
     out = []
-    for foc, mus in rows:
+    for foc, mus in zip(focals, grid):
         per_mu = []
         for mu, i in zip(mus, cells):
             # s1 in units of 2^e and s2 of 2^2e, so that neither total

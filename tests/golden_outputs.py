@@ -4,6 +4,12 @@ keep bit for bit.
 Run ``PYTHONPATH=src python tests/golden_outputs.py`` to rewrite
 ``golden_outputs.json`` next to this file; ``test_golden_outputs.py``
 recomputes every key and compares. Floats are stored as ``float.hex``.
+With ``--compare [FIXTURE]`` the script writes nothing: it prints each key
+whose recomputed value differs from the one in FIXTURE (by default the
+committed file; ``git show <rev>:tests/golden_outputs.json`` gives an older
+one), with the largest relative change of its floats, per row for a sweep,
+so that a claim that a change moves outputs by rounding only is checked by
+a script.
 
 - ``analytic``: :class:`alphasolve.AlphaSolution` for m = 5..500. No draw
   enters these, so they compare under any numpy version.
@@ -118,8 +124,9 @@ def compute() -> dict:
     draws = {}
     for key, *args in sweep_keys():
         draws[key] = sweep(*args, workers=1)
-        if sweep(*args, workers=2) != draws[key]:
-            sys.exit(f"{key}: 1 and 2 workers differ")
+        for workers in (2, 4):
+            if sweep(*args, workers=workers) != draws[key]:
+                sys.exit(f"{key}: 1 and {workers} workers differ")
     for key, *args in reference_keys():
         draws[key] = reference(*args)
     return {"numpy": np.__version__,
@@ -136,6 +143,68 @@ def dump(doc: dict) -> str:
     return "{\n" + ",\n".join(parts) + "\n}\n"
 
 
+def _stored_float(x):
+    """The float that a stored string holds (``float.hex``), or None."""
+    try:
+        return float.fromhex(x) if isinstance(x, str) else None
+    except ValueError:
+        return None
+
+
+def _floats(old, new, path=()):
+    """(path, old, new) of each float of two stored values of one shape;
+    a leaf that is not a float, or a change of shape, yields None for both."""
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for i, (a, b) in enumerate(zip(old, new)):
+            yield from _floats(a, b, (*path, i))
+    elif _stored_float(old) is not None and _stored_float(new) is not None:
+        yield path, _stored_float(old), _stored_float(new)
+    elif old != new:
+        yield path, None, None
+
+
+def relative_change(old, new) -> float:
+    """|new - old| / |old|: 0 for equal values (NaN and inf included), inf
+    for a change of shape or of a value that is not a float, or from 0."""
+    if old is None:
+        return math.inf
+    if old == new or (math.isnan(old) and math.isnan(new)):
+        return 0.0
+    return abs(new - old) / abs(old) if old else math.inf
+
+
+def _label(value, path):
+    """The label of the sweep row that ``path`` enters, or None."""
+    row = value[path[0]] if path and isinstance(value, list) else None
+    if isinstance(row, list) and row and isinstance(row[0], str) and _stored_float(row[0]) is None:
+        return row[0]
+    return None
+
+
+def compare(stored: dict, computed: dict) -> list[str]:
+    """One line per moved key of ``computed`` against ``stored``: the largest
+    relative change of its floats, and, for a key that holds labelled rows
+    (a sweep), one indented line per moved row."""
+    lines = []
+    for section in ("analytic", "draws"):
+        for key, new in computed[section].items():
+            old = stored[section].get(key)
+            if old == new:
+                continue
+            rows = {}
+            for path, a, b in _floats(old, new):
+                row = _label(old, path)
+                rows[row] = max(rows.get(row, 0.0), relative_change(a, b))
+            lines.append(f"{key}: largest relative change {max(rows.values()):.3g}")
+            lines += [f"    {row}: {ch:.3g}" for row, ch in rows.items() if row is not None and ch]
+    return lines
+
+
 if __name__ == "__main__":
-    PATH.write_text(dump(compute()))
-    print(f"wrote {PATH}")
+    if sys.argv[1:2] == ["--compare"]:
+        against = pathlib.Path(sys.argv[2]) if len(sys.argv) > 2 else PATH
+        moved = compare(json.loads(against.read_text()), compute())
+        print("\n".join(moved) if moved else "no key moved")
+    else:
+        PATH.write_text(dump(compute()))
+        print(f"wrote {PATH}")

@@ -2,7 +2,8 @@
 
 Each is a witness for a step of a proof: the asymptotic erfc bounds behind
 the root bracket of G, the Gaussian integral J, the Gaussian central
-moments, and the Bayes risk whose limit gives minimaxity. The tests compare
+moments, the Moebius-function mean behind the maximum risk, and the Bayes
+risk whose limit gives minimaxity. The tests compare
 them with the package's own paths; nothing in ``meanshare`` imports this
 module.
 """
@@ -11,7 +12,7 @@ import math
 
 import numpy as np
 
-from meanshare.analytics import NonpositiveL, _mobius_mean
+from meanshare.analytics import NonpositiveL, gauss_int_I
 from meanshare.params import InvalidParam, ProblemParams, double_factorial, erfcx
 
 
@@ -63,6 +64,21 @@ def gauss_int_J(L: float) -> float:
     return (math.sqrt(math.pi) / (2 * math.sqrt(2) * L**1.5)) * (1 - L) * erfcx(
         math.sqrt(L / 2)
     ) + 1 / (2 * L)
+
+
+def _mobius_mean(M: float, b: float, B: float, s2: float) -> float:
+    """E[1/(M/(s2 + b x^2) + B)] for x ~ N(0,1), with M, b >= 0 and s2, B > 0.
+
+    With v = s2 + b x^2, 1/(M/v + B) = (1 - M/(M + B v))/B and
+    M + B v = B b (L + x^2), so the mean is (1 - M/(B b) I(L))/B with
+    L = (M + B s2)/(B b). b = 0 is the constant integrand. The maximum risk
+    of the recommended estimator is d times this mean at M = (m-2) n*,
+    b = alpha^2 sigma^2 (1/n + 1/n*), B = (n + n*)/sigma^2 and s2 = sigma^2,
+    the form that :func:`meanshare.analytics.rinf_max_risk` reduces."""
+    if b == 0.0:
+        return 1.0 / (M / s2 + B)
+    Bb = B * b
+    return (1.0 - M / Bb * gauss_int_I((M + B * s2) / Bb)) / B
 
 
 def bayes_risk_Rl(ell: float, n_i: int, p: ProblemParams, alpha: float) -> float:

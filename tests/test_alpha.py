@@ -12,6 +12,7 @@ import pytest
 from conftest import params_for
 from meanshare import alphasolve
 from meanshare.alphasolve import bracket, c_m, g_of_alpha, solve_alpha
+from meanshare.analytics import penalty_closed_form, rinf_max_risk
 from meanshare.params import InvalidParam, ProblemParams
 from paper_forms import erfc_lb, erfc_ub, g_bounds
 
@@ -169,6 +170,24 @@ class TestSolveAlpha:
 
     def test_no_warnings_canonical(self, canonical):
         assert solve_alpha(canonical).warnings == ()
+
+
+class TestRegime:
+    # one rule, one exception: every entry point that needs an alpha
+    # refuses m <= 4 with InvalidParam, a ValueError, as highdim_nic_check
+    # does; g_of_alpha, bracket, solve_alpha and the maximum risk used to
+    # raise a bare ValueError
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("entry", [
+        lambda p: g_of_alpha(1.0, p),
+        bracket,
+        solve_alpha,
+        lambda p: rinf_max_risk(10, p, 1.0),
+        lambda p: penalty_closed_form(10, p, 1.0),
+    ], ids=["g_of_alpha", "bracket", "solve_alpha", "rinf_max_risk", "penalty_closed_form"])
+    def test_few_agents_raise_invalid_param(self, entry, m):
+        with pytest.raises(InvalidParam, match="m <= 4"):
+            entry(params_for(m))
 
 
 def alpha_oracle(m: int, n_star: int) -> float:

@@ -13,7 +13,7 @@ from conftest import params_for
 from meanshare import analytics as an
 from meanshare.alphasolve import solve_alpha
 from meanshare.params import InvalidParam, ProblemParams
-from paper_forms import bayes_risk_Rl, gauss_int_J
+from paper_forms import _mobius_mean, bayes_risk_Rl, gauss_int_J
 
 SQRT2PI = math.sqrt(2 * math.pi)
 
@@ -210,6 +210,47 @@ class TestPenalty:
 
                 ref = d * std_normal_quad(l_of_x)
                 assert an.rinf_max_risk(n, p, alpha) == pytest.approx(ref, rel=1e-10), (alpha, n)
+
+    @pytest.mark.parametrize("sigma", [0.5, 2.0])
+    @pytest.mark.parametrize("d", ORACLE_DIMS)
+    def test_reduced_form_vs_mobius_mean(self, d, sigma):
+        # the reduced closed form against the Moebius-function mean it was
+        # reduced from, over the whole alpha range: where that mean is
+        # finite they agree to 1e-12; at either end of the range, where its
+        # B b overflows or its M/(B b) does and it returns NaN or raises,
+        # the reduced form stays between its two limits d sigma^2/N and
+        # d sigma^2/u
+        alphas = [0.0, *np.geomspace(1e-300, 2.0**509.9, 61).tolist(),
+                  *np.geomspace(0.1, 100.0, 25).tolist()]
+        ms = [*range(5, 41), *range(41, 500, 19), 500]
+        worst, compared = 0.0, 0
+        for m in ms:
+            p = params_for(m, sigma=sigma, dim=d)
+            s2, ns = sigma**2, p.n_star
+            for n in (0.5, *range(1, 4 * ns + 1)):
+                lo, hi = d * s2 / ((m - 1) * ns + n), d * s2 / (n + ns)
+                for alpha in alphas:
+                    got = an.rinf_max_risk(n, p, alpha)
+                    assert lo * (1 - 1e-13) <= got <= hi * (1 + 1e-13), (m, n, alpha, got)
+                    try:
+                        ref = d * _mobius_mean((m - 2) * ns, alpha**2 * s2 * (1 / n + 1 / ns),
+                                               (n + ns) / s2, s2)
+                    except an.NonpositiveL:
+                        continue
+                    if math.isfinite(ref):
+                        worst = max(worst, abs(got - ref) / ref)
+                        compared += 1
+        assert worst <= 1e-12 and compared > 0.9 * len(ms) * len(alphas) * 30
+
+    def test_reduced_form_at_the_ends_of_the_alpha_range(self, canonical):
+        # alpha^2 (n + n*)^2 overflows from alpha about 1e153 and alpha^2
+        # underflows below about 1e-162; the risk is still its limit there
+        ns, top = canonical.n_star, math.nextafter(2.0**510, 0.0)
+        for n in (0.5, 1, ns, 4 * ns):
+            assert an.rinf_max_risk(n, canonical, top) == pytest.approx(1 / (n + ns), rel=1e-12)
+            for alpha in (5e-324, 1e-200, 1e-160):
+                assert an.rinf_max_risk(n, canonical, alpha) == pytest.approx(
+                    1 / (8 * ns + n), rel=1e-15)
 
     @pytest.mark.parametrize("n", [0, -1, -0.5])
     def test_nonpositive_n_rejected(self, canonical, canonical_alpha, n):

@@ -39,3 +39,23 @@ def test_sweeps(workers):
 def test_reference_rows():
     computed = {key: golden.reference(*args) for key, *args in golden.reference_keys()}
     assert _moved("draws", computed) == []
+
+
+def test_compare_names_each_moved_key_and_row():
+    # ``golden_outputs.py --compare``: moved keys only, the largest relative
+    # change of their floats, and a sweep's moved rows by label
+    def row(label, total, se):
+        return [label, total.hex(), se.hex(), [], None, False]
+
+    stored = {"analytic": {"alpha m=5": [(2.0).hex(), 7], "alpha m=6": [(3.0).hex(), 7]},
+              "draws": {"sweep": [row("recommended", 1.0, 0.5), row("n=0", 4.0, 0.25)]}}
+    computed = {"analytic": {"alpha m=5": [(2.0).hex(), 7], "alpha m=6": [(3.0).hex(), 8]},
+                "draws": {"sweep": [row("recommended", 1.0 + 2**-52, 0.5),
+                                    row("n=0", 4.0, 0.0)]}}
+    assert golden.compare(stored, computed) == [
+        "alpha m=6: largest relative change inf",
+        "sweep: largest relative change 1",
+        "    recommended: 2.22e-16",
+        "    n=0: 1",
+    ]
+    assert golden.compare(stored, stored) == []

@@ -793,6 +793,33 @@ class TestSharedDraws:
             assert len(pen.per_mu) == len(grid)
             assert len(calls) == 3 * per_chunk
 
+    @pytest.mark.parametrize("foc", [
+        Strategy(0, est.Identity(), est.RecommendedWeighted(), "n=0"),
+        Strategy(1, est.Empty(), est.RecommendedWeighted(), "submit nothing"),
+        Strategy(1, est.Empty(), est.PosteriorMean(1.0), "submit nothing, prior"),
+    ], ids=lambda s: s.label)
+    def test_nothing_submitted_draws_no_prefix(self, canonical, canonical_alpha, monkeypatch,
+                                               foc):
+        # with nothing submitted eta^2 = +inf and every weight is constant, so
+        # cross-check's prefix is integrated out: the n = 0 row reads the
+        # exact sigma^2/n*, with no draw at all
+        calls = []
+        sample_sum = DistributionSpec.sample_sum
+
+        def counting(self, stream, b, k):
+            calls.append(k)
+            return sample_sum(self, stream, b, k)
+
+        monkeypatch.setattr(DistributionSpec, "sample_sum", counting)
+        sc = _scenario(canonical, "cross-check", foc, alpha=canonical_alpha, reps=2_000,
+                       mu_grid=(0.0, 5.0))
+        assert simulation._plan(sc, foc).drawn == 0
+        pen = run_replications(sc)
+        assert canonical.n_star not in calls
+        if foc.n == 0:
+            assert calls == [0] and pen.mean_sq_error == pytest.approx(0.1, rel=1e-12)
+            assert pen.std_error < 1e-9
+
     def test_draw_footprint_is_its_output(self):
         # each running sum's increment is drawn and then added in place, and a
         # Gaussian sum is scaled and shifted in place, so a chunk's draw peaks
@@ -1378,6 +1405,24 @@ class TestScenario:
         with pytest.raises(InvalidParam):
             replace(sc, **change)
 
+    @pytest.mark.parametrize("grid", [("1",), (True,), (0.0, False), (np.True_,), (1j,),
+                                      (np.array(5.0),), "5"],
+                             ids=["str", "True", "False", "numpy bool", "complex", "0-d array",
+                                  "a str for the grid"])
+    def test_mu_grid_takes_real_numbers_only(self, canonical, canonical_alpha, grid):
+        # ("1",) used to end in a bare TypeError from math.isfinite, and
+        # (True,) ran as an offset of 1.0
+        sc = _scenario(canonical, "cross-check", recommended_strategy(canonical),
+                       alpha=canonical_alpha, reps=10)
+        with pytest.raises(InvalidParam, match="mu_grid"):
+            replace(sc, mu_grid=grid)
+
+    @pytest.mark.parametrize("grid", [(np.float64(5.0),), (np.float32(-5.0), 0), (np.int64(3),),
+                                      (0, 50)], ids=repr)
+    def test_mu_grid_takes_numpy_and_python_reals(self, canonical, canonical_alpha, grid):
+        sc = _scenario(canonical, "cross-check", recommended_strategy(canonical),
+                       alpha=canonical_alpha, reps=10)
+        assert replace(sc, mu_grid=grid).mu_grid == grid
 
     @pytest.mark.parametrize("alpha", [math.inf, 1e300, 2.0**510, math.nan, 0.0, -1.0],
                              ids=["inf", "1e300", "2**510", "nan", "0", "-1"])
